@@ -21,7 +21,7 @@
 use crate::chandra_merlin::set_contained;
 use crate::verdict::{Certificate, Counterexample, Provenance, Verdict};
 use bagcq_arith::{Nat, Rat};
-use bagcq_homcount::{find_onto_hom, BackendChoice, CountRequest};
+use bagcq_homcount::find_onto_hom;
 use bagcq_query::Query;
 use bagcq_reduction::{eliminate_inequalities, EliminationError};
 use bagcq_structure::{Structure, StructureGen};
@@ -115,25 +115,6 @@ impl ContainmentChecker {
         } else {
             Ok(Some((s, b)))
         }
-    }
-
-    /// Runs the full pipeline, counting with the default backend
-    /// ([`BackendChoice::Auto`]).
-    #[deprecated(since = "0.1.0", note = "build a CheckRequest and call check() instead")]
-    pub fn check(&self, q_s: &Query, q_b: &Query) -> Verdict {
-        #[allow(deprecated)]
-        self.check_with_backend(q_s, q_b, BackendChoice::Auto)
-    }
-
-    /// Runs the full pipeline with every count pinned to one
-    /// [`BackendChoice`] — how the conformance suite re-runs the same
-    /// checks through each registered kernel.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a CheckRequest and call check_with_backend() instead"
-    )]
-    pub fn check_with_backend(&self, q_s: &Query, q_b: &Query, backend: BackendChoice) -> Verdict {
-        self.check_with_counter(q_s, q_b, &|q, d| CountRequest::new(q, d).backend(backend).count())
     }
 
     /// Runs the full pipeline with an injected counting function.
@@ -345,6 +326,7 @@ impl ContainmentChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bagcq_homcount::CountRequest;
     use bagcq_query::{cycle_query, path_query};
     use bagcq_structure::SchemaBuilder;
     use std::sync::Arc;
@@ -355,8 +337,7 @@ mod tests {
         b.build()
     }
 
-    /// Non-deprecated driver for these tests: the same pipeline through
-    /// the injected-counter entry point.
+    /// Runs the pipeline with plain `CountRequest` counts.
     fn run(checker: &ContainmentChecker, q_s: &Query, q_b: &Query) -> Verdict {
         checker.check_with_counter(q_s, q_b, &|q, d| CountRequest::new(q, d).count())
     }

@@ -46,7 +46,7 @@
 //! let walks = qb.build();
 //!
 //! // Is every database's edge count at most its 2-walk count? No:
-//! let verdict = ContainmentChecker::new().check(&edges, &walks);
+//! let verdict = CheckRequest::new(&edges, &walks).check().expect("CQ pairs are supported");
 //! assert!(verdict.is_refuted());
 //! ```
 

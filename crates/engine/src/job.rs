@@ -12,7 +12,7 @@
 
 use crate::breaker::FailFast;
 use bagcq_arith::{Magnitude, Nat};
-use bagcq_containment::{CheckSpec, ContainmentChecker, ContainmentChoice, Semantics, Verdict};
+use bagcq_containment::{CheckSpec, ContainmentChoice, Semantics, Verdict};
 use bagcq_homcount::BackendChoice;
 use bagcq_query::{PowerQuery, Query};
 use bagcq_structure::{Fingerprint, FingerprintHasher, Structure};
@@ -217,22 +217,6 @@ impl Job {
     /// A containment-check job from a full [`CheckSpec`] (build one with
     /// [`bagcq_containment::CheckRequest::into_spec`]).
     pub fn check(spec: CheckSpec) -> Self {
-        Job::new(JobSpec::Check { spec })
-    }
-
-    /// A bag-semantics CQ-pair containment job pinned to the legacy
-    /// search pipeline.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a CheckSpec (CheckRequest::into_spec) and call Job::check"
-    )]
-    pub fn containment(checker: ContainmentChecker, q_s: Query, q_b: Query) -> Self {
-        let mut spec = CheckSpec::pair(q_s, q_b);
-        spec.multiplier = checker.multiplier;
-        spec.budget = checker.budget;
-        // Pin the pre-redesign pipeline so shimmed callers keep byte-for-
-        // byte behavior even under a BAGCQ_CONTAINMENT override.
-        spec.choice = ContainmentChoice::BagSearch;
         Job::new(JobSpec::Check { spec })
     }
 
@@ -534,21 +518,6 @@ mod tests {
         assert_ne!(fps[0], fps[1]);
         assert_ne!(fps[0], fps[2]);
         assert_ne!(fps[1], fps[2]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn containment_shim_pins_bag_search() {
-        let (q, _) = setup();
-        let job = Job::containment(ContainmentChecker::new(), q.clone(), q);
-        match &job.spec {
-            JobSpec::Check { spec } => {
-                assert_eq!(spec.choice, ContainmentChoice::BagSearch);
-                assert_eq!(spec.semantics, Semantics::Bag);
-                assert!(spec.is_cq_pair());
-            }
-            _ => panic!("shim must build a Check spec"),
-        }
     }
 
     #[test]

@@ -115,10 +115,10 @@ pub use bagcq_containment::{CheckRequest, CheckSpec, ContainmentChoice, Semantic
 pub use bagcq_homcount::{BackendChoice, CountBackend, CountError, CountRequest};
 pub use breaker::{BreakerConfig, FailFast};
 pub use engine::{CachedCounter, DrainReport, EngineConfig, EvalEngine};
-pub use fault::{FaultInjector, FaultKind, FaultPlan};
+pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSchedule};
 pub use job::{Job, JobHandle, JobSpec, Outcome, ShedReason};
 pub use journal::SweepJournal;
-pub use metrics::{Metrics, MetricsSnapshot, LATENCY_BUCKETS};
+pub use metrics::{Metrics, MetricsSnapshot};
 pub use retry::RetryPolicy;
 pub use store::{MemoStore, RecoveryReport, StoreError, StoreOptions, StoreStats};
 pub use supervisor::{EngineHealth, SupervisorConfig};

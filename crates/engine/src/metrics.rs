@@ -1,7 +1,7 @@
 //! Lock-free metrics for the evaluation engine.
 //!
 //! A [`Metrics`] registry is a bundle of [`AtomicU64`] counters plus a
-//! 32-bucket log₂ latency histogram, shared by every worker thread and
+//! [`Log2Histogram`] of job latencies, shared by every worker thread and
 //! every cache shard of an engine. Reading it never blocks the workers:
 //! [`Metrics::snapshot`] takes a relaxed point-in-time copy into a plain
 //! [`MetricsSnapshot`], which also knows how to [`render`] itself as a
@@ -13,15 +13,10 @@ use crate::admission::TenantCounters;
 use crate::job::ShedReason;
 use crate::store::StoreStats;
 use crate::supervisor::{EngineHealth, HealthCell};
-use bagcq_obs::StageStats;
+use bagcq_obs::{Log2Histogram, StageStats};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Number of log₂ latency buckets. Bucket `i` covers latencies in
-/// `[2^(i-1), 2^i)` microseconds (bucket 0 covers `< 1µs`); the last
-/// bucket absorbs everything above `2^30µs ≈ 18 min`.
-pub const LATENCY_BUCKETS: usize = 32;
 
 /// Shared atomic counters for one engine instance.
 #[derive(Debug, Default)]
@@ -47,7 +42,7 @@ pub struct Metrics {
     worker_deaths: AtomicU64,
     worker_restarts: AtomicU64,
     health: HealthCell,
-    latency_us: [AtomicU64; LATENCY_BUCKETS],
+    latency_us: Log2Histogram,
 }
 
 impl Metrics {
@@ -175,16 +170,11 @@ impl Metrics {
     }
 
     pub(crate) fn observe_latency(&self, elapsed: Duration) {
-        let us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.latency_us[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
+        self.latency_us.record(elapsed);
     }
 
     /// A relaxed point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut latency_us = [0u64; LATENCY_BUCKETS];
-        for (slot, bucket) in latency_us.iter_mut().zip(self.latency_us.iter()) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
         MetricsSnapshot {
             jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
@@ -214,7 +204,7 @@ impl Metrics {
             mem_used_bytes: 0,
             mem_high_water_bytes: 0,
             mem_denials: 0,
-            latency_us,
+            latency_us: self.latency_us.clone(),
             // The persistent store lives outside the registry; the
             // engine fills its stats in (`EvalEngine::metrics`).
             store: None,
@@ -224,15 +214,6 @@ impl Metrics {
             tenants: Vec::new(),
         }
     }
-}
-
-/// The histogram bucket a latency of `us` microseconds falls into.
-fn bucket_index(us: u64) -> usize {
-    if us == 0 {
-        return 0;
-    }
-    let log2 = 64 - u64::leading_zeros(us) as usize; // ceil(log2(us+1))
-    log2.min(LATENCY_BUCKETS - 1)
 }
 
 /// A plain-data copy of a [`Metrics`] registry at one instant.
@@ -299,9 +280,8 @@ pub struct MetricsSnapshot {
     pub mem_high_water_bytes: u64,
     /// Memory-budget reservations refused.
     pub mem_denials: u64,
-    /// Log₂ latency histogram: bucket `i` counts jobs that took
-    /// `[2^(i-1), 2^i)` microseconds end to end.
-    pub latency_us: [u64; LATENCY_BUCKETS],
+    /// End-to-end job latencies.
+    pub latency_us: Log2Histogram,
     /// Persistent-store counters, when the engine has a
     /// [`crate::MemoStore`] tier configured ([`crate::EngineConfig::store`]).
     pub store: Option<StoreStats>,
@@ -319,7 +299,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Total observations in the latency histogram.
     pub fn latency_count(&self) -> u64 {
-        self.latency_us.iter().sum()
+        self.latency_us.count()
     }
 
     /// Cache hit rate in `[0, 1]`, counting single-flight joins as hits
@@ -407,15 +387,16 @@ impl fmt::Display for MetricsSnapshot {
             )?;
         }
         writeln!(f, "  latency  ({} observations)", self.latency_count())?;
-        for (i, &n) in self.latency_us.iter().enumerate() {
+        for (i, n) in self.latency_us.counts().into_iter().enumerate() {
             if n == 0 {
                 continue;
             }
-            let lo = if i == 0 { 0 } else { 1u64 << (i - 1) };
-            if i == LATENCY_BUCKETS - 1 {
+            let hi = Log2Histogram::bucket_hi(i);
+            let lo = hi / 2;
+            if i == Log2Histogram::BUCKETS - 1 {
                 writeln!(f, "    >= {lo}us: {n}")?;
             } else {
-                writeln!(f, "    [{lo}us, {}us): {n}", 1u64 << i)?;
+                writeln!(f, "    [{lo}us, {hi}us): {n}")?;
             }
         }
         if !self.tenants.is_empty() {
@@ -447,17 +428,6 @@ impl fmt::Display for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_boundaries() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), LATENCY_BUCKETS - 1);
-    }
 
     #[test]
     fn snapshot_and_render() {

@@ -13,18 +13,8 @@
 //! two runs of the same workload back off identically — a requirement for
 //! the chaos suite's reproducibility and for debugging sweep logs.
 
+use bagcq_obs::splitmix64;
 use std::time::Duration;
-
-/// SplitMix64 — the tiny deterministic mixer used for jitter and for the
-/// fault plan. Public within the crate so `fault` shares the exact
-/// sequence semantics.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Retry policy for transient evaluation failures.
 #[derive(Clone, Debug, PartialEq, Eq)]

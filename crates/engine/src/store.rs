@@ -71,7 +71,7 @@
 
 use crate::job::Outcome;
 use bagcq_arith::Nat;
-use bagcq_obs as obs;
+use bagcq_obs::{self as obs, crc32};
 use bagcq_structure::Fingerprint;
 use std::collections::HashMap;
 use std::fmt;
@@ -91,29 +91,6 @@ const MAX_RECORD_BYTES: u32 = 4 << 20;
 
 /// Record tag for [`Outcome::Count`] values.
 const TAG_COUNT: u8 = 0;
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`).
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-fn crc32(bytes: &[u8]) -> u32 {
-    !bytes.iter().fold(!0u32, |c, &b| (c >> 8) ^ CRC_TABLE[((c ^ b as u32) & 0xFF) as usize])
-}
 
 /// A typed store failure. Per-record corruption is *not* an error — it is
 /// absorbed into the [`RecoveryReport`] quarantine counters — so this
@@ -818,13 +795,6 @@ mod tests {
 
     fn big_count() -> Outcome {
         Outcome::Count(Nat::from_limbs(vec![u64::MAX, 12345, 1]))
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

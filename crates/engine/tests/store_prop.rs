@@ -16,6 +16,7 @@ use bagcq_arith::Nat;
 use bagcq_engine::{
     EngineConfig, EvalEngine, Job, MemoStore, Outcome, RecoveryReport, StoreOptions,
 };
+use bagcq_obs::SplitMix64;
 use bagcq_query::{cycle_query, path_query, star_query, Query};
 use bagcq_structure::{Fingerprint, Schema, Structure, StructureGen};
 use std::collections::HashMap;
@@ -23,27 +24,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Deterministic splitmix64 stream, seeded from `BAGCQ_STORE_SEED`.
-struct Rng(u64);
-
-impl Rng {
-    fn from_env(salt: u64) -> Rng {
-        let seed =
-            std::env::var("BAGCQ_STORE_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(42u64);
-        Rng(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
+/// A deterministic SplitMix64 stream keyed by `BAGCQ_STORE_SEED` and `salt`.
+fn seeded_rng(salt: u64) -> SplitMix64 {
+    let seed = std::env::var("BAGCQ_STORE_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(42u64);
+    SplitMix64::new(seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -159,7 +143,7 @@ fn check_recovery(
 
 #[test]
 fn bit_flip_fuzz_never_panics_never_lies() {
-    let mut rng = Rng::from_env(1);
+    let mut rng = seeded_rng(1);
     for round in 0..12u64 {
         let dir = temp_dir(&format!("bitflip-{round}"));
         let truth = populate(&dir, 40);
@@ -182,7 +166,7 @@ fn bit_flip_fuzz_never_panics_never_lies() {
 
 #[test]
 fn truncation_fuzz_never_panics_never_lies() {
-    let mut rng = Rng::from_env(2);
+    let mut rng = seeded_rng(2);
     for round in 0..12u64 {
         let dir = temp_dir(&format!("trunc-{round}"));
         let truth = populate(&dir, 40);
@@ -201,7 +185,7 @@ fn truncation_fuzz_never_panics_never_lies() {
 
 #[test]
 fn combined_corruption_fuzz() {
-    let mut rng = Rng::from_env(3);
+    let mut rng = seeded_rng(3);
     for round in 0..8u64 {
         let dir = temp_dir(&format!("combo-{round}"));
         let truth = populate(&dir, 60);
@@ -230,7 +214,7 @@ fn combined_corruption_fuzz() {
                     // Garbage appended past the last record (framing junk).
                     let mut bytes = fs::read(path).unwrap();
                     for _ in 0..rng.below(24) + 1 {
-                        bytes.push(rng.next() as u8);
+                        bytes.push(rng.next_u64() as u8);
                     }
                     fs::write(path, &bytes).unwrap();
                 }
@@ -246,7 +230,7 @@ fn combined_corruption_fuzz() {
 fn exclusive_recovery_then_verify_is_clean() {
     // Whatever mess recovery walked into, after an exclusive open (torn
     // tails truncated) + compaction the store verifies clean.
-    let mut rng = Rng::from_env(4);
+    let mut rng = seeded_rng(4);
     let dir = temp_dir("heal");
     let truth = populate(&dir, 30);
     for path in &segment_files(&dir) {
@@ -372,12 +356,12 @@ fn store_survives_corruption_under_a_live_engine() {
         got
     };
     // Trash every segment byte-by-byte.
-    let mut rng = Rng::from_env(5);
+    let mut rng = seeded_rng(5);
     for path in &segment_files(&dir) {
         let mut bytes = fs::read(path).unwrap();
         for _ in 0..8 {
             let at = rng.below(bytes.len() as u64) as usize;
-            bytes[at] = rng.next() as u8;
+            bytes[at] = rng.next_u64() as u8;
         }
         fs::write(path, &bytes).unwrap();
     }

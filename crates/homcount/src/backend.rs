@@ -9,7 +9,7 @@
 //! up slightly differently. This module collapses them: every count is a
 //! [`CountRequest`] — query, structure, backend preference, cancellation
 //! controls — and every registered kernel sits behind the [`CountBackend`]
-//! trait. The old entry points survive as `#[deprecated]` shims.
+//! trait.
 //!
 //! Four kernels register ([`BackendChoice`]):
 //!

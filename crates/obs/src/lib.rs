@@ -14,19 +14,28 @@
 //!   record, validated by [`parse_jsonl`] + [`validate_nesting`]);
 //! * a **Chrome-trace** JSON array loadable in Perfetto /
 //!   `chrome://tracing`;
-//! * per-stage latency histograms ([`StageStats`]) that the engine
-//!   appends to its `MetricsSnapshot`.
+//! * per-stage latency histograms ([`StageStats`], each a
+//!   [`Log2Histogram`]) that the engine appends to its `MetricsSnapshot`.
 //!
 //! When tracing is disabled (the default) every entry point returns after
 //! a single relaxed atomic load, so instrumented hot paths pay effectively
 //! nothing. Files are committed with the same write-temp-then-rename
 //! discipline as the engine's sweep journal, so a crash mid-export never
 //! leaves a torn trace behind.
+//!
+//! Being the dependency-free leaf every other crate links, it also holds
+//! the one copy of each shared primitive: [`Log2Histogram`], [`crc32`],
+//! [`SplitMix64`] / [`splitmix64`] and [`fnv1a`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod hash;
+mod hist;
 pub mod json;
+
+pub use hash::{crc32, fnv1a, splitmix64, SplitMix64};
+pub use hist::Log2Histogram;
 
 /// Well-known stage names for the serving layer's instant events, so
 /// emitters and trace consumers agree on the strings. Stages emitted by
@@ -63,11 +72,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// Number of log₂ buckets in a per-stage latency histogram. Bucket `i`
-/// covers span durations in `[2^(i-1), 2^i)` microseconds (bucket 0 is
-/// `< 1µs`); the last bucket absorbs everything longer.
-pub const STAGE_BUCKETS: usize = 32;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -224,16 +228,7 @@ fn record_stage(stage: &str, dur_us: u64) {
     stats.spans += 1;
     stats.total_us += dur_us;
     stats.max_us = stats.max_us.max(dur_us);
-    stats.buckets[bucket_index(dur_us)] += 1;
-}
-
-/// The histogram bucket a duration of `us` microseconds falls into.
-pub fn bucket_index(us: u64) -> usize {
-    if us == 0 {
-        return 0;
-    }
-    let log2 = 64 - u64::leading_zeros(us) as usize;
-    log2.min(STAGE_BUCKETS - 1)
+    stats.histogram.record_us(dur_us);
 }
 
 fn open_span(stage: &'static str, name: &str, fp: Option<u128>) -> SpanGuard {
@@ -315,31 +310,18 @@ pub struct StageStats {
     pub total_us: u64,
     /// Longest span, microseconds.
     pub max_us: u64,
-    /// Log₂ duration histogram (see [`bucket_index`]).
-    pub buckets: [u64; STAGE_BUCKETS],
+    /// Span durations.
+    pub histogram: Log2Histogram,
 }
 
 impl StageStats {
     fn empty(stage: String) -> Self {
-        StageStats { stage, spans: 0, total_us: 0, max_us: 0, buckets: [0; STAGE_BUCKETS] }
+        StageStats { stage, spans: 0, total_us: 0, max_us: 0, histogram: Log2Histogram::default() }
     }
 
     /// Mean span duration in microseconds (0 when empty).
     pub fn mean_us(&self) -> u64 {
         self.total_us.checked_div(self.spans).unwrap_or(0)
-    }
-
-    /// Lower bound (µs) of the bucket containing quantile `q ∈ [0,1]`.
-    pub fn quantile_bucket_lo(&self, q: f64) -> u64 {
-        let target = (q * self.spans as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << (i - 1) };
-            }
-        }
-        0
     }
 }
 
@@ -385,8 +367,7 @@ pub fn render_stage_report(stats: &[StageStats]) -> String {
         "stage", "spans", "total", "mean", "p95<=", "max"
     );
     for s in stats {
-        let p95 = s.quantile_bucket_lo(0.95);
-        let p95_hi = (if p95 == 0 { 1 } else { p95 * 2 }).min(s.max_us.max(1));
+        let p95_hi = s.histogram.quantile_upper_us(0.95).min(s.max_us.max(1));
         let _ = writeln!(
             out,
             "  {:<24} {:>8} {:>10} {:>10} {:>10} {:>10}",
@@ -700,7 +681,7 @@ mod tests {
         });
         let s = stats.iter().find(|s| s.stage == "t.hist").expect("stage recorded");
         assert_eq!(s.spans, 3);
-        assert_eq!(s.buckets.iter().sum::<u64>(), 3);
+        assert_eq!(s.histogram.count(), 3);
         assert!(s.max_us >= s.mean_us());
         let report = render_stage_report(&stats);
         assert!(report.contains("t.hist"), "{report}");

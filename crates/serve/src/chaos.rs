@@ -10,7 +10,8 @@
 //! load generator) and applies the drawn fault to the byte stream
 //! itself.
 //!
-//! Decisions mirror the engine injector exactly: a pure function of
+//! Decisions come from the engine's seeded [`FaultSchedule`] core, the
+//! same one [`bagcq_engine::FaultInjector`] holds: a pure function of
 //! `(seed, side, connection-sequence)` via SplitMix64, so re-running the
 //! same single-threaded accept loop under the same plan faults the same
 //! connections at the same byte offsets. Under concurrent connects only
@@ -39,6 +40,8 @@
 //! turn one valid count into a *different* valid count, and no retry
 //! policy can save a client that believes a wrong answer.
 
+use bagcq_engine::FaultSchedule;
+use bagcq_obs::splitmix64;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -180,44 +183,21 @@ pub struct ConnFault {
     pub mask: u8,
 }
 
-fn mix(mut z: u64) -> u64 {
-    // SplitMix64 finalizer — same mixer as the engine's retry jitter and
-    // the loadgen's `SplitMix64` stream.
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn side_hash(side: &str) -> u64 {
-    // FNV-1a, enough to decorrelate the two static side names.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in side.as_bytes() {
-        h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Executes a [`NetFaultPlan`]: decides, per connection, whether to
 /// fault it and how, and keeps per-kind counters of what it injected.
 #[derive(Debug)]
 pub struct NetFaultInjector {
     plan: NetFaultPlan,
-    sequence: AtomicU64,
-    fired: AtomicU64,
-    per_kind: [AtomicU64; 8],
+    schedule: FaultSchedule<NetFaultKind>,
 }
 
 impl NetFaultInjector {
     /// An injector executing `plan`, shareable across acceptor and
     /// client threads.
     pub fn new(plan: NetFaultPlan) -> Arc<Self> {
-        Arc::new(NetFaultInjector {
-            plan,
-            sequence: AtomicU64::new(0),
-            fired: AtomicU64::new(0),
-            per_kind: Default::default(),
-        })
+        let schedule =
+            FaultSchedule::new(plan.seed, plan.rate_per_mille, plan.max_faults, &plan.kinds);
+        Arc::new(NetFaultInjector { plan, schedule })
     }
 
     /// The plan this injector executes.
@@ -227,50 +207,27 @@ impl NetFaultInjector {
 
     /// Total faulted connections so far.
     pub fn injected(&self) -> u64 {
-        self.fired.load(Ordering::Relaxed)
+        self.schedule.fired()
     }
 
     /// Faults of one kind injected so far.
     pub fn injected_of(&self, kind: NetFaultKind) -> u64 {
-        self.per_kind[kind_index(kind)].load(Ordering::Relaxed)
+        self.schedule.fired_of(kind)
     }
 
     /// Connections seen so far (faulted or not).
     pub fn connections(&self) -> u64 {
-        self.sequence.load(Ordering::Relaxed)
+        self.schedule.draws()
     }
 
     /// Draws the decision for the next connection on `side` (a static
     /// label like `"accept"` or `"connect"`, decorrelating server-side
     /// and client-side schedules under one seed).
     pub fn draw(&self, side: &str) -> Option<ConnFault> {
-        let n = self.sequence.fetch_add(1, Ordering::Relaxed);
-        if self.plan.kinds.is_empty() || self.plan.rate_per_mille == 0 {
-            return None;
-        }
-        let h = mix(self.plan.seed ^ side_hash(side) ^ n.wrapping_mul(0xA24B_AED4_963E_E407));
-        if (h % 1000) as u32 >= self.plan.rate_per_mille {
-            return None;
-        }
-        // Respect the global cap without over-counting under contention.
-        if self.plan.max_faults > 0 {
-            let claimed = self
-                .fired
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |f| {
-                    (f < self.plan.max_faults).then_some(f + 1)
-                })
-                .is_ok();
-            if !claimed {
-                return None;
-            }
-        } else {
-            self.fired.fetch_add(1, Ordering::Relaxed);
-        }
-        let kind = self.plan.kinds[((h >> 32) as usize) % self.plan.kinds.len()];
-        self.per_kind[kind_index(kind)].fetch_add(1, Ordering::Relaxed);
-        let h2 = mix(h);
+        let (kind, h) = self.schedule.draw(side)?;
+        let h2 = splitmix64(h);
         let offset = h2 % self.plan.max_offset.max(1);
-        let mask = ((mix(h2) % 255) + 1) as u8;
+        let mask = ((splitmix64(h2) % 255) + 1) as u8;
         Some(ConnFault { kind, offset, mask })
     }
 
@@ -298,10 +255,6 @@ impl NetFaultInjector {
         }
         out
     }
-}
-
-fn kind_index(kind: NetFaultKind) -> usize {
-    ALL_NET_KINDS.iter().position(|k| *k == kind).expect("all kinds are indexed")
 }
 
 /// Per-connection fault state, shared between the read and write clones
@@ -554,44 +507,23 @@ mod tests {
     use std::io::BufReader;
     use std::net::TcpListener;
 
-    fn drain(inj: &NetFaultInjector, n: u64, side: &str) -> Vec<Option<ConnFault>> {
-        (0..n).map(|_| inj.draw(side)).collect()
-    }
+    // Reproducibility, the cap, rate zero and kind filtering are tested
+    // once, on the shared `FaultSchedule` core (`bagcq_engine::fault`);
+    // seeded draws are pinned in `tests/replay_pins.rs`.
 
     #[test]
-    fn decisions_are_reproducible_and_seed_sensitive() {
-        let fresh = |seed| NetFaultInjector::new(NetFaultPlan::seeded(seed).with_max_faults(0));
-        let a = fresh(7);
-        assert_eq!(drain(&a, 400, "accept"), drain(&fresh(7), 400, "accept"));
-        assert!(a.injected() > 0, "a 25% rate over 400 connections must fire");
-        assert_ne!(drain(&fresh(7), 400, "accept"), drain(&fresh(8), 400, "accept"));
-        // The two sides of the wire draw decorrelated schedules.
-        assert_ne!(drain(&fresh(7), 400, "accept"), drain(&fresh(7), 400, "connect"));
-    }
-
-    #[test]
-    fn cap_rate_zero_and_masks() {
-        let inj = NetFaultInjector::new(NetFaultPlan::seeded(3).with_rate_per_mille(1000));
-        let drawn: Vec<_> = drain(&inj, 300, "accept").into_iter().flatten().collect();
-        assert_eq!(drawn.len() as u64, inj.plan().max_faults, "cap must bound total faults");
-        assert!(drain(&inj, 50, "accept").iter().all(Option::is_none), "after the cap: clean");
-        for fault in &drawn {
+    fn masks_offsets_and_kind_coverage() {
+        let inj = NetFaultInjector::new(
+            NetFaultPlan::seeded(5).with_rate_per_mille(1000).with_max_faults(0),
+        );
+        for _ in 0..400 {
+            let fault = inj.draw("accept").expect("full rate, no cap");
             assert_ne!(fault.mask, 0, "corruption masks are never no-ops");
             assert!(fault.offset < inj.plan().max_offset);
         }
-        // Full-rate draws must eventually cover every kind.
-        let all = NetFaultInjector::new(
-            NetFaultPlan::seeded(5).with_rate_per_mille(1000).with_max_faults(0),
-        );
-        let _ = drain(&all, 400, "accept");
         for kind in ALL_NET_KINDS {
-            assert!(all.injected_of(kind) > 0, "{} never drawn in 400 tries", kind.label());
+            assert!(inj.injected_of(kind) > 0, "{} never drawn in 400 tries", kind.label());
         }
-
-        let quiet = NetFaultInjector::new(NetFaultPlan::seeded(4).with_rate_per_mille(0));
-        assert!(drain(&quiet, 200, "accept").iter().all(Option::is_none));
-        assert_eq!(quiet.injected(), 0);
-        assert_eq!(quiet.connections(), 200);
     }
 
     /// One loopback pair with the given fault applied to the accepted

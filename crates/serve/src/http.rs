@@ -373,21 +373,8 @@ fn truncated_body(e: io::Error, what: &str, expected: usize) -> HttpError {
     }
 }
 
-/// CRC-32 (IEEE, reflected) over `bytes` — the integrity check carried in
-/// the `X-Body-Crc` header on both requests and responses, so a single
-/// flipped bit anywhere in a body is detected before the frame is acted
-/// on (chaos-transport corruption shows up as a typed refusal/retry, not
-/// a silently wrong count).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & (0u32.wrapping_sub(crc & 1)));
-        }
-    }
-    !crc
-}
+/// The `X-Body-Crc` checksum carried on requests and responses.
+pub use bagcq_obs::crc32;
 
 #[cfg(test)]
 mod tests {
@@ -547,22 +534,6 @@ mod tests {
         assert_eq!(req.header("idempotency-key"), Some("req-0042"));
         assert_eq!(req.header("x-api-key"), Some("k1"));
         assert_eq!(req.body, b"body");
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-        // Any single flipped bit must change the checksum.
-        let body = b"ok: count\ncount: 17\n";
-        let base = crc32(body);
-        for i in 0..body.len() {
-            let mut corrupt = body.to_vec();
-            corrupt[i] ^= 0x20;
-            assert_ne!(crc32(&corrupt), base, "flip at byte {i} went undetected");
-        }
     }
 
     #[test]

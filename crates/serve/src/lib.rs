@@ -59,11 +59,10 @@ pub mod server;
 pub mod wire;
 
 pub use bagcq_engine::{DrainReport, RetryPolicy, TenantQuota, TenantSpec};
+pub use bagcq_obs::SplitMix64;
 pub use chaos::{ChaosTransport, Conn, ConnFault, NetFaultInjector, NetFaultKind, NetFaultPlan};
 pub use http::{HttpError, HttpLimits, HttpRequest, HttpResponse};
-pub use loadgen::{
-    plan_requests, LoadgenConfig, LoadgenReport, PlannedRequest, SplitMix64, WorkloadMix,
-};
+pub use loadgen::{plan_requests, LoadgenConfig, LoadgenReport, PlannedRequest, WorkloadMix};
 pub use server::{Server, ServerConfig};
 pub use wire::{
     parse_check_request, parse_count_request, parse_response, CheckJob, CountJob, WireError,

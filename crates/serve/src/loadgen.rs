@@ -15,9 +15,9 @@
 //! anything else (connection reset, unparsable response, wrong status)
 //! is a `protocol_error`.
 //!
-//! Randomness is a seeded [splitmix64](https://prng.di.unimi.it/splitmix64.c)
-//! stream — same seed, same workload, byte for byte. No system clock or
-//! OS entropy is consulted for workload decisions.
+//! Randomness is a seeded [`SplitMix64`] stream — same seed, same
+//! workload, byte for byte. No system clock or OS entropy is consulted
+//! for workload decisions.
 //!
 //! ## Self-healing client
 //!
@@ -45,6 +45,7 @@ use crate::wire::{parse_response, WireResponse};
 use bagcq_arith::Nat;
 use bagcq_engine::RetryPolicy;
 use bagcq_homcount::{BackendChoice, CountRequest};
+use bagcq_obs::{Log2Histogram, SplitMix64};
 use bagcq_query::{parse_bag_instance_infer, parse_dlgp_query};
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -155,9 +156,8 @@ pub struct LoadgenReport {
     pub hedges: u64,
     /// Wall-clock for the whole run.
     pub elapsed: Duration,
-    /// log₂ latency histogram: bucket `i` counts requests that took
-    /// `[2^i, 2^{i+1})` microseconds.
-    pub latency_log2_us: [u64; 32],
+    /// Client-observed request latencies, retries and hedges included.
+    pub latency_log2_us: Log2Histogram,
     /// Shed tallies by `reason:` label.
     pub shed_reasons: HashMap<String, u64>,
 }
@@ -180,19 +180,7 @@ impl LoadgenReport {
     /// Approximate latency percentile (microseconds) from the log₂
     /// histogram — bucket upper bounds, so an overestimate.
     pub fn latency_percentile_us(&self, pct: f64) -> u64 {
-        let total: u64 = self.latency_log2_us.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((total as f64) * pct.clamp(0.0, 1.0)).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.latency_log2_us.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return 1u64 << (i + 1);
-            }
-        }
-        u64::MAX
+        self.latency_log2_us.quantile_upper_us(pct)
     }
 
     /// Human-readable run report.
@@ -220,34 +208,6 @@ impl LoadgenReport {
             self.latency_percentile_us(0.99)
         ));
         out
-    }
-}
-
-/// Deterministic splitmix64 stream (std-only; no `rand` dependency so
-/// the serve crate stays dependency-free for release builds).
-#[derive(Clone, Debug)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Seeds the stream.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, bound)`; `bound` must be nonzero.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound
     }
 }
 
@@ -469,7 +429,7 @@ struct Tally {
     mismatches: AtomicU64,
     retries: AtomicU64,
     hedges: AtomicU64,
-    latency_log2_us: [AtomicU64; 32],
+    latency_log2_us: Log2Histogram,
     shed_reasons: std::sync::Mutex<HashMap<String, u64>>,
 }
 
@@ -483,15 +443,9 @@ impl Tally {
             mismatches: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             hedges: AtomicU64::new(0),
-            latency_log2_us: std::array::from_fn(|_| AtomicU64::new(0)),
+            latency_log2_us: Log2Histogram::default(),
             shed_reasons: std::sync::Mutex::new(HashMap::new()),
         }
-    }
-
-    fn record_latency(&self, took: Duration) {
-        let us = took.as_micros().max(1) as u64;
-        let bucket = (63 - us.leading_zeros() as usize).min(31);
-        self.latency_log2_us[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
     fn record_shed(&self, reason: &str) {
@@ -746,7 +700,7 @@ fn worker(ctx: &ClientCtx, plan: &[Plan], base_index: u64, tally: &Tally) {
                 }
             }
         };
-        tally.record_latency(started.elapsed());
+        tally.latency_log2_us.record(started.elapsed());
         match outcome {
             Some(http) => {
                 // Delivery bit-identity: two 200s for the same frame
@@ -809,7 +763,8 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
         }
     });
     let elapsed = started.elapsed();
-    let mut report = LoadgenReport {
+    let shed_reasons = tally.shed_reasons.lock().unwrap_or_else(|p| p.into_inner()).clone();
+    LoadgenReport {
         requests: plan.len() as u64,
         ok: tally.ok.load(Ordering::Relaxed),
         sheds: tally.sheds.load(Ordering::Relaxed),
@@ -819,29 +774,14 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
         retries: tally.retries.load(Ordering::Relaxed),
         hedges: tally.hedges.load(Ordering::Relaxed),
         elapsed,
-        latency_log2_us: [0; 32],
-        shed_reasons: tally.shed_reasons.lock().unwrap_or_else(|p| p.into_inner()).clone(),
-    };
-    for (i, bucket) in tally.latency_log2_us.iter().enumerate() {
-        report.latency_log2_us[i] = bucket.load(Ordering::Relaxed);
+        latency_log2_us: tally.latency_log2_us.clone(),
+        shed_reasons,
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic() {
-        let mut a = SplitMix64::new(7);
-        let mut b = SplitMix64::new(7);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        let mut c = SplitMix64::new(8);
-        assert_ne!(a.next_u64(), c.next_u64());
-    }
 
     #[test]
     fn plans_are_seed_deterministic() {
@@ -867,10 +807,21 @@ mod tests {
 
     #[test]
     fn latency_percentiles_come_from_the_histogram() {
-        let mut report = LoadgenReport::default();
-        report.latency_log2_us[3] = 50; // [8, 16) µs
-        report.latency_log2_us[10] = 50; // [1024, 2048) µs
+        let report = LoadgenReport::default();
+        for _ in 0..50 {
+            report.latency_log2_us.record_us(8); // [8, 16) µs
+            report.latency_log2_us.record_us(1024); // [1024, 2048) µs
+        }
         assert_eq!(report.latency_percentile_us(0.5), 16);
         assert_eq!(report.latency_percentile_us(0.99), 2048);
+    }
+
+    #[test]
+    fn zero_percentile_skips_empty_buckets() {
+        let report = LoadgenReport::default();
+        for us in [1024, 1500, 2047] {
+            report.latency_log2_us.record_us(us);
+        }
+        assert_eq!(report.latency_percentile_us(0.0), 2048);
     }
 }
