@@ -1,5 +1,5 @@
 //! Experiment E-IR — "step zero": the Ioannidis–Ramakrishnan encoding of
-//! Hilbert's 10th problem into `QCP^bag_UCQ` (the paper's reference [14],
+//! Hilbert's 10th problem into `QCP^bag_UCQ` (the paper's reference \[14\],
 //! which its four steps then strengthen from UCQs to single CQs).
 
 use bagcq_bench::{row, sep};

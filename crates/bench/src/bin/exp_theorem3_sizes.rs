@@ -1,5 +1,5 @@
 //! Experiment E-T3 — query-size accounting for the Theorem 3 output: the
-//! headline comparison against Jayram–Kolaitis–Vee [15], whose
+//! headline comparison against Jayram–Kolaitis–Vee \[15\], whose
 //! construction needs 59¹⁰ ≈ 5.1·10¹⁷ inequalities. Ours needs exactly
 //! one, and the (symbolically represented) queries stay polynomial in the
 //! input instance.

@@ -1,19 +1,13 @@
-//! The unified containment API: [`ContainmentBackend`] implementations
-//! behind a [`CheckRequest`] builder, mirroring the counting stack's
-//! `CountBackend`/`CountRequest` redesign.
+//! The containment API: a [`CheckRequest`] builder over four decision
+//! procedures, mirroring the counting stack's `CountRequest`.
 //!
-//! Historically the crate exposed one concrete struct
-//! ([`ContainmentChecker`]) hard-wired into every consumer, which made
-//! the bag-semantics refutation search the *only* reachable containment
-//! workload. This module opens the layer up: every check is a
-//! [`CheckRequest`] — a pair of [`UnionQuery`] sides, a [`Semantics`], a
-//! backend preference, a multiplier and a search budget — and every
-//! decision procedure sits behind the [`ContainmentBackend`] trait. Four
-//! backends register ([`ContainmentChoice`]):
+//! Every check is a [`CheckRequest`] — a pair of [`UnionQuery`] sides, a
+//! [`Semantics`], a procedure preference, a multiplier and a search
+//! budget. [`CheckSpec::try_check_with_counter`] resolves the preference
+//! to one of four procedures ([`ContainmentChoice`]) and calls it:
 //!
-//! * `BagSearch` — the original `q·ϱ_s(D) ≤ ϱ_b(D)` harness
-//!   ([`ContainmentChecker`]): sound certificates, verified
-//!   counterexamples, honest Unknowns. CQ pairs under bag semantics.
+//! * `BagSearch` — the `q·ϱ_s(D) ≤ ϱ_b(D)` harness for CQ pairs: sound
+//!   certificates, verified counterexamples, honest Unknowns.
 //! * `SetChandraMerlin` — the 1977 set-semantics criterion: `ψ_s ⊑set
 //!   ψ_b` iff `ψ_b` maps homomorphically into the canonical structure of
 //!   `ψ_s`. Decidable, so it never answers Unknown.
@@ -27,21 +21,27 @@
 //!   onto-homomorphism certificate, canonical/structured/random
 //!   counterexample candidates, honest Unknowns.
 //!
+//! Every procedure is *sound* in both directions: `Proved` only with a
+//! certificate valid on all databases, `Refuted` only with a
+//! counterexample the counts confirm. The bag procedures are incomplete —
+//! for an open/undecidable problem `Unknown` is the honest third arm.
+//!
 //! The `BAGCQ_CONTAINMENT` environment variable (values `auto`,
 //! `bag-search`, `set-chandra-merlin`, `set-ucq`, `bag-ucq`) overrides
 //! what `Auto` resolves to — the CI containment matrix forces each
-//! backend through every `Auto` call site this way. The override only
-//! redirects `Auto`, and only towards a backend that actually supports
+//! procedure through every `Auto` call site this way. The override only
+//! redirects `Auto`, and only towards a procedure that actually supports
 //! the request; explicitly pinned choices are never overridden, so
 //! differential tests stay meaningful under the matrix.
 
-use crate::checker::{ContainmentChecker, SearchBudget, TryCountFn};
-use crate::verdict::{Certificate, Counterexample, Provenance, Verdict};
-use bagcq_arith::{Nat, Rat};
-use bagcq_homcount::{find_onto_hom, BackendChoice, CountRequest};
+use crate::chandra_merlin::{set_chandra_merlin, set_ucq};
+use crate::checker::{bag_search, bag_ucq, SearchBudget, TryCountFn};
+use crate::verdict::Verdict;
+use bagcq_arith::Rat;
+use bagcq_homcount::CountRequest;
 use bagcq_query::{Query, UnionQuery};
-use bagcq_structure::{Structure, StructureGen};
-use std::cell::RefCell;
+use bagcq_structure::Structure;
+use std::convert::Infallible;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
@@ -136,16 +136,6 @@ impl ContainmentChoice {
         }
     }
 
-    /// The semantics this backend decides (`None` for `Auto`, which
-    /// follows the request).
-    pub fn semantics(self) -> Option<Semantics> {
-        match self {
-            ContainmentChoice::Auto => None,
-            ContainmentChoice::BagSearch | ContainmentChoice::BagUcq => Some(Semantics::Bag),
-            ContainmentChoice::SetChandraMerlin | ContainmentChoice::SetUcq => Some(Semantics::Set),
-        }
-    }
-
     /// Resolves `Auto` to a concrete backend for this spec; concrete
     /// choices return themselves unchanged.
     ///
@@ -167,12 +157,7 @@ impl ContainmentChoice {
             return self;
         }
         match forced {
-            Some(f)
-                if f != ContainmentChoice::Auto
-                    && containment_backend(f).supports(spec).is_ok() =>
-            {
-                f
-            }
+            Some(f) if f != ContainmentChoice::Auto && supports(f, spec).is_ok() => f,
             _ => spec.natural_choice(),
         }
     }
@@ -240,33 +225,6 @@ impl fmt::Display for Unsupported {
 }
 
 impl std::error::Error for Unsupported {}
-
-/// Opaque abort marker raised through the type-erased counter: the real
-/// typed error is stashed with the caller and re-surfaced by
-/// [`CheckSpec::try_check_with_counter`].
-#[derive(Debug)]
-pub struct CounterStop(());
-
-/// Signature of the type-erased fallible counter a
-/// [`ContainmentBackend`] counts through. Must be extensionally equal to
-/// [`bagcq_homcount::CountRequest::count`] — verdicts are only as sound
-/// as the counts.
-pub type ErasedCountFn<'a> = dyn Fn(&Query, &Structure) -> Result<Nat, CounterStop> + 'a;
-
-/// Why a backend could not produce a verdict.
-#[derive(Debug)]
-pub enum BackendFailure {
-    /// The spec lies outside this backend's fragment.
-    Unsupported(Unsupported),
-    /// The injected counter aborted the search.
-    Counter(CounterStop),
-}
-
-impl From<CounterStop> for BackendFailure {
-    fn from(c: CounterStop) -> Self {
-        BackendFailure::Counter(c)
-    }
-}
 
 /// Failure of a [`CheckRequest`] run with a fallible counter.
 #[derive(Debug)]
@@ -367,37 +325,69 @@ impl CheckSpec {
     /// serve layer's typed-400 gate.
     pub fn validate(&self) -> Result<ContainmentChoice, Unsupported> {
         let choice = self.resolved_choice();
-        containment_backend(choice).supports(self)?;
+        supports(choice, self)?;
         Ok(choice)
     }
 
-    /// Runs the resolved backend with an injected *fallible* counter.
+    /// Runs the resolved procedure with an injected *fallible* counter.
     ///
     /// The resilient-evaluation entry point (the engine routes counts
-    /// through its memo cache and cross-validator this way): the first
-    /// `Err` the counter returns aborts the whole check and comes back
+    /// through its memo cache and cross-validator this way): the
+    /// procedures count every candidate database through `counter`, and
+    /// the first `Err` it returns aborts the whole check and comes back
     /// verbatim as [`CheckError::Counter`].
     pub fn try_check_with_counter<E>(
         &self,
         counter: &TryCountFn<'_, E>,
     ) -> Result<Verdict, CheckError<E>> {
         let choice = self.validate().map_err(CheckError::Unsupported)?;
-        let backend = containment_backend(choice);
-        let _span = bagcq_obs::span("containment.backend", backend.name());
-        let stash: RefCell<Option<E>> = RefCell::new(None);
-        let erased = |q: &Query, d: &Structure| -> Result<Nat, CounterStop> {
-            counter(q, d).map_err(|e| {
-                *stash.borrow_mut() = Some(e);
-                CounterStop(())
-            })
-        };
-        match backend.check(self, &erased) {
-            Ok(v) => Ok(v),
-            Err(BackendFailure::Counter(_)) => {
-                Err(CheckError::Counter(stash.into_inner().expect("counter error stashed")))
+        let _span = bagcq_obs::span("containment.backend", choice.label());
+        let (u_s, u_b) = (self.q_s.disjuncts(), self.q_b.disjuncts());
+        let (multiplier, budget) = (&self.multiplier, &self.budget);
+        match choice {
+            ContainmentChoice::BagSearch => {
+                bag_search(&u_s[0], &u_b[0], multiplier, budget, counter)
             }
-            Err(BackendFailure::Unsupported(u)) => Err(CheckError::Unsupported(u)),
+            ContainmentChoice::SetChandraMerlin => set_chandra_merlin(&u_s[0], &u_b[0], counter),
+            ContainmentChoice::SetUcq => set_ucq(u_s, u_b, counter),
+            ContainmentChoice::BagUcq => bag_ucq(u_s, u_b, multiplier, budget, counter),
+            ContainmentChoice::Auto => unreachable!("validate() resolves Auto"),
         }
+        .map_err(CheckError::Counter)
+    }
+}
+
+/// Checks that the concrete procedure `choice` decides `spec`'s
+/// `(semantics, query class)` fragment.
+fn supports(choice: ContainmentChoice, spec: &CheckSpec) -> Result<(), Unsupported> {
+    let refuse = |reason: String| Err(Unsupported { backend: choice, reason });
+    // The semantics each procedure decides and, for the two that take CQ
+    // pairs only, the union procedure to use instead.
+    let (semantics, for_unions) = match choice {
+        ContainmentChoice::BagSearch => (Semantics::Bag, Some(ContainmentChoice::BagUcq)),
+        ContainmentChoice::BagUcq => (Semantics::Bag, None),
+        ContainmentChoice::SetChandraMerlin => (Semantics::Set, Some(ContainmentChoice::SetUcq)),
+        ContainmentChoice::SetUcq => (Semantics::Set, None),
+        ContainmentChoice::Auto => unreachable!("Auto is resolved before support checks"),
+    };
+    if spec.semantics != semantics {
+        return refuse(format!("decides {semantics} semantics, request says {}", spec.semantics));
+    }
+    if semantics == Semantics::Set {
+        if !spec.q_s.is_pure() || !spec.q_b.is_pure() {
+            return refuse("Chandra-Merlin applies to pure CQs only (inequalities present)".into());
+        }
+        if !spec.multiplier.is_one() {
+            return refuse("set semantics is boolean; the multiplier must be 1".into());
+        }
+    }
+    match for_unions {
+        Some(instead) if !spec.is_cq_pair() => refuse(format!(
+            "decides CQ pairs only; request has {}∨{} disjuncts (use {instead})",
+            spec.q_s.len(),
+            spec.q_b.len()
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -405,7 +395,7 @@ impl CheckSpec {
 /// semantics, backend preference, multiplier and budget.
 ///
 /// ```
-/// use bagcq_containment::{CheckRequest, ContainmentChoice, Semantics};
+/// use bagcq_containment::{Certificate, CheckRequest, ContainmentChoice, Semantics, Verdict};
 /// use bagcq_query::{cycle_query, path_query};
 /// use bagcq_structure::SchemaBuilder;
 ///
@@ -417,13 +407,13 @@ impl CheckSpec {
 /// // Set semantics: a 3-cycle has 2-paths, so C3 ⊑set P2.
 /// let v = CheckRequest::new(&c3, &p2).semantics(Semantics::Set).check().unwrap();
 /// assert!(v.is_proved());
-/// // Bag semantics: C3 has 3 closed walks but canonical C3 has 3 2-paths
-/// // too... the harness decides; pin the backend to the search.
+/// // Bag semantics: P2 maps onto C3, so by Lemma 12 every database has at
+/// // least as many 2-paths as 3-cycle homomorphisms.
 /// let v = CheckRequest::new(&c3, &p2)
 ///     .containment(ContainmentChoice::BagSearch)
 ///     .check()
 ///     .unwrap();
-/// assert!(!v.is_proved() || v.is_proved()); // some verdict, soundly
+/// assert!(matches!(v, Verdict::Proved(Certificate::OntoHom(_))), "{v}");
 /// ```
 #[derive(Clone, Debug)]
 pub struct CheckRequest {
@@ -496,20 +486,12 @@ impl CheckRequest {
 
     /// Runs the check, counting with the default counting backend.
     pub fn check(&self) -> Result<Verdict, Unsupported> {
-        self.check_with_backend(BackendChoice::Auto)
-    }
-
-    /// Runs the check with every count pinned to one counting
-    /// [`BackendChoice`].
-    pub fn check_with_backend(&self, backend: BackendChoice) -> Result<Verdict, Unsupported> {
-        let counter = |q: &Query, d: &Structure| -> Result<Nat, std::convert::Infallible> {
-            Ok(CountRequest::new(q, d).backend(backend).count())
-        };
-        match self.spec.try_check_with_counter(&counter) {
-            Ok(v) => Ok(v),
-            Err(CheckError::Unsupported(u)) => Err(u),
-            Err(CheckError::Counter(never)) => match never {},
-        }
+        let counter =
+            |q: &Query, d: &Structure| Ok::<_, Infallible>(CountRequest::new(q, d).count());
+        self.spec.try_check_with_counter(&counter).map_err(|e| match e {
+            CheckError::Unsupported(u) => u,
+            CheckError::Counter(never) => match never {},
+        })
     }
 
     /// Runs the check with an injected fallible counter (see
@@ -522,445 +504,12 @@ impl CheckRequest {
     }
 }
 
-/// A registered containment decision procedure.
-///
-/// Implementations must be *sound* in both directions: `Proved` only
-/// with a certificate valid on all databases, `Refuted` only with a
-/// counterexample the counts confirm. Completeness is not required —
-/// `BagSearch`/`BagUcq` answer `Unknown` when the budget runs out, which
-/// for an open/undecidable problem is the honest third arm.
-pub trait ContainmentBackend: Sync {
-    /// Stable backend name (matches [`ContainmentChoice::label`]).
-    fn name(&self) -> &'static str;
-
-    /// Checks whether this backend can decide the spec's fragment.
-    fn supports(&self, spec: &CheckSpec) -> Result<(), Unsupported>;
-
-    /// Produces a verdict, counting through the type-erased `counter`.
-    fn check(
-        &self,
-        spec: &CheckSpec,
-        counter: &ErasedCountFn<'_>,
-    ) -> Result<Verdict, BackendFailure>;
-}
-
-fn unsupported(backend: ContainmentChoice, reason: impl Into<String>) -> Unsupported {
-    Unsupported { backend, reason: reason.into() }
-}
-
-/// `multiplier·s ≤ b`?
-fn scaled_le(multiplier: &Rat, s: &Nat, b: &Nat) -> bool {
-    multiplier.recip().le_scaled(s, b)
-}
-
-/// The numeric bag-containment harness for CQ pairs (the pre-redesign
-/// [`ContainmentChecker`] pipeline behind the trait).
-#[derive(Default, Clone, Copy, Debug)]
-pub struct BagSearchBackend;
-
-impl ContainmentBackend for BagSearchBackend {
-    fn name(&self) -> &'static str {
-        "bag-search"
-    }
-
-    fn supports(&self, spec: &CheckSpec) -> Result<(), Unsupported> {
-        if spec.semantics != Semantics::Bag {
-            return Err(unsupported(
-                ContainmentChoice::BagSearch,
-                format!("decides bag semantics, request says {}", spec.semantics),
-            ));
-        }
-        if !spec.is_cq_pair() {
-            return Err(unsupported(
-                ContainmentChoice::BagSearch,
-                format!(
-                    "decides CQ pairs only; request has {}∨{} disjuncts (use bag-ucq)",
-                    spec.q_s.len(),
-                    spec.q_b.len()
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    fn check(
-        &self,
-        spec: &CheckSpec,
-        counter: &ErasedCountFn<'_>,
-    ) -> Result<Verdict, BackendFailure> {
-        self.supports(spec).map_err(BackendFailure::Unsupported)?;
-        let (q_s, q_b) = spec.cq_pair().expect("supports() verified the pair");
-        let checker =
-            ContainmentChecker { budget: spec.budget.clone(), multiplier: spec.multiplier.clone() };
-        Ok(checker.try_check_with_counter(q_s, q_b, counter)?)
-    }
-}
-
-/// Chandra–Merlin set containment for pure CQ pairs.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct SetChandraMerlinBackend;
-
-fn set_supports(backend: ContainmentChoice, spec: &CheckSpec) -> Result<(), Unsupported> {
-    if spec.semantics != Semantics::Set {
-        return Err(unsupported(
-            backend,
-            format!("decides set semantics, request says {}", spec.semantics),
-        ));
-    }
-    if !spec.q_s.is_pure() || !spec.q_b.is_pure() {
-        return Err(unsupported(
-            backend,
-            "Chandra-Merlin applies to pure CQs only (inequalities present)",
-        ));
-    }
-    if !spec.multiplier.is_one() {
-        return Err(unsupported(backend, "set semantics is boolean; the multiplier must be 1"));
-    }
-    Ok(())
-}
-
-impl ContainmentBackend for SetChandraMerlinBackend {
-    fn name(&self) -> &'static str {
-        "set-chandra-merlin"
-    }
-
-    fn supports(&self, spec: &CheckSpec) -> Result<(), Unsupported> {
-        set_supports(ContainmentChoice::SetChandraMerlin, spec)?;
-        if !spec.is_cq_pair() {
-            return Err(unsupported(
-                ContainmentChoice::SetChandraMerlin,
-                format!(
-                    "decides CQ pairs only; request has {}∨{} disjuncts (use set-ucq)",
-                    spec.q_s.len(),
-                    spec.q_b.len()
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    fn check(
-        &self,
-        spec: &CheckSpec,
-        counter: &ErasedCountFn<'_>,
-    ) -> Result<Verdict, BackendFailure> {
-        self.supports(spec).map_err(BackendFailure::Unsupported)?;
-        let (q_s, q_b) = spec.cq_pair().expect("supports() verified the pair");
-        let canonical = q_s.canonical_structure().0;
-        // ψ_s ⊑set ψ_b iff ψ_b maps into canonical(ψ_s): a count ≥ 1 is
-        // exactly homomorphism existence, and routing it through the
-        // injected counter keeps engine memo caches and cross-validation
-        // in the loop.
-        let b = counter(q_b, &canonical)?;
-        if b.is_zero() {
-            let s = counter(q_s, &canonical)?;
-            Ok(Verdict::Refuted(Counterexample {
-                database: canonical,
-                count_s: s,
-                count_b: b,
-                provenance: Provenance::CanonicalStructure,
-            }))
-        } else {
-            Ok(Verdict::Proved(Certificate::SetHomomorphism))
-        }
-    }
-}
-
-/// Sagiv–Yannakakis all/any set containment for pure UCQs.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct SetUcqBackend;
-
-impl ContainmentBackend for SetUcqBackend {
-    fn name(&self) -> &'static str {
-        "set-ucq"
-    }
-
-    fn supports(&self, spec: &CheckSpec) -> Result<(), Unsupported> {
-        set_supports(ContainmentChoice::SetUcq, spec)
-    }
-
-    fn check(
-        &self,
-        spec: &CheckSpec,
-        counter: &ErasedCountFn<'_>,
-    ) -> Result<Verdict, BackendFailure> {
-        self.supports(spec).map_err(BackendFailure::Unsupported)?;
-        // U₁ ⊑set U₂ iff every p ∈ U₁ is CM-contained in some q ∈ U₂.
-        // Exact for UCQs: on canonical(p), p is satisfied, so some
-        // disjunct of U₂ must map in; conversely CM containment of every
-        // disjunct gives containment pointwise.
-        let mut pairs = Vec::with_capacity(spec.q_s.len());
-        for p in spec.q_s.disjuncts() {
-            let canonical = p.canonical_structure().0;
-            let hit = spec
-                .q_b
-                .disjuncts()
-                .iter()
-                .enumerate()
-                .find_map(|(j, q)| match counter(q, &canonical) {
-                    Ok(n) if !n.is_zero() => Some(Ok(j)),
-                    Ok(_) => None,
-                    Err(stop) => Some(Err(stop)),
-                })
-                .transpose()?;
-            match hit {
-                Some(j) => pairs.push(j),
-                None => {
-                    // canonical(p) satisfies U₁ (via p) but no disjunct
-                    // of U₂ — the witness, with union counts attached.
-                    let mut s = Nat::zero();
-                    for p2 in spec.q_s.disjuncts() {
-                        s += &counter(p2, &canonical)?;
-                    }
-                    return Ok(Verdict::Refuted(Counterexample {
-                        database: canonical,
-                        count_s: s,
-                        count_b: Nat::zero(),
-                        provenance: Provenance::CanonicalStructure,
-                    }));
-                }
-            }
-        }
-        Ok(Verdict::Proved(Certificate::SetAllAny(pairs)))
-    }
-}
-
-/// Bag-union containment: matching certificates plus refutation search.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct BagUcqBackend;
-
-impl BagUcqBackend {
-    /// Is `multiplier·ΣU₁(d) ≤ ΣU₂(d)` violated on `d`? Returns the
-    /// union counts when it is.
-    fn violates(
-        spec: &CheckSpec,
-        d: &Structure,
-        counter: &ErasedCountFn<'_>,
-    ) -> Result<Option<(Nat, Nat)>, CounterStop> {
-        let mut s = Nat::zero();
-        for p in spec.q_s.disjuncts() {
-            s += &counter(p, d)?;
-        }
-        if s.is_zero() {
-            return Ok(None); // q·0 ≤ anything
-        }
-        let mut b = Nat::zero();
-        for q in spec.q_b.disjuncts() {
-            b += &counter(q, d)?;
-        }
-        if scaled_le(&spec.multiplier, &s, &b) {
-            Ok(None)
-        } else {
-            Ok(Some((s, b)))
-        }
-    }
-
-    /// A maximum bipartite matching of s-disjuncts to *distinct*
-    /// b-disjuncts along Lemma 12 onto-homomorphisms, when one saturates
-    /// the s-side. Each onto hom `ψ_b → ψ_s` gives `ψ_s(D) ≤ ψ_b(D)` on
-    /// every `D`; summing over a matching gives
-    /// `ΣU₁(D) ≤ Σ_matched U₂(D) ≤ ΣU₂(D)`.
-    fn match_disjuncts(u_s: &[Query], u_b: &[Query]) -> Option<Vec<usize>> {
-        let adjacency: Vec<Vec<usize>> = u_s
-            .iter()
-            .map(|p| {
-                u_b.iter()
-                    .enumerate()
-                    .filter(|(_, q)| q.is_pure() && find_onto_hom(q, p).is_some())
-                    .map(|(j, _)| j)
-                    .collect()
-            })
-            .collect();
-        fn augment(
-            i: usize,
-            adjacency: &[Vec<usize>],
-            owner: &mut [usize],
-            seen: &mut [bool],
-        ) -> bool {
-            for &j in &adjacency[i] {
-                if seen[j] {
-                    continue;
-                }
-                seen[j] = true;
-                if owner[j] == usize::MAX || augment(owner[j], adjacency, owner, seen) {
-                    owner[j] = i;
-                    return true;
-                }
-            }
-            false
-        }
-        let mut owner = vec![usize::MAX; u_b.len()];
-        for i in 0..u_s.len() {
-            let mut seen = vec![false; u_b.len()];
-            if !augment(i, &adjacency, &mut owner, &mut seen) {
-                return None;
-            }
-        }
-        let mut matching = vec![0usize; u_s.len()];
-        for (j, &i) in owner.iter().enumerate() {
-            if i != usize::MAX {
-                matching[i] = j;
-            }
-        }
-        Some(matching)
-    }
-
-    /// The Lemma 22-flavoured candidate family over all disjuncts:
-    /// canonical structures (s-side first — they realize any set-level
-    /// failure), their union, blow-ups and squares.
-    fn candidates(spec: &CheckSpec) -> (Vec<Structure>, Vec<Structure>) {
-        let canonical_s: Vec<Structure> =
-            spec.q_s.disjuncts().iter().map(|p| p.canonical_structure().0).collect();
-        let mut structured = Vec::new();
-        let canonical_b: Vec<Structure> =
-            spec.q_b.disjuncts().iter().map(|q| q.canonical_structure().0).collect();
-        let mut union_all: Option<Structure> = None;
-        for c in canonical_s.iter().chain(canonical_b.iter()) {
-            union_all = Some(match union_all {
-                Some(u) => u.union(c),
-                None => c.clone(),
-            });
-        }
-        let mut bases: Vec<Structure> = canonical_b;
-        if let Some(u) = union_all {
-            bases.push(u);
-        }
-        for base in bases {
-            for k in 2..=spec.budget.max_blowup {
-                structured.push(base.blowup(k));
-            }
-            if base.vertex_count() <= 8 {
-                structured.push(base.product(&base));
-            }
-            structured.push(base);
-        }
-        for base in &canonical_s {
-            for k in 2..=spec.budget.max_blowup {
-                structured.push(base.blowup(k));
-            }
-        }
-        (canonical_s, structured)
-    }
-}
-
-impl ContainmentBackend for BagUcqBackend {
-    fn name(&self) -> &'static str {
-        "bag-ucq"
-    }
-
-    fn supports(&self, spec: &CheckSpec) -> Result<(), Unsupported> {
-        if spec.semantics != Semantics::Bag {
-            return Err(unsupported(
-                ContainmentChoice::BagUcq,
-                format!("decides bag semantics, request says {}", spec.semantics),
-            ));
-        }
-        Ok(())
-    }
-
-    fn check(
-        &self,
-        spec: &CheckSpec,
-        counter: &ErasedCountFn<'_>,
-    ) -> Result<Verdict, BackendFailure> {
-        self.supports(spec).map_err(BackendFailure::Unsupported)?;
-        let _span = bagcq_obs::span("containment.check", "bag-ucq");
-        let u_s = spec.q_s.disjuncts();
-        let u_b = spec.q_b.disjuncts();
-
-        // --- Certificates ---
-        if u_s.is_empty() {
-            // The empty union evaluates to 0 everywhere: q·0 ≤ anything.
-            return Ok(Verdict::Proved(Certificate::DisjunctMatching(Vec::new())));
-        }
-        let one_or_less = spec.multiplier <= Rat::one();
-        if one_or_less && u_s.len() == u_b.len() && u_s.iter().zip(u_b).all(|(p, q)| p == q) {
-            return Ok(Verdict::Proved(Certificate::Identical));
-        }
-        if one_or_less {
-            if let Some(matching) = Self::match_disjuncts(u_s, u_b) {
-                return Ok(Verdict::Proved(Certificate::DisjunctMatching(matching)));
-            }
-        }
-
-        // --- Refuters ---
-        let mut checked = 0usize;
-        let (canonical_s, structured) = Self::candidates(spec);
-        for (d, provenance) in canonical_s
-            .into_iter()
-            .map(|d| (d, Provenance::CanonicalStructure))
-            .chain(structured.into_iter().map(|d| (d, Provenance::StructuredCandidate)))
-        {
-            checked += 1;
-            if let Some((s, b)) = Self::violates(spec, &d, counter)? {
-                return Ok(Verdict::Refuted(Counterexample {
-                    database: d,
-                    count_s: s,
-                    count_b: b,
-                    provenance,
-                }));
-            }
-        }
-
-        // Random search over a few density regimes.
-        let schema = u_s[0].schema();
-        for (i, density) in [0.25f64, 0.5, 0.8].into_iter().enumerate() {
-            let gen = StructureGen {
-                extra_vertices: spec.budget.random_vertices,
-                density,
-                max_tuples_per_relation: 200,
-                diagonal_density: 0.5,
-            };
-            for round in 0..spec.budget.random_rounds {
-                let seed = spec.budget.seed.wrapping_add((i as u64) << 32).wrapping_add(round);
-                let d = gen.sample(schema, seed);
-                checked += 1;
-                if let Some((s, b)) = Self::violates(spec, &d, counter)? {
-                    return Ok(Verdict::Refuted(Counterexample {
-                        database: d,
-                        count_s: s,
-                        count_b: b,
-                        provenance: Provenance::RandomSearch,
-                    }));
-                }
-            }
-        }
-
-        Ok(Verdict::Unknown { candidates_checked: checked })
-    }
-}
-
-/// The backend registered for a concrete choice.
-///
-/// # Panics
-///
-/// On [`ContainmentChoice::Auto`], which only resolves against a spec —
-/// call [`CheckSpec::resolved_choice`] first.
-pub fn containment_backend(choice: ContainmentChoice) -> &'static dyn ContainmentBackend {
-    static BAG_SEARCH: BagSearchBackend = BagSearchBackend;
-    static SET_CM: SetChandraMerlinBackend = SetChandraMerlinBackend;
-    static SET_UCQ: SetUcqBackend = SetUcqBackend;
-    static BAG_UCQ: BagUcqBackend = BagUcqBackend;
-    match choice {
-        ContainmentChoice::BagSearch => &BAG_SEARCH,
-        ContainmentChoice::SetChandraMerlin => &SET_CM,
-        ContainmentChoice::SetUcq => &SET_UCQ,
-        ContainmentChoice::BagUcq => &BAG_UCQ,
-        ContainmentChoice::Auto => panic!("Auto must be resolved against a spec"),
-    }
-}
-
-/// Every registered backend with its choice tag — conformance suites and
-/// the CI containment matrix iterate this.
-pub fn registered_containment_backends() -> [(&'static dyn ContainmentBackend, ContainmentChoice); 4]
-{
-    ContainmentChoice::REGISTERED.map(|c| (containment_backend(c), c))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chandra_merlin::set_contained;
+    use crate::verdict::{Certificate, Provenance};
+    use bagcq_arith::Nat;
     use bagcq_query::{cycle_query, path_query};
     use bagcq_structure::SchemaBuilder;
     use std::sync::Arc;

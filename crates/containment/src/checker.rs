@@ -1,9 +1,10 @@
-//! The bag-containment harness: sound certificates, verified
+//! The two bag-semantics procedures: sound certificates, verified
 //! counterexamples, honest Unknowns.
 //!
 //! The general question `q·ϱ_s(D) ≤ ϱ_b(D)` for all `D` subsumes plain
 //! bag containment (`q = 1`, Chaudhuri–Vardi's open problem), Theorem 1's
-//! `ℂ·φ_s ≤ φ_b`, and Definition 3's multiplication checks. The harness:
+//! `ℂ·φ_s ≤ φ_b`, and Definition 3's multiplication checks. For CQ pairs
+//! the harness ([`bag_search`]):
 //!
 //! 1. tries **certificates**: syntactic identity, then the Lemma 12
 //!    onto-homomorphism (sound whenever the multiplier is ≤ 1 and the
@@ -17,23 +18,28 @@
 //! 3. otherwise returns [`Verdict::Unknown`] with the number of databases
 //!    examined — for an open/undecidable problem this third arm is load-
 //!    bearing, not an apology.
+//!
+//! Unions ([`bag_ucq`]) swap the onto-homomorphism for a disjunct
+//! matching and sweep the small side's canonical structures first. Both
+//! procedures share one candidate check and one random-search loop: a CQ
+//! pair is a one-disjunct union.
 
-use crate::chandra_merlin::set_contained;
+use crate::chandra_merlin::canonical_refutation;
 use crate::verdict::{Certificate, Counterexample, Provenance, Verdict};
 use bagcq_arith::{Nat, Rat};
 use bagcq_homcount::find_onto_hom;
 use bagcq_query::Query;
 use bagcq_reduction::{eliminate_inequalities, EliminationError};
 use bagcq_structure::{Structure, StructureGen};
+use std::slice;
 
-/// Signature of an injectable `|Hom(ψ, D)|` counting function (see
-/// [`ContainmentChecker::check_with_counter`]).
-pub type CountFn<'a> = dyn Fn(&Query, &Structure) -> Nat + 'a;
-
-/// Signature of an injectable *fallible* counting function (see
-/// [`ContainmentChecker::try_check_with_counter`]). The error type is the
-/// caller's: the checker never inspects it, it only aborts the search and
-/// hands it back.
+/// Signature of the injectable *fallible* counting function every
+/// procedure counts through (see
+/// [`CheckSpec::try_check_with_counter`](crate::CheckSpec::try_check_with_counter)).
+/// It must be extensionally equal to
+/// [`bagcq_homcount::CountRequest::count`] — verdicts are only as sound as
+/// the counts. The error type is the caller's: the procedures never
+/// inspect it, they only abort and hand it back.
 pub type TryCountFn<'a, E> = dyn Fn(&Query, &Structure) -> Result<Nat, E> + 'a;
 
 /// Search budget for the refutation phase.
@@ -63,272 +69,266 @@ impl Default for SearchBudget {
     }
 }
 
-/// The containment checker for `multiplier·ϱ_s(D) ≤ ϱ_b(D)`.
-#[derive(Clone, Debug)]
-pub struct ContainmentChecker {
-    /// Search budget.
-    pub budget: SearchBudget,
-    /// The multiplier `q` (1 for plain containment).
-    pub multiplier: Rat,
+/// `ΣU(d)`, one count per disjunct, in order.
+pub(crate) fn union_count<E>(
+    u: &[Query],
+    d: &Structure,
+    counter: &TryCountFn<'_, E>,
+) -> Result<Nat, E> {
+    let mut total = Nat::zero();
+    for q in u {
+        total += &counter(q, d)?;
+    }
+    Ok(total)
 }
 
-impl Default for ContainmentChecker {
-    fn default() -> Self {
-        ContainmentChecker { budget: SearchBudget::default(), multiplier: Rat::one() }
-    }
-}
+/// The bag harness for one CQ pair: `multiplier·ϱ_s(D) ≤ ϱ_b(D)`.
+pub(crate) fn bag_search<E>(
+    q_s: &Query,
+    q_b: &Query,
+    multiplier: &Rat,
+    budget: &SearchBudget,
+    counter: &TryCountFn<'_, E>,
+) -> Result<Verdict, E> {
+    let _span = bagcq_obs::span("containment.check", "pipeline");
+    let one_or_less = *multiplier <= Rat::one();
 
-impl ContainmentChecker {
-    /// Plain bag containment (`q = 1`).
-    pub fn new() -> Self {
-        Self::default()
+    // --- Certificates ---
+    if one_or_less && q_s == q_b {
+        return Ok(Verdict::Proved(Certificate::Identical));
     }
-
-    /// Containment scaled by a rational multiplier (Definition 3 checks).
-    pub fn with_multiplier(multiplier: Rat) -> Self {
-        assert!(!multiplier.is_zero(), "multiplier must be positive");
-        ContainmentChecker { budget: SearchBudget::default(), multiplier }
-    }
-
-    /// Is `multiplier·s ≤ b`?
-    fn le(&self, s: &Nat, b: &Nat) -> bool {
-        // q·s ≤ b  ⇔  s ≤ (1/q)·b.
-        self.multiplier.recip().le_scaled(s, b)
-    }
-
-    /// Verifies a candidate counterexample; returns counts when violated.
-    /// `Err` aborts the search with the counter's own error.
-    fn violates<E>(
-        &self,
-        q_s: &Query,
-        q_b: &Query,
-        d: &Structure,
-        counter: &TryCountFn<'_, E>,
-    ) -> Result<Option<(Nat, Nat)>, E> {
-        let s = counter(q_s, d)?;
-        if s.is_zero() {
-            return Ok(None); // q·0 ≤ anything
-        }
-        let b = counter(q_b, d)?;
-        if self.le(&s, &b) {
-            Ok(None)
-        } else {
-            Ok(Some((s, b)))
+    if one_or_less && q_b.is_pure() {
+        if let Some(h) = find_onto_hom(q_b, q_s) {
+            return Ok(Verdict::Proved(Certificate::OntoHom(h)));
         }
     }
 
-    /// Runs the full pipeline with an injected counting function.
-    ///
-    /// Every `|Hom(ψ, D)|` the refutation phase computes goes through
-    /// `counter`, which lets callers route counts through a memo cache or
-    /// a cross-validating dual-engine counter (the `bagcq-engine` crate
-    /// does both) without this crate depending on them. `counter` must be
-    /// extensionally equal to [`bagcq_homcount::CountRequest::count`] —
-    /// the verdicts are only as sound as the counts it returns.
-    pub fn check_with_counter(&self, q_s: &Query, q_b: &Query, counter: &CountFn<'_>) -> Verdict {
-        match self
-            .try_check_with_counter::<std::convert::Infallible>(q_s, q_b, &|q, d| Ok(counter(q, d)))
-        {
-            Ok(v) => v,
-            Err(never) => match never {},
+    // --- Refuters ---
+    // Chandra–Merlin: a set-semantics failure gives an immediate bag
+    // counterexample (requires pure queries).
+    if q_s.is_pure() && q_b.is_pure() {
+        if let Some(ce) = canonical_refutation(q_s, q_b, counter)? {
+            return Ok(Verdict::Refuted(ce));
         }
     }
 
-    /// Runs the full pipeline with an injected *fallible* counting
-    /// function.
-    ///
-    /// This is the resilient-evaluation entry point: a counter that can be
-    /// cancelled (deadlines, step budgets) or fail transiently (fault
-    /// injection, cross-validation disagreement) aborts the whole check
-    /// with its typed error instead of panicking through the search. The
-    /// error type `E` is entirely the caller's; the first `Err` the
-    /// counter returns is handed back verbatim.
-    pub fn try_check_with_counter<E>(
-        &self,
-        q_s: &Query,
-        q_b: &Query,
-        counter: &TryCountFn<'_, E>,
-    ) -> Result<Verdict, E> {
-        let _span = bagcq_obs::span("containment.check", "pipeline");
-        let one_or_less = self.multiplier <= Rat::one();
+    let mut search = Search::new(slice::from_ref(q_s), slice::from_ref(q_b), multiplier, budget);
+    let (cs, _) = q_s.canonical_structure();
+    let (cb, _) = q_b.canonical_structure();
+    let both = cs.union(&cb);
+    let mut structured = Vec::new();
+    for base in [cs, cb, both] {
+        push_blowups(&mut structured, base, budget.max_blowup);
+    }
+    if let Some(v) = search.first(structured, Provenance::StructuredCandidate, counter)? {
+        return Ok(v);
+    }
 
-        // --- Certificates ---
-        if one_or_less && q_s == q_b {
-            return Ok(Verdict::Proved(Certificate::Identical));
-        }
-        if one_or_less && q_b.is_pure() {
-            if let Some(h) = find_onto_hom(q_b, q_s) {
-                return Ok(Verdict::Proved(Certificate::OntoHom(h)));
-            }
-        }
-
-        // --- Refuters ---
-        let mut checked = 0usize;
-
-        // Chandra–Merlin: a set-semantics failure gives an immediate bag
-        // counterexample (requires pure queries).
-        if q_s.is_pure() && q_b.is_pure() && !set_contained(q_s, q_b) {
-            let d = q_s.canonical_structure().0;
-            checked += 1;
-            if let Some((s, b)) = self.violates(q_s, q_b, &d, counter)? {
-                return Ok(Verdict::Refuted(Counterexample {
-                    database: d,
-                    count_s: s,
-                    count_b: b,
-                    provenance: Provenance::CanonicalStructure,
-                }));
-            }
-        }
-
-        // Structured candidates.
-        for d in self.structured_candidates(q_s, q_b) {
-            checked += 1;
-            if let Some((s, b)) = self.violates(q_s, q_b, &d, counter)? {
-                return Ok(Verdict::Refuted(Counterexample {
-                    database: d,
-                    count_s: s,
-                    count_b: b,
-                    provenance: Provenance::StructuredCandidate,
-                }));
-            }
-        }
-
-        // Theorem 5 preprocessing: inequalities only in the s-query.
-        if !q_s.is_pure() && q_b.is_pure() && self.multiplier.is_one() {
-            let stripped = q_s.strip_inequalities();
-            let inner = ContainmentChecker { budget: self.budget.clone(), multiplier: Rat::one() };
-            if let Verdict::Refuted(ce) = inner.try_check_with_counter(&stripped, q_b, counter)? {
-                checked += 1;
-                match eliminate_inequalities(q_s, q_b, &ce.database, self.budget.max_power) {
-                    Ok(elim) => {
-                        return Ok(Verdict::Refuted(Counterexample {
-                            count_s: elim.count_s,
-                            count_b: elim.count_b,
-                            database: elim.witness,
-                            provenance: Provenance::InequalityElimination,
-                        }));
-                    }
-                    Err(EliminationError::SeedNotStrict)
-                    | Err(EliminationError::PowerTooLarge { .. }) => {}
-                    Err(e) => panic!("unexpected elimination failure: {e:?}"),
+    // Theorem 5 preprocessing: inequalities only in the s-query.
+    if !q_s.is_pure() && q_b.is_pure() && multiplier.is_one() {
+        let stripped = q_s.strip_inequalities();
+        if let Verdict::Refuted(ce) = bag_search(&stripped, q_b, multiplier, budget, counter)? {
+            search.checked += 1;
+            match eliminate_inequalities(q_s, q_b, &ce.database, budget.max_power) {
+                Ok(elim) => {
+                    return Ok(Verdict::Refuted(Counterexample {
+                        count_s: elim.count_s,
+                        count_b: elim.count_b,
+                        database: elim.witness,
+                        provenance: Provenance::InequalityElimination,
+                    }));
                 }
+                Err(EliminationError::SeedNotStrict)
+                | Err(EliminationError::PowerTooLarge { .. }) => {}
+                Err(e) => panic!("unexpected elimination failure: {e:?}"),
             }
         }
+    }
 
-        // Random search over a few density regimes.
-        let schema = q_s.schema();
+    search.random(counter)
+}
+
+/// The bag harness for unions: `multiplier·ΣU_s(D) ≤ ΣU_b(D)`.
+pub(crate) fn bag_ucq<E>(
+    u_s: &[Query],
+    u_b: &[Query],
+    multiplier: &Rat,
+    budget: &SearchBudget,
+    counter: &TryCountFn<'_, E>,
+) -> Result<Verdict, E> {
+    let _span = bagcq_obs::span("containment.check", "bag-ucq");
+
+    // --- Certificates ---
+    if u_s.is_empty() {
+        // The empty union evaluates to 0 everywhere: q·0 ≤ anything.
+        return Ok(Verdict::Proved(Certificate::DisjunctMatching(Vec::new())));
+    }
+    let one_or_less = *multiplier <= Rat::one();
+    if one_or_less && u_s == u_b {
+        return Ok(Verdict::Proved(Certificate::Identical));
+    }
+    if one_or_less {
+        if let Some(matching) = match_disjuncts(u_s, u_b) {
+            return Ok(Verdict::Proved(Certificate::DisjunctMatching(matching)));
+        }
+    }
+
+    // --- Refuters ---
+    // The Lemma 22-flavoured family over all disjuncts: canonical
+    // structures (s-side first — they realize any set-level failure),
+    // their union, blow-ups and squares.
+    let canonical_s: Vec<Structure> = u_s.iter().map(|p| p.canonical_structure().0).collect();
+    let canonical_b: Vec<Structure> = u_b.iter().map(|q| q.canonical_structure().0).collect();
+    let union_all = canonical_s.iter().chain(&canonical_b).cloned().reduce(|u, c| u.union(&c));
+    let mut structured = Vec::new();
+    for base in canonical_b.into_iter().chain(union_all) {
+        push_blowups(&mut structured, base, budget.max_blowup);
+    }
+    for base in &canonical_s {
+        structured.extend((2..=budget.max_blowup).map(|k| base.blowup(k)));
+    }
+    let mut search = Search::new(u_s, u_b, multiplier, budget);
+    for (candidates, provenance) in [
+        (canonical_s, Provenance::CanonicalStructure),
+        (structured, Provenance::StructuredCandidate),
+    ] {
+        if let Some(v) = search.first(candidates, provenance, counter)? {
+            return Ok(v);
+        }
+    }
+    search.random(counter)
+}
+
+/// Pushes `base`'s blow-ups, then its square when it has at most 8
+/// vertices, then `base` itself.
+fn push_blowups(out: &mut Vec<Structure>, base: Structure, max_blowup: u32) {
+    out.extend((2..=max_blowup).map(|k| base.blowup(k)));
+    if base.vertex_count() <= 8 {
+        out.push(base.product(&base));
+    }
+    out.push(base);
+}
+
+/// The refutation phases of one bag question `multiplier·ΣU_s(D) ≤
+/// ΣU_b(D)`, counting the candidate databases they examine.
+struct Search<'a> {
+    u_s: &'a [Query],
+    u_b: &'a [Query],
+    multiplier: &'a Rat,
+    budget: &'a SearchBudget,
+    checked: usize,
+}
+
+impl<'a> Search<'a> {
+    fn new(
+        u_s: &'a [Query],
+        u_b: &'a [Query],
+        multiplier: &'a Rat,
+        budget: &'a SearchBudget,
+    ) -> Self {
+        Search { u_s, u_b, multiplier, budget, checked: 0 }
+    }
+
+    /// The first candidate violating `multiplier·ΣU_s(d) ≤ ΣU_b(d)`, as a
+    /// refutation.
+    fn first<E>(
+        &mut self,
+        candidates: impl IntoIterator<Item = Structure>,
+        provenance: Provenance,
+        counter: &TryCountFn<'_, E>,
+    ) -> Result<Option<Verdict>, E> {
+        for database in candidates {
+            self.checked += 1;
+            let count_s = union_count(self.u_s, &database, counter)?;
+            if count_s.is_zero() {
+                continue; // q·0 ≤ anything
+            }
+            let count_b = union_count(self.u_b, &database, counter)?;
+            // q·s ≤ b  ⇔  s ≤ (1/q)·b.
+            if !self.multiplier.recip().le_scaled(&count_s, &count_b) {
+                let ce = Counterexample { database, count_s, count_b, provenance };
+                return Ok(Some(Verdict::Refuted(ce)));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Seeded random search over a few density regimes, then `Unknown`
+    /// with every candidate examined.
+    fn random<E>(mut self, counter: &TryCountFn<'_, E>) -> Result<Verdict, E> {
+        let schema = self.u_s[0].schema();
+        let budget = self.budget;
         for (i, density) in [0.25f64, 0.5, 0.8].into_iter().enumerate() {
             let gen = StructureGen {
-                extra_vertices: self.budget.random_vertices,
+                extra_vertices: budget.random_vertices,
                 density,
                 max_tuples_per_relation: 200,
                 diagonal_density: 0.5,
             };
-            for round in 0..self.budget.random_rounds {
-                let seed = self.budget.seed.wrapping_add((i as u64) << 32).wrapping_add(round);
-                let d = gen.sample(schema, seed);
-                checked += 1;
-                if let Some((s, b)) = self.violates(q_s, q_b, &d, counter)? {
-                    return Ok(Verdict::Refuted(Counterexample {
-                        database: d,
-                        count_s: s,
-                        count_b: b,
-                        provenance: Provenance::RandomSearch,
-                    }));
-                }
+            let samples = (0..budget.random_rounds).map(|round| {
+                gen.sample(schema, budget.seed.wrapping_add((i as u64) << 32).wrapping_add(round))
+            });
+            if let Some(v) = self.first(samples, Provenance::RandomSearch, counter)? {
+                return Ok(v);
             }
         }
-
-        Ok(Verdict::Unknown { candidates_checked: checked })
+        Ok(Verdict::Unknown { candidates_checked: self.checked })
     }
+}
 
-    /// Refutation-only sweep for symbolic [`PowerQuery`] pairs (the shape
-    /// the Theorem 1/3 outputs come in): samples databases, evaluates both
-    /// sides with certified magnitudes, and reports the first certified
-    /// violation of `multiplier·Φ_s(D) ≤ Φ_b(D)`. Certificates are not
-    /// attempted (the onto-homomorphism argument does not survive symbolic
-    /// exponents), so the outcome is `Refuted` or `Unknown`.
-    pub fn check_power(
-        &self,
-        pq_s: &bagcq_query::PowerQuery,
-        pq_b: &bagcq_query::PowerQuery,
-        schema: &std::sync::Arc<bagcq_structure::Schema>,
-        extra_candidates: &[Structure],
-    ) -> Verdict {
-        use bagcq_arith::{CertOrd, Magnitude};
-        use bagcq_homcount::{eval_power_query, EvalOptions};
-        let opts = EvalOptions::default();
-        let mult = Magnitude::exact(self.multiplier.numerator().clone());
-        let den = Magnitude::exact(self.multiplier.denominator().clone());
-        let mut checked = 0usize;
-        let try_db = |d: &Structure, checked: &mut usize| -> Option<Verdict> {
-            *checked += 1;
-            // q·s > b  ⇔  num·s > den·b (cross-multiplied, certified).
-            let lhs = mult.mul(&eval_power_query(pq_s, d, &opts));
-            let rhs = den.mul(&eval_power_query(pq_b, d, &opts));
-            if lhs.cmp_cert(&rhs) == CertOrd::Greater {
-                // Exact counts for the report when available; otherwise
-                // store zero markers (the database itself is the witness).
-                let s = lhs.as_exact().cloned().unwrap_or_else(Nat::zero);
-                let b = rhs.as_exact().cloned().unwrap_or_else(Nat::zero);
-                return Some(Verdict::Refuted(Counterexample {
-                    database: d.clone(),
-                    count_s: s,
-                    count_b: b,
-                    provenance: Provenance::UserProvided,
-                }));
+/// A maximum bipartite matching of s-disjuncts to *distinct* b-disjuncts
+/// along Lemma 12 onto-homomorphisms, when one saturates the s-side.
+/// Each onto hom `ψ_b → ψ_s` gives `ψ_s(D) ≤ ψ_b(D)` on every `D`;
+/// summing over a matching gives `ΣU₁(D) ≤ Σ_matched U₂(D) ≤ ΣU₂(D)`.
+fn match_disjuncts(u_s: &[Query], u_b: &[Query]) -> Option<Vec<usize>> {
+    let adjacency: Vec<Vec<usize>> = u_s
+        .iter()
+        .map(|p| {
+            u_b.iter()
+                .enumerate()
+                .filter(|(_, q)| q.is_pure() && find_onto_hom(q, p).is_some())
+                .map(|(j, _)| j)
+                .collect()
+        })
+        .collect();
+    fn augment(i: usize, adjacency: &[Vec<usize>], owner: &mut [usize], seen: &mut [bool]) -> bool {
+        for &j in &adjacency[i] {
+            if seen[j] {
+                continue;
             }
-            None
-        };
-        for d in extra_candidates {
-            if let Some(v) = try_db(d, &mut checked) {
-                return v;
+            seen[j] = true;
+            if owner[j] == usize::MAX || augment(owner[j], adjacency, owner, seen) {
+                owner[j] = i;
+                return true;
             }
         }
-        for (i, density) in [0.25f64, 0.6].into_iter().enumerate() {
-            let gen = StructureGen {
-                extra_vertices: self.budget.random_vertices,
-                density,
-                max_tuples_per_relation: 150,
-                diagonal_density: 0.5,
-            };
-            for round in 0..self.budget.random_rounds {
-                let seed = self.budget.seed.wrapping_add((i as u64) << 40).wrapping_add(round);
-                let d = gen.sample(schema, seed);
-                if let Some(v) = try_db(&d, &mut checked) {
-                    return v;
-                }
-            }
-        }
-        Verdict::Unknown { candidates_checked: checked }
+        false
     }
-
-    /// The Lemma 22-flavoured candidate family: canonical structures, their
-    /// union, blow-ups and squares.
-    fn structured_candidates(&self, q_s: &Query, q_b: &Query) -> Vec<Structure> {
-        let mut out = Vec::new();
-        let (cs, _) = q_s.canonical_structure();
-        let (cb, _) = q_b.canonical_structure();
-        let both = cs.union(&cb);
-        for base in [cs, cb, both] {
-            for k in 2..=self.budget.max_blowup {
-                out.push(base.blowup(k));
-            }
-            if base.vertex_count() <= 8 {
-                out.push(base.product(&base));
-            }
-            out.push(base);
+    let mut owner = vec![usize::MAX; u_b.len()];
+    for i in 0..u_s.len() {
+        let mut seen = vec![false; u_b.len()];
+        if !augment(i, &adjacency, &mut owner, &mut seen) {
+            return None;
         }
-        out
     }
+    let mut matching = vec![0usize; u_s.len()];
+    for (j, &i) in owner.iter().enumerate() {
+        if i != usize::MAX {
+            matching[i] = j;
+        }
+    }
+    Some(matching)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CheckError, CheckRequest, ContainmentChoice};
     use bagcq_homcount::CountRequest;
     use bagcq_query::{cycle_query, path_query};
     use bagcq_structure::SchemaBuilder;
+    use std::cell::RefCell;
+    use std::convert::Infallible;
     use std::sync::Arc;
 
     fn digraph() -> Arc<bagcq_structure::Schema> {
@@ -337,17 +337,22 @@ mod tests {
         b.build()
     }
 
-    /// Runs the pipeline with plain `CountRequest` counts.
-    fn run(checker: &ContainmentChecker, q_s: &Query, q_b: &Query) -> Verdict {
-        checker.check_with_counter(q_s, q_b, &|q, d| CountRequest::new(q, d).count())
+    /// The request, pinned to bag-search so a `BAGCQ_CONTAINMENT` matrix
+    /// run cannot redirect it.
+    fn request(q_s: &Query, q_b: &Query) -> CheckRequest {
+        CheckRequest::new(q_s, q_b).containment(ContainmentChoice::BagSearch)
+    }
+
+    fn run(q_s: &Query, q_b: &Query) -> Verdict {
+        request(q_s, q_b).check().unwrap()
     }
 
     #[test]
     fn identical_queries_proved() {
         let s = digraph();
         let q = path_query(&s, "E", 2);
-        let v = run(&ContainmentChecker::new(), &q, &q);
-        assert!(v.is_proved(), "{v}");
+        let v = run(&q, &q);
+        assert!(matches!(v, Verdict::Proved(Certificate::Identical)), "{v}");
     }
 
     #[test]
@@ -366,7 +371,7 @@ mod tests {
         let y2 = qb.var("y2");
         qb.atom_named("E", &[x, x]).atom_named("E", &[x, y1]).atom_named("E", &[y1, y2]);
         let big = qb.build();
-        let v = run(&ContainmentChecker::new(), &small, &big);
+        let v = run(&small, &big);
         assert!(matches!(v, Verdict::Proved(Certificate::OntoHom(_))), "{v}");
     }
 
@@ -375,7 +380,7 @@ mod tests {
         let s = digraph();
         let p2 = path_query(&s, "E", 2);
         let c3 = cycle_query(&s, "E", 3);
-        let v = run(&ContainmentChecker::new(), &p2, &c3);
+        let v = run(&p2, &c3);
         match v {
             Verdict::Refuted(ce) => {
                 assert_eq!(ce.provenance, Provenance::CanonicalStructure);
@@ -386,6 +391,26 @@ mod tests {
     }
 
     #[test]
+    fn chandra_merlin_step_counts_through_the_counter() {
+        // P2 ⊑set P1 holds and P1 cannot map onto P2, so no certificate
+        // applies: the first count is the Chandra–Merlin step's
+        // |Hom(P1, canonical(P2))|, asked of the injected counter.
+        let s = digraph();
+        let p1 = path_query(&s, "E", 1);
+        let p2 = path_query(&s, "E", 2);
+        let calls = RefCell::new(Vec::new());
+        let v = request(&p2, &p1)
+            .try_check_with_counter::<Infallible>(&|q, d| {
+                calls.borrow_mut().push((q.clone(), d.fingerprint()));
+                Ok(CountRequest::new(q, d).count())
+            })
+            .unwrap();
+        assert!(v.is_refuted(), "{v}");
+        let calls = calls.into_inner();
+        assert_eq!(calls.first(), Some(&(p1, p2.canonical_structure().0.fingerprint())));
+    }
+
+    #[test]
     fn bag_strictness_beyond_set_semantics() {
         // P1 vs P2: set-contained in the P2 ⊑ P1 direction, but under bag
         // semantics P1 (edges) is NOT contained in P2 (2-paths): a single
@@ -393,7 +418,7 @@ mod tests {
         let s = digraph();
         let p1 = path_query(&s, "E", 1);
         let p2 = path_query(&s, "E", 2);
-        let v = run(&ContainmentChecker::new(), &p1, &p2);
+        let v = run(&p1, &p2);
         assert!(v.is_refuted(), "{v}");
     }
 
@@ -403,11 +428,10 @@ mod tests {
         // database with an edge.
         let s = digraph();
         let q = path_query(&s, "E", 1);
-        let v = run(&ContainmentChecker::with_multiplier(Rat::from_u64s(2, 1)), &q, &q);
+        let v = request(&q, &q).multiplier(Rat::from_u64s(2, 1)).check().unwrap();
         assert!(v.is_refuted(), "{v}");
-        // With multiplier 1/2 it holds — certificate via identity is
-        // skipped only for multiplier > 1... identity applies here.
-        let v = run(&ContainmentChecker::with_multiplier(Rat::from_u64s(1, 2)), &q, &q);
+        // With multiplier 1/2 the identity certificate applies.
+        let v = request(&q, &q).multiplier(Rat::from_u64s(1, 2)).check().unwrap();
         assert!(v.is_proved(), "{v}");
     }
 
@@ -418,28 +442,9 @@ mod tests {
         let s = digraph();
         let p1 = path_query(&s, "E", 1);
         let p2 = path_query(&s, "E", 2);
-        let r =
-            ContainmentChecker::new().try_check_with_counter::<&'static str>(&p1, &p2, &|_, _| {
-                Err("counter unavailable")
-            });
-        assert_eq!(r.unwrap_err(), "counter unavailable");
-    }
-
-    #[test]
-    fn try_counter_matches_infallible_path() {
-        use std::cell::Cell;
-        let s = digraph();
-        let p1 = path_query(&s, "E", 1);
-        let p2 = path_query(&s, "E", 2);
-        let calls = Cell::new(0usize);
-        let v = ContainmentChecker::new()
-            .try_check_with_counter::<std::convert::Infallible>(&p1, &p2, &|q, d| {
-                calls.set(calls.get() + 1);
-                Ok(CountRequest::new(q, d).count())
-            })
-            .unwrap();
-        assert!(v.is_refuted(), "{v}");
-        assert!(calls.get() > 0, "counter must actually be consulted");
+        let r = request(&p1, &p2)
+            .try_check_with_counter::<&'static str>(&|_, _| Err("counter unavailable"));
+        assert!(matches!(r, Err(CheckError::Counter("counter unavailable"))), "{r:?}");
     }
 
     #[test]
@@ -454,7 +459,7 @@ mod tests {
         qb.atom_named("E", &[x, y]).neq(x, y);
         let psi_s = qb.build();
         let psi_b = path_query(&s, "E", 2);
-        let v = run(&ContainmentChecker::new(), &psi_s, &psi_b);
+        let v = run(&psi_s, &psi_b);
         match v {
             Verdict::Refuted(ce) => {
                 assert!(ce.count_s > ce.count_b);
@@ -464,78 +469,14 @@ mod tests {
     }
 
     #[test]
-    fn unknown_when_budget_small_and_claim_true_but_uncertified() {
-        // A containment that actually holds but has no onto-hom: e.g.
-        // ϱ_s = 3-cycle, ϱ_b = 1-loop query E(x,x). Every D: homs of loop
-        // query = #loops; 3-cycles without loops give c3 > 0, loops = 0 —
-        // wait, that's refutable. Use instead ϱ_s = E(x,x) (loops),
-        // ϱ_b = E(x,y) (edges): loops ≤ edges always, but no onto hom
-        // from E(x,y) onto {x} exists... mapping both u,v ↦ x IS onto and
-        // a hom (E(x,x) exists in small). So it is proved. Instead make
-        // ϱ_b = E(x,y) with small = E(x,x) ∧ E(x,z): still onto-hom-able.
-        // Genuinely uncertifiable-but-true cases are rare at this size;
-        // here we at least pin the Unknown plumbing with a tiny budget on
-        // a pair with no certificate and no counterexample in range:
-        // ϱ_s = C4, ϱ_b = C2↑... simplest: C6 vs C3: every hom C3 → C6?
-        // none (no 3-cycles in C6 canonical), so set containment fails →
-        // refuted. Accept: pin Unknown via an equality-like pair instead.
+    fn certificate_needs_no_search_budget() {
+        // C3 ∧̄ C3 maps onto C3 by sending both copies to the same three
+        // vertices, so Lemma 12 proves the pair before any search runs.
         let s = digraph();
-        // ϱ_s = C3 counted once vs ϱ_b = C3 ∧̄ C3: s(D) ≤ s(D)² iff
-        // s(D) ≤ s(D)² — true whenever s(D) ≥ 1, i.e. always under bag
-        // counts (0 ≤ 0 too). No onto hom: C3 ∧̄ C3 has 6 variables whose
-        // image must cover... a hom from the 6-var query onto the 3
-        // canonical vertices exists (map both copies identically) — and
-        // IS found, so this is Proved. The Unknown arm is exercised in
-        // the reduction-level tests where comparisons go interval-mode;
-        // here just assert the checker terminates with *some* verdict.
         let c3 = cycle_query(&s, "E", 3);
         let c3c3 = c3.disjoint_conj(&c3);
-        let mut checker = ContainmentChecker::new();
-        checker.budget.random_rounds = 2;
-        let v = run(&checker, &c3, &c3c3);
-        assert!(v.is_proved(), "{v}");
-    }
-}
-
-#[cfg(test)]
-mod power_tests {
-    use super::*;
-    use bagcq_arith::Nat as N;
-    use bagcq_query::{path_query, PowerQuery};
-    use bagcq_structure::Schema;
-
-    #[test]
-    fn check_power_refutes_with_candidate() {
-        let mut b = Schema::builder();
-        b.relation("E", 2);
-        let s = b.build();
-        let edge = path_query(&s, "E", 1);
-        // Φ_s = edge↑2 vs Φ_b = edge↑3: on a single-edge database
-        // 1 ≤ 1 — equal; on a 2-edge db 4 vs 8 fine; violated nowhere?
-        // edge↑2 ≤ edge↑3 fails when 0 < e < ... e² > e³ ⇔ e < 1: never
-        // for integers ≥ 1; e = 0 gives 0 ≤ 0. So use Φ_s = edge,
-        // Φ_b = edge↑2: e > e² iff e < 1 — also never. The genuine
-        // violation needs e ≥ 1 with multiplier: 2·e > e² for e = 1.
-        let checker = ContainmentChecker::with_multiplier(Rat::from_u64s(2, 1));
-        let pq_s = PowerQuery::from_query(edge.clone());
-        let pq_b = PowerQuery::power(edge.clone(), N::from_u64(2));
-        let single_edge = edge.canonical_structure().0;
-        let v = checker.check_power(&pq_s, &pq_b, &s, &[single_edge]);
-        assert!(v.is_refuted(), "{v}");
-    }
-
-    #[test]
-    fn check_power_unknown_when_contained() {
-        let mut b = Schema::builder();
-        b.relation("E", 2);
-        let s = b.build();
-        let edge = path_query(&s, "E", 1);
-        let mut checker = ContainmentChecker::new();
-        checker.budget.random_rounds = 5;
-        let pq_s = PowerQuery::from_query(edge.clone());
-        let pq_b = PowerQuery::power(edge, N::from_u64(2));
-        // e ≤ e² for naturals: no refutation possible → Unknown.
-        let v = checker.check_power(&pq_s, &pq_b, &s, &[]);
-        assert!(matches!(v, Verdict::Unknown { .. }), "{v}");
+        let budget = SearchBudget { random_rounds: 2, ..SearchBudget::default() };
+        let v = request(&c3, &c3c3).budget(budget).check().unwrap();
+        assert!(matches!(v, Verdict::Proved(Certificate::OntoHom(_))), "{v}");
     }
 }

@@ -68,9 +68,8 @@ pub use bagcq_structure as structure;
 pub mod prelude {
     pub use bagcq_arith::{acc_promotions, CertOrd, Int, Magnitude, Nat, Rat};
     pub use bagcq_containment::{
-        containment_backend, registered_containment_backends, set_contained, Certificate,
-        CheckRequest, CheckSpec, ContainmentBackend, ContainmentChecker, ContainmentChoice,
-        Counterexample, SearchBudget, Semantics, TryCountFn, Unsupported, Verdict,
+        set_contained, Certificate, CheckRequest, CheckSpec, ContainmentChoice, Counterexample,
+        SearchBudget, Semantics, TryCountFn, Unsupported, Verdict,
     };
     pub use bagcq_engine::{
         AdmissionConfig, AdmissionPolicy, BreakerConfig, CachedCounter, CountError, DrainReport,

@@ -396,8 +396,8 @@ struct TenantState {
 }
 
 /// The tenant admission stage: API key → tenant lookup, then quota
-/// enforcement. Sits in front of the engine's [`BoundedQueue`], so a
-/// request must pass *both* its tenant's limits and the engine-wide
+/// enforcement. Sits in front of the engine's bounded admission queue,
+/// so a request must pass *both* its tenant's limits and the engine-wide
 /// admission policy before a worker sees it.
 pub struct TenantGate {
     by_key: HashMap<String, Arc<TenantState>>,

@@ -50,7 +50,7 @@ pub enum FaultKind {
     /// Fail a count with a typed transient error.
     TransientError,
     /// Kill the whole worker *thread*, not just the attempt: the panic
-    /// carries a [`WorkerKillMarker`] payload that the engine's
+    /// carries a `WorkerKillMarker` payload that the engine's
     /// `catch_unwind` deliberately re-raises, so the thread dies and the
     /// supervision layer has to notice, recover the job, and restart the
     /// worker. Not in [`FaultPlan::seeded`]'s default mix (it exercises

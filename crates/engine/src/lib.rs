@@ -2,10 +2,11 @@
 //!
 //! A concurrent, batched evaluation service for the bag-semantics CQ
 //! toolkit. The rest of the workspace exposes *synchronous* primitives —
-//! `count`, `eval_power_query`, `ContainmentChecker::check` — whose costs
-//! range from microseconds to "effectively forever" (bag containment is a
-//! 30-year-open problem; the counting loops are exponential in the worst
-//! case). This crate wraps them in an [`EvalEngine`]:
+//! `count`, `eval_power_query`, `CheckSpec::try_check_with_counter` —
+//! whose costs range from microseconds to "effectively forever" (bag
+//! containment is a 30-year-open problem; the counting loops are
+//! exponential in the worst case). This crate wraps them in an
+//! [`EvalEngine`]:
 //!
 //! * **Fixed worker pool** (`std::thread` + channels, no external
 //!   dependencies): submit a [`Job`] or a batch, get [`JobHandle`]s,
@@ -75,7 +76,7 @@
 //! [`CachedCounter`] exposes the cache/cross-validation layer as a plain
 //! synchronous counter: [`CachedCounter::try_count`] returns a typed
 //! [`CountError`], which plugs into
-//! [`bagcq_containment::ContainmentChecker::try_check_with_counter`] —
+//! [`bagcq_containment::CheckSpec::try_check_with_counter`] —
 //! that is how the `exp_*` binaries route their containment verdicts
 //! through the engine.
 

@@ -11,7 +11,7 @@
 //!   same count the in-process parse of the *identical frame text*
 //!   produces.
 //!
-//! Any oracle violation is minimized by the [`crate::shrink`] pass and,
+//! Any oracle violation is minimized by the [`crate::shrink()`] pass and,
 //! when a fixtures directory is configured, archived as a DLGP
 //! regression fixture that `paper_claims.rs` replays forever after.
 //! Reports exclude wall-clock so `same seed ⇒ byte-identical render`.

@@ -15,7 +15,7 @@
 //!   Definition 3 and the Definition 13 taxonomy and UCQ bag-union
 //!   semantics), each recomputing its counts on **two independent
 //!   kernels** and demanding bit-identical answers;
-//! * [`shrink`] — a delta-debugging minimizer that shrinks a violating
+//! * [`mod@shrink`] — a delta-debugging minimizer that shrinks a violating
 //!   (context, database) pair by parameters, then atoms, then vertices,
 //!   re-checking the oracle at every step;
 //! * [`fixture`] — DLGP serialization for minimized counterexamples,

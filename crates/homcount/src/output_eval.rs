@@ -25,7 +25,7 @@ pub type AnswerBag = BTreeMap<Vec<u32>, Nat>;
 ///
 /// Uses exhaustive homomorphism enumeration grouped by the output
 /// projection; intended for the moderate sizes of the verification
-/// harness (the boolean fast path is [`crate::count`]).
+/// harness (the boolean fast path is [`crate::CountRequest`]).
 pub fn answer_bag(oq: &OutputQuery, d: &Structure) -> AnswerBag {
     let mut out: AnswerBag = BTreeMap::new();
     for_each_hom_limited(&oq.query, d, 0, |assign| {

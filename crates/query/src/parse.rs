@@ -24,8 +24,8 @@ use bagcq_structure::{Schema, SchemaBuilder};
 use std::fmt;
 use std::sync::Arc;
 
-/// Error from the query parser (also used by the DLGP wire syntax in
-/// [`crate::dlgp`]): a message plus the 1-based line/column it points at
+/// Error from the query parser (also used by the DLGP wire syntax of
+/// [`crate::parse_dlgp_query`]): a message plus the 1-based line/column it points at
 /// and the offending source line, so callers can render a caret snippet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseQueryError {

@@ -17,7 +17,7 @@
 //! each holding a DLGP **union** payload (`?- e(X, Y) ; f(X).` — `;`
 //! separates disjuncts; a plain CQ is the one-disjunct union), plus
 //! optional `semantics: set|bag` and `containment: <choice>` headers
-//! selecting the [`bagcq_containment::ContainmentBackend`]. A
+//! selecting the [`bagcq_containment::ContainmentChoice`]. A
 //! combination no backend can serve answers a typed 400 whose kind is
 //! `unsupported_semantics`. Responses are newline-delimited
 //! `key: value` text whose first line is `ok: <kind>` or

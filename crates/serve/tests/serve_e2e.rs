@@ -214,7 +214,7 @@ fn sheds_carry_retry_after_and_every_response_carries_a_crc() {
 }
 
 /// The redesigned check endpoint end-to-end: `semantics`/`containment`
-/// headers select a [`bagcq_containment::ContainmentBackend`], union
+/// headers select a [`bagcq_containment::ContainmentChoice`], union
 /// payloads (`;` disjuncts) parse, the response echoes the *resolved*
 /// backend, and a combination no backend supports answers the typed 400
 /// `unsupported_semantics`.
