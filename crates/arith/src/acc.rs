@@ -13,8 +13,9 @@
 //!
 //! The [`Accumulator`] trait abstracts the handful of operations the
 //! counting loops need, with implementations for both [`Nat`] (the
-//! reference arbitrary-precision path) and [`Acc`] (the fast path), so a
-//! kernel written once against the trait monomorphizes into both.
+//! reference arbitrary-precision path) and [`Acc`] (the fast path). The
+//! counting kernels are written once against the trait and run over
+//! [`Acc`]; the tests check every [`Acc`] operation against [`Nat`].
 //!
 //! Every representation-widening event bumps a process-global counter
 //! readable through [`acc_promotions`] — the experiment binaries report

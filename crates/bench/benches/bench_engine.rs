@@ -22,8 +22,8 @@ fn cold_batch(schema: &Arc<Schema>, dbs: &[Arc<Structure>]) -> Vec<Job> {
         .flat_map(|d| {
             queries.iter().flat_map(|q| {
                 [
-                    Job::count_with(Engine::Naive, q.clone(), Arc::clone(d)),
-                    Job::count_with(Engine::Treewidth, q.clone(), Arc::clone(d)),
+                    Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(d)),
+                    Job::count_with(BackendChoice::Treewidth, q.clone(), Arc::clone(d)),
                 ]
             })
         })
@@ -95,10 +95,9 @@ fn bench_cross_validation_overhead(c: &mut Criterion) {
 }
 
 /// E-KERNEL companion: the same cold batch executed through the engine
-/// with every job pinned to one [`BackendChoice`] — the fast machine-word
-/// paths against their `Nat`-reference algorithms, plus `Auto`'s
-/// heuristic pick. Expected shape: `fast-*` beats its reference family on
-/// this count-heavy workload; `auto` tracks the best of the four.
+/// with every job pinned to one [`BackendChoice`] — the two kernels plus
+/// `Auto`'s heuristic pick. Expected shape: `auto` tracks the better of
+/// the two on this count-heavy workload.
 fn bench_backend_comparison(c: &mut Criterion) {
     let schema = digraph_schema();
     let dbs: Vec<Arc<Structure>> =

@@ -65,14 +65,13 @@ fn main() {
     println!("does not. This is the classic #Hom output-sensitivity trade-off.");
 
     println!();
-    println!("## E-KERNEL — machine-word fast path vs Nat reference");
+    println!("## E-KERNEL — widening accumulators across the overflow boundaries");
     println!();
-    println!("Every registered backend runs the same workload: the query families");
-    println!("over a dense 14-vertex digraph, plus (2-walks)↑k power queries whose");
-    println!("counts cross the u64 and u128 boundaries — so the fast paths must");
-    println!("widen mid-run. Results are asserted bit-identical; the table reports");
-    println!("per-backend wall-clock, throughput, promotion count, and speedup of");
-    println!("each fast path over its own Nat-reference algorithm.");
+    println!("Both kernels run the same workload: the query families over a dense");
+    println!("14-vertex digraph, plus (2-walks)↑k power queries whose counts cross");
+    println!("the u64 and u128 boundaries — so the accumulators must widen mid-run.");
+    println!("Results are asserted identical across the kernels; the table reports");
+    println!("per-kernel wall-clock, throughput, and promotion count.");
     println!();
     let d_kernel = random_digraph(&schema, 14, 0.45, 42);
     let kernel_workload = || {
@@ -84,93 +83,37 @@ fn main() {
         }
         qs
     };
-    // Reference results once, so every backend is checked against them.
+    // Backtracking results once, so both kernels are checked against them.
     let reference: Vec<Nat> = kernel_workload()
         .iter()
         .map(|(_, q)| CountRequest::new(q, &d_kernel).backend(BackendChoice::Naive).count())
         .collect();
     const ROUNDS: u32 = 5;
-    row(&[
-        "backend".into(),
-        "per round".into(),
-        "queries/s".into(),
-        "promotions".into(),
-        "vs Nat ref".into(),
-    ]);
-    sep(5);
-    let mut family_baseline: [f64; 2] = [0.0; 2];
-    for (kernel, choice) in registered_backends() {
+    row(&["backend".into(), "per round".into(), "queries/s".into(), "promotions".into()]);
+    sep(4);
+    for choice in BackendChoice::REGISTERED {
         let workload = kernel_workload();
         let promos_before = acc_promotions();
         let t0 = Instant::now();
         for _ in 0..ROUNDS {
             for ((name, q), want) in workload.iter().zip(&reference) {
                 let got = CountRequest::new(q, &d_kernel).backend(choice).count();
-                assert_eq!(&got, want, "{}: backend diverges on {name}", kernel.name());
+                assert_eq!(&got, want, "{choice}: backend diverges on {name}");
             }
         }
         let per_round = t0.elapsed() / ROUNDS;
         let promos = (acc_promotions() - promos_before) / u64::from(ROUNDS);
         let secs = per_round.as_secs_f64().max(1e-9);
-        // The first two registered backends are the Nat references; the
-        // fast paths that follow are compared against their own family.
-        let fam = match choice.family() {
-            Engine::Naive => 0,
-            Engine::Treewidth => 1,
-        };
-        let vs_ref = if family_baseline[fam] == 0.0 {
-            family_baseline[fam] = secs;
-            "1.00x (ref)".to_string()
-        } else {
-            format!("{:.2}x", family_baseline[fam] / secs)
-        };
         row(&[
-            kernel.name().into(),
+            choice.label().into(),
             format!("{per_round:.2?}"),
             format!("{:.0}", workload.len() as f64 / secs),
             promos.to_string(),
-            vs_ref,
         ]);
     }
     println!();
-    println!("The shared workload must stay naive-enumerable, so counts are small");
-    println!("and both families sit near their reference speed (the naive loop's");
-    println!("arithmetic is one add per homomorphism either way; promotions fire");
-    println!("only on the boundary-crossing powers, u64 → u128 → Nat per widening).");
-    println!();
-    println!("The DP family is where the machine word pays: its tables hold one");
-    println!("count per partial assignment, and with `Nat` every one of those is a");
-    println!("heap value. Same check, arithmetic-heavy workload the backtracker");
-    println!("could never enumerate (counts up to ~10⁴⁰ on a 20-vertex digraph):");
-    println!();
-    let d_dp = random_digraph(&schema, 20, 0.4, 42);
-    row(&["query".into(), "treewidth".into(), "fast-treewidth".into(), "speedup".into()]);
-    sep(4);
-    for (name, q) in [
-        ("star-16", star_query(&schema, "E", 16)),
-        ("path-12", path_query(&schema, "E", 12)),
-        ("(2-walks)↑64", path_query(&schema, "E", 2).power(64)),
-    ] {
-        let mut secs = [0.0f64; 2];
-        let mut counts: Vec<Nat> = Vec::new();
-        for (i, choice) in
-            [BackendChoice::Treewidth, BackendChoice::FastTreewidth].into_iter().enumerate()
-        {
-            let t0 = Instant::now();
-            for _ in 0..ROUNDS {
-                counts.push(CountRequest::new(&q, &d_dp).backend(choice).count());
-            }
-            secs[i] = t0.elapsed().as_secs_f64() / f64::from(ROUNDS);
-        }
-        assert!(counts.windows(2).all(|w| w[0] == w[1]), "DP fast path diverges on {name}");
-        row(&[
-            name.into(),
-            format!("{:.2?}", std::time::Duration::from_secs_f64(secs[0])),
-            format!("{:.2?}", std::time::Duration::from_secs_f64(secs[1])),
-            format!("{:.2}x", secs[0] / secs[1].max(1e-9)),
-        ]);
-    }
-
+    println!("Promotions fire only on the boundary-crossing powers, u64 → u128 → Nat");
+    println!("per widening; every other count stays on the machine word.");
     println!();
     println!("## E-PERF2 — batched evaluation service (bagcq-engine)");
     println!();

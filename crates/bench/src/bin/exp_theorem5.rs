@@ -99,7 +99,9 @@ fn main() {
 fn run_case(label_s: &str, label_b: &str, psi_s: &Query, psi_b: &Query, d0: &Structure) {
     let s0 = CountRequest::new(&psi_s.strip_inequalities(), d0).count();
     let b0 = CountRequest::new(psi_b, d0).count();
-    match eliminate_inequalities(psi_s, psi_b, d0, 10) {
+    let naive =
+        |q: &Query, d: &Structure| CountRequest::new(q, d).backend(BackendChoice::Naive).run();
+    match eliminate_inequalities(psi_s, psi_b, d0, 10, &naive).expect("unlimited count") {
         Ok(elim) => {
             row(&[
                 label_s.into(),

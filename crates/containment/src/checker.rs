@@ -129,7 +129,7 @@ pub(crate) fn bag_search<E>(
         let stripped = q_s.strip_inequalities();
         if let Verdict::Refuted(ce) = bag_search(&stripped, q_b, multiplier, budget, counter)? {
             search.checked += 1;
-            match eliminate_inequalities(q_s, q_b, &ce.database, budget.max_power) {
+            match eliminate_inequalities(q_s, q_b, &ce.database, budget.max_power, counter)? {
                 Ok(elim) => {
                     return Ok(Verdict::Refuted(Counterexample {
                         count_s: elim.count_s,
@@ -325,7 +325,7 @@ mod tests {
     use super::*;
     use crate::{CheckError, CheckRequest, ContainmentChoice};
     use bagcq_homcount::CountRequest;
-    use bagcq_query::{cycle_query, path_query};
+    use bagcq_query::{cycle_query, parse_query, path_query};
     use bagcq_structure::SchemaBuilder;
     use std::cell::RefCell;
     use std::convert::Infallible;
@@ -408,6 +408,30 @@ mod tests {
         assert!(v.is_refuted(), "{v}");
         let calls = calls.into_inner();
         assert_eq!(calls.first(), Some(&(p1, p2.canonical_structure().0.fingerprint())));
+    }
+
+    #[test]
+    fn theorem5_lift_counts_through_the_counter() {
+        // No certificate applies, the Chandra–Merlin step skips a q_s with
+        // an inequality, and no structured candidate refutes: only the
+        // Theorem 5 lift does, and its witness recount is asked of the
+        // injected counter.
+        let mut b = SchemaBuilder::default();
+        b.relation("E", 2);
+        b.relation("F", 1);
+        let s = b.build();
+        let q_s = parse_query(&s, "F(x), E(x,y), E(y,y), x != y").unwrap();
+        let q_b = parse_query(&s, "F(u), F(w)").unwrap();
+        let calls = RefCell::new(Vec::new());
+        let v = request(&q_s, &q_b)
+            .try_check_with_counter::<Infallible>(&|q, d| {
+                calls.borrow_mut().push((q.clone(), d.fingerprint()));
+                Ok(CountRequest::new(q, d).count())
+            })
+            .unwrap();
+        let Verdict::Refuted(ce) = v else { panic!("expected a refutation, got {v}") };
+        assert_eq!(ce.provenance, Provenance::InequalityElimination);
+        assert!(calls.into_inner().contains(&(q_s, ce.database.fingerprint())));
     }
 
     #[test]

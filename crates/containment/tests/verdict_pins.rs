@@ -57,10 +57,9 @@ fn schema() -> Arc<Schema> {
 fn corpus(seed: u64) -> Vec<CheckRequest> {
     let s = schema();
     let pure = QueryGen { variables: 3, atoms: 3, constant_prob: 0.0, inequalities: 0 };
-    // Theorem 5 recounts its Lemma 23 witness `blowup(D₀^×k, 2)` by
-    // enumeration, which takes minutes in a debug build for a dense
-    // `k = 5` witness; the ones four-atom small sides reach here recount
-    // in milliseconds.
+    // Theorem 5 recounts its Lemma 23 witness `blowup(D₀^×k, 2)`, which
+    // is slow in a debug build for a dense `k = 5` witness; the ones
+    // four-atom small sides reach here recount in milliseconds.
     let with_neq = QueryGen { atoms: 4, inequalities: 1, ..pure.clone() };
     let multipliers = [Rat::one(), Rat::from_u64s(2, 1), Rat::from_u64s(1, 2)];
     let base = seed * 100_000;

@@ -80,10 +80,9 @@ pub mod prelude {
     };
     pub use bagcq_hilbert::{by_name as hilbert_instance, library as hilbert_library, reduce};
     pub use bagcq_homcount::{
-        answer_bag, answer_bag_contained, backend_for, eval_power_query, find_onto_hom,
-        output_contained_on, registered_backends, verify_onto_hom, AnswerBag, BackendChoice,
-        CountBackend, CountRequest, Engine, EvalOptions, FastNaiveCounter, FastTreewidthCounter,
-        NaiveCounter, TreewidthCounter,
+        answer_bag, answer_bag_contained, eval_power_query, find_onto_hom, output_contained_on,
+        verify_onto_hom, AnswerBag, BackendChoice, CountRequest, Engine, EvalOptions, NaiveCounter,
+        TreewidthCounter,
     };
     pub use bagcq_obs::StageStats;
     pub use bagcq_polynomial::{Lemma11Instance, Monomial, Polynomial};

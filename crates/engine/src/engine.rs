@@ -103,15 +103,12 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Memo-cache shards (lock granularity; at least 1).
     pub cache_shards: usize,
-    /// When `true`, every raw count is computed by **both** kernel
-    /// families (the resolved backend plus the reference kernel of the
-    /// *other* [`BackendChoice::family`]) and compared; a mismatch
-    /// surfaces as [`Outcome::Panicked`] instead of silently returning a
-    /// wrong number.
+    /// When `true`, every raw count is computed by **both** counting
+    /// algorithms (the resolved backend plus the kernel of the *other*
+    /// [`BackendChoice::family`]) and compared; a mismatch surfaces as
+    /// [`Outcome::Panicked`] instead of silently returning a wrong
+    /// number.
     pub cross_validate: bool,
-    /// Backend for counts the spec does not pin: containment-internal
-    /// counts, [`CachedCounter`], and power-query factors.
-    pub counter_backend: BackendChoice,
     /// Retry policy for transient failures (spurious cancellations,
     /// transient counter errors, panics).
     pub retry: RetryPolicy,
@@ -149,7 +146,6 @@ impl Default for EngineConfig {
             workers: 0,
             cache_shards: 16,
             cross_validate: false,
-            counter_backend: BackendChoice::default(),
             retry: RetryPolicy::default(),
             fallback_enabled: true,
             breaker: BreakerConfig::default(),
@@ -253,14 +249,12 @@ impl Shared {
         let _span = obs::span("engine.count", resolved.label());
         let n = CountRequest::new(q, d).backend(resolved).control(ctl.clone()).run()?;
         if self.config.cross_validate {
-            // Validate against the reference kernel of the *other* family:
-            // two independent counting algorithms, not the same algorithm
-            // over two accumulator widths.
-            let other: BackendChoice = match resolved.family() {
-                Engine::Naive => Engine::Treewidth,
-                Engine::Treewidth => Engine::Naive,
-            }
-            .into();
+            // Validate against the *other* algorithm: two independent
+            // counting algorithms must agree.
+            let other = match resolved.family() {
+                Engine::Naive => BackendChoice::Treewidth,
+                Engine::Treewidth => BackendChoice::Naive,
+            };
             let m = CountRequest::new(q, d).backend(other).control(ctl.clone()).run()?;
             self.metrics.cross_validation();
             if n != m {
@@ -308,8 +302,10 @@ impl Shared {
         }
     }
 
-    /// Evaluates a spec once; `Err` carries the typed failure.
-    /// `backend_override` is the fallback chain's backend substitution.
+    /// Evaluates a spec once; `Err` carries the typed failure. Counts the
+    /// spec does not pin (power-query factors, containment-internal
+    /// counts) use [`BackendChoice::Auto`]; `backend_override` is the
+    /// fallback chain's backend substitution.
     fn run_spec(
         &self,
         spec: &JobSpec,
@@ -327,7 +323,7 @@ impl Shared {
                 // Mirrors `try_eval_power_query`, but routes every factor
                 // count through the memo cache (φ_s and φ_b share factor
                 // counts on the same database) and cross-validation.
-                let backend = backend_override.unwrap_or(self.config.counter_backend);
+                let backend = backend_override.unwrap_or(BackendChoice::Auto);
                 let mut acc = Magnitude::exact_with_budget(Nat::one(), *exact_bits);
                 for f in query.factors() {
                     let base = self.count_cached(backend, &f.base, database, ctl, deadline)?;
@@ -337,7 +333,7 @@ impl Shared {
                 Ok(Outcome::Power(acc))
             }
             JobSpec::Check { spec } => {
-                let backend = backend_override.unwrap_or(self.config.counter_backend);
+                let backend = backend_override.unwrap_or(BackendChoice::Auto);
                 let counter = |q: &Query, d: &Structure| -> Result<Nat, CountError> {
                     self.count_cached(backend, q, d, ctl, deadline)
                 };
@@ -399,11 +395,9 @@ impl Shared {
 
     /// The fallback backend for this job, or `None` when the chain is
     /// exhausted (fallback disabled, already taken, or the job is pinned
-    /// to the last backend in the chain). The chain is one hop to the
-    /// backtracking family, which holds less intermediate state than the
-    /// treewidth DP: treewidth → naive, fast-treewidth → fast-naive,
-    /// auto → naive (the reference kernel, in case the fast path itself
-    /// is what keeps failing).
+    /// to naive). The chain is one hop to the backtracker, which holds
+    /// less intermediate state than the treewidth DP: treewidth → naive,
+    /// auto → naive (in case `Auto`'s pick is what keeps failing).
     fn fallback_for(
         &self,
         item: &WorkItem,
@@ -414,13 +408,11 @@ impl Shared {
         }
         let pinned = match &item.spec {
             JobSpec::Count { backend, .. } => *backend,
-            _ => self.config.counter_backend,
+            _ => BackendChoice::Auto,
         };
         match pinned {
-            BackendChoice::Treewidth => Some(BackendChoice::Naive),
-            BackendChoice::FastTreewidth => Some(BackendChoice::FastNaive),
-            BackendChoice::Auto => Some(BackendChoice::Naive),
-            BackendChoice::Naive | BackendChoice::FastNaive => None,
+            BackendChoice::Treewidth | BackendChoice::Auto => Some(BackendChoice::Naive),
+            BackendChoice::Naive => None,
         }
     }
 
@@ -1089,7 +1081,8 @@ pub struct CachedCounter {
 }
 
 impl CachedCounter {
-    /// Counts `|Hom(q, d)|`, consulting and populating the memo cache.
+    /// Counts `|Hom(q, d)|` with [`BackendChoice::Auto`], consulting and
+    /// populating the memo cache.
     /// Transient failures are retried under the engine's [`RetryPolicy`];
     /// terminal failures (cross-validation mismatch, cancellation, a
     /// memory-budget refusal) surface as a typed [`CountError`].
@@ -1097,7 +1090,7 @@ impl CachedCounter {
     /// Unlike pool execution there is no panic isolation here: an
     /// evaluation panic propagates to the caller.
     pub fn try_count(&self, q: &Query, d: &Structure) -> Result<Nat, CountError> {
-        let backend = self.shared.config.counter_backend;
+        let backend = BackendChoice::Auto;
         let ctl = self.shared.controls(None, 0);
         let salt = count_fingerprint(q, d, backend);
         let salt = salt.hi ^ salt.lo;

@@ -141,13 +141,11 @@ pub(crate) fn count_fingerprint(
     let d = database.fingerprint();
     h.write_u64(d.hi);
     h.write_u64(d.lo);
-    // Stable tags: the reference kernels keep the pre-BackendChoice
-    // values 0/1 so their cache keys survive the API migration.
+    // Stable tags, so MemoStore segments already on disk keep hitting.
+    // Tags 2 and 3 belonged to two retired backends; never reuse them.
     h.write_u32(match backend {
         BackendChoice::Naive => 0,
         BackendChoice::Treewidth => 1,
-        BackendChoice::FastNaive => 2,
-        BackendChoice::FastTreewidth => 3,
         BackendChoice::Auto => 4,
     });
     h.finish()
@@ -195,14 +193,9 @@ impl Job {
         Job::new(JobSpec::Count { query, database, backend: BackendChoice::default() })
     }
 
-    /// A count job with an explicit backend. Accepts a [`BackendChoice`]
-    /// or a legacy [`bagcq_homcount::Engine`] value.
-    pub fn count_with(
-        backend: impl Into<BackendChoice>,
-        query: Query,
-        database: Arc<Structure>,
-    ) -> Self {
-        Job::new(JobSpec::Count { query, database, backend: backend.into() })
+    /// A count job with an explicit backend.
+    pub fn count_with(backend: BackendChoice, query: Query, database: Arc<Structure>) -> Self {
+        Job::new(JobSpec::Count { query, database, backend })
     }
 
     /// A symbolic power-query evaluation job.
@@ -480,6 +473,21 @@ mod tests {
                 assert_ne!(a.fingerprint(), b.fingerprint());
             }
         }
+    }
+
+    /// MemoStore segments on disk are keyed by these fingerprints: a drift
+    /// here orphans every persisted count.
+    #[test]
+    fn count_fingerprints_are_pinned() {
+        let (q, d) = setup();
+        let fp = |backend| {
+            let spec = JobSpec::Count { query: q.clone(), database: Arc::clone(&d), backend };
+            let f = spec.fingerprint();
+            (f.hi, f.lo)
+        };
+        assert_eq!(fp(BackendChoice::Auto), (0x1b2fd3a53ae2670a, 0x6849eff84343f26f));
+        assert_eq!(fp(BackendChoice::Naive), (0xd149ae016dedcb1a, 0xf7c83ec44f0cce61));
+        assert_eq!(fp(BackendChoice::Treewidth), (0x3eaba781369ba993, 0x8017ec6dd4c25cc6));
     }
 
     #[test]

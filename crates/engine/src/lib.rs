@@ -108,12 +108,12 @@ pub use admission::{
 };
 /// The unified counting surface, re-exported from `bagcq-homcount` so
 /// engine users name backends and counting errors without a separate
-/// dependency edge: [`BackendChoice`] selects a kernel,
-/// [`CountRequest`]/[`CountBackend`] are the direct (engine-less) API,
-/// and [`CountError`] is the one error hierarchy the engine, the
-/// containment checker, and the kernels all speak.
+/// dependency edge: [`BackendChoice`] selects a kernel, [`CountRequest`]
+/// is the direct (engine-less) API, and [`CountError`] is the one error
+/// hierarchy the engine, the containment checker, and the kernels all
+/// speak.
 pub use bagcq_containment::{CheckRequest, CheckSpec, ContainmentChoice, Semantics, Verdict};
-pub use bagcq_homcount::{BackendChoice, CountBackend, CountError, CountRequest};
+pub use bagcq_homcount::{BackendChoice, CountError, CountRequest};
 pub use breaker::{BreakerConfig, FailFast};
 pub use engine::{CachedCounter, DrainReport, EngineConfig, EvalEngine};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSchedule};

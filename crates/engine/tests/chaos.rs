@@ -19,7 +19,7 @@ use bagcq_engine::{
     BreakerConfig, EngineConfig, EvalEngine, FaultInjector, FaultKind, FaultPlan, Job, Outcome,
     RetryPolicy,
 };
-use bagcq_homcount::Engine;
+use bagcq_homcount::BackendChoice;
 use bagcq_query::{cycle_query, path_query, PowerQuery};
 use bagcq_structure::{Schema, Structure, StructureGen};
 use proptest::prelude::*;
@@ -43,8 +43,8 @@ fn workload(schema: &Arc<Schema>, d: &Arc<Structure>) -> Vec<Job> {
             .into_iter()
             .flat_map(|q| {
                 [
-                    Job::count_with(Engine::Naive, q.clone(), Arc::clone(d)),
-                    Job::count_with(Engine::Treewidth, q, Arc::clone(d)),
+                    Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(d)),
+                    Job::count_with(BackendChoice::Treewidth, q, Arc::clone(d)),
                 ]
             })
             .collect();
@@ -250,7 +250,7 @@ fn breaker_trips_fails_fast_and_recovers() {
     for k in 1..=8 {
         // Distinct queries so the cache never answers for the breaker.
         let q = path_query(&schema, "E", 1 + (k % 3));
-        let job = Job::count_with(Engine::Naive, q, Arc::clone(&d));
+        let job = Job::count_with(BackendChoice::Naive, q, Arc::clone(&d));
         outcomes.push(engine.submit(job).wait());
     }
     let panicked = outcomes.iter().filter(|o| matches!(o, Outcome::Panicked(_))).count();
@@ -270,7 +270,7 @@ fn budget_exhaustion_takes_fallback_then_times_out() {
     let (schema, d) = digraph(6, 5);
     let engine = EvalEngine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
     let q = path_query(&schema, "E", 3);
-    let job = Job::count_with(Engine::Treewidth, q, Arc::clone(&d)).with_step_budget(1);
+    let job = Job::count_with(BackendChoice::Treewidth, q, Arc::clone(&d)).with_step_budget(1);
     let out = engine.submit(job).wait();
     assert!(matches!(out, Outcome::TimedOut), "a 1-step budget must exhaust: {out:?}");
     let m = engine.metrics();

@@ -6,7 +6,7 @@
 use bagcq_arith::Nat;
 use bagcq_containment::{CheckRequest, Semantics, Verdict};
 use bagcq_engine::{EngineConfig, EvalEngine, Job, JobSpec, Outcome};
-use bagcq_homcount::{eval_power_query, CountRequest, Engine, EvalOptions};
+use bagcq_homcount::{eval_power_query, BackendChoice, CountRequest, EvalOptions};
 use bagcq_query::{cycle_query, path_query, star_query, PowerQuery, Query, UnionQuery};
 use bagcq_structure::{Schema, Structure, StructureGen, Vertex};
 use std::sync::Arc;
@@ -95,8 +95,8 @@ fn mixed_jobs(schema: &Arc<Schema>) -> Vec<Job> {
     let mut jobs = Vec::new();
     for d in &dbs {
         for q in &qs {
-            jobs.push(Job::count_with(Engine::Naive, q.clone(), Arc::clone(d)));
-            jobs.push(Job::count_with(Engine::Treewidth, q.clone(), Arc::clone(d)));
+            jobs.push(Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(d)));
+            jobs.push(Job::count_with(BackendChoice::Treewidth, q.clone(), Arc::clone(d)));
             jobs.push(Job::eval_power(
                 PowerQuery::power(q.clone(), Nat::from_u64(3)),
                 Arc::clone(d),
@@ -173,7 +173,7 @@ fn deadline_times_out_doomed_job_while_others_complete() {
 
     let engine = EvalEngine::with_workers(2);
     let doomed = engine.submit(
-        Job::count_with(Engine::Naive, doomed_q, Arc::clone(&dense))
+        Job::count_with(BackendChoice::Naive, doomed_q, Arc::clone(&dense))
             .with_timeout(Duration::from_millis(30)),
     );
     let fine: Vec<_> = (1..=3)
@@ -197,7 +197,7 @@ fn step_budget_times_out_without_wall_clock() {
     let engine = EvalEngine::with_workers(1);
     let out = engine
         .submit(
-            Job::count_with(Engine::Naive, path_query(&schema, "E", 10), dense)
+            Job::count_with(BackendChoice::Naive, path_query(&schema, "E", 10), dense)
                 .with_step_budget(2_000),
         )
         .wait();

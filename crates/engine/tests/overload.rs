@@ -16,7 +16,7 @@ use bagcq_engine::{
     AdmissionConfig, AdmissionPolicy, BreakerConfig, CountError, EngineConfig, EngineHealth,
     EvalEngine, FaultInjector, FaultKind, FaultPlan, Job, Outcome, ShedReason, SupervisorConfig,
 };
-use bagcq_homcount::{CancelReason, Cancelled, Engine};
+use bagcq_homcount::{BackendChoice, CancelReason, Cancelled};
 use bagcq_query::{cycle_query, path_query, Query};
 use bagcq_structure::{Schema, Structure, StructureGen};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,11 +76,11 @@ fn burst_of_ten_times_capacity_sheds_and_stays_correct() {
 
     // The plug job occupies the worker for the stall; everything after it
     // competes for the CAPACITY queue slots.
-    let plug = engine.submit(Job::count_with(Engine::Naive, q.clone(), Arc::clone(&d)));
+    let plug = engine.submit(Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(&d)));
     let burst: Vec<_> = (0..10 * CAPACITY)
         .map(|_| {
             engine.submit(
-                Job::count_with(Engine::Naive, q.clone(), Arc::clone(&d))
+                Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(&d))
                     .with_timeout(Duration::from_secs(30)),
             )
         })
@@ -131,10 +131,10 @@ fn block_policy_backpressures_then_times_out() {
 
     // Worker stalls on the plug; the queue holds one more; the third
     // submission blocks for its max_wait and gets the typed timeout.
-    let plug = engine.submit(Job::count_with(Engine::Naive, q.clone(), Arc::clone(&d)));
-    let queued = engine.submit(Job::count_with(Engine::Naive, q.clone(), Arc::clone(&d)));
+    let plug = engine.submit(Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(&d)));
+    let queued = engine.submit(Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(&d)));
     let started = Instant::now();
-    let refused = engine.submit(Job::count_with(Engine::Naive, q.clone(), Arc::clone(&d)));
+    let refused = engine.submit(Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(&d)));
     let waited = started.elapsed();
     assert_eq!(
         refused.wait().as_shed(),
@@ -167,18 +167,18 @@ fn shed_expired_drops_stale_queued_jobs() {
         ..EngineConfig::default()
     });
 
-    let plug = engine.submit(Job::count_with(Engine::Naive, q.clone(), Arc::clone(&d)));
+    let plug = engine.submit(Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(&d)));
     // These expire long before the stall clears.
     let stale: Vec<_> = (0..4)
         .map(|_| {
             engine.submit(
-                Job::count_with(Engine::Naive, q.clone(), Arc::clone(&d))
+                Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(&d))
                     .with_timeout(Duration::from_millis(5)),
             )
         })
         .collect();
     // A fresh job behind them still gets served.
-    let fresh = engine.submit(Job::count_with(Engine::Naive, q.clone(), Arc::clone(&d)));
+    let fresh = engine.submit(Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(&d)));
 
     assert_eq!(plug.wait().as_count(), Some(&want));
     for handle in &stale {

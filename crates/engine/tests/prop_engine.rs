@@ -5,7 +5,7 @@
 
 use bagcq_containment::{CheckRequest, Verdict};
 use bagcq_engine::{EvalEngine, Job, Outcome};
-use bagcq_homcount::{CountRequest, Engine};
+use bagcq_homcount::{BackendChoice, CountRequest};
 use bagcq_query::{cycle_query, path_query, Query};
 use bagcq_structure::{Schema, Structure, StructureGen};
 use proptest::prelude::*;
@@ -56,8 +56,8 @@ proptest! {
             .into_iter()
             .flat_map(|q| {
                 [
-                    Job::count_with(Engine::Naive, q.clone(), Arc::clone(&d)),
-                    Job::count_with(Engine::Treewidth, q, Arc::clone(&d)),
+                    Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(&d)),
+                    Job::count_with(BackendChoice::Treewidth, q, Arc::clone(&d)),
                 ]
             })
             .collect();

@@ -18,7 +18,7 @@ use bagcq_engine::{
     BreakerConfig, EngineConfig, EngineHealth, EvalEngine, FaultInjector, FaultKind, FaultPlan,
     Job, Outcome, SupervisorConfig,
 };
-use bagcq_homcount::Engine;
+use bagcq_homcount::BackendChoice;
 use bagcq_query::{path_query, Query};
 use bagcq_structure::{Schema, Structure, StructureGen};
 use std::sync::Arc;
@@ -92,8 +92,8 @@ fn worker_kills_are_survived_bit_identically() {
     // cannot hide behind cache hits.
     let handles: Vec<_> = (0..12)
         .map(|i| {
-            let eng = if i % 2 == 0 { Engine::Naive } else { Engine::Treewidth };
-            engine.submit(Job::count_with(eng, queries[i % 3].clone(), Arc::clone(&d)))
+            let backend = if i % 2 == 0 { BackendChoice::Naive } else { BackendChoice::Treewidth };
+            engine.submit(Job::count_with(backend, queries[i % 3].clone(), Arc::clone(&d)))
         })
         .collect();
     for (i, handle) in handles.iter().enumerate() {
@@ -134,8 +134,8 @@ fn requeue_disabled_fails_the_killed_job_typed() {
 
     let handles: Vec<_> = (0..8)
         .map(|i| {
-            let eng = if i % 2 == 0 { Engine::Naive } else { Engine::Treewidth };
-            engine.submit(Job::count_with(eng, q.clone(), Arc::clone(&d)))
+            let backend = if i % 2 == 0 { BackendChoice::Naive } else { BackendChoice::Treewidth };
+            engine.submit(Job::count_with(backend, q.clone(), Arc::clone(&d)))
         })
         .collect();
     let mut died = 0u64;
@@ -176,7 +176,7 @@ fn exhausted_restart_budget_degrades_but_keeps_serving() {
 
     // The first processed job draws the kill; it is requeued and re-run
     // by the surviving worker.
-    let first = engine.submit(Job::count_with(Engine::Naive, q.clone(), Arc::clone(&d)));
+    let first = engine.submit(Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(&d)));
     assert_eq!(first.wait().as_count(), Some(&want));
 
     eventually("the death to be reaped", Duration::from_secs(10), || {
@@ -192,7 +192,10 @@ fn exhausted_restart_budget_degrades_but_keeps_serving() {
         let q = path_query(&schema, "E", k);
         let want = bagcq_homcount::CountRequest::new(&q, &d).count();
         assert_eq!(
-            engine.submit(Job::count_with(Engine::Naive, q, Arc::clone(&d))).wait().as_count(),
+            engine
+                .submit(Job::count_with(BackendChoice::Naive, q, Arc::clone(&d)))
+                .wait()
+                .as_count(),
             Some(&want)
         );
     }
@@ -231,8 +234,8 @@ fn kills_mixed_with_chaos_keep_outcomes_clean() {
 
     let handles: Vec<_> = (0..18)
         .map(|i| {
-            let eng = if i % 2 == 0 { Engine::Naive } else { Engine::Treewidth };
-            engine.submit(Job::count_with(eng, queries[i % 3].clone(), Arc::clone(&d)))
+            let backend = if i % 2 == 0 { BackendChoice::Naive } else { BackendChoice::Treewidth };
+            engine.submit(Job::count_with(backend, queries[i % 3].clone(), Arc::clone(&d)))
         })
         .collect();
     for (i, handle) in handles.iter().enumerate() {

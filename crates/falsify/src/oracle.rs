@@ -85,15 +85,9 @@ fn violation(lemma: &str, ctx: &Context, detail: String) -> Verdict {
     Verdict::Violation(Violation { lemma: lemma.to_string(), context: ctx.spec(), detail })
 }
 
-/// Counts `|Hom(q, d)|` on the reference kernel and one fast kernel,
-/// demanding bit-identical answers. Small databases additionally cross
-/// the algorithm family (tree-decomposition DP vs backtracking).
+/// Counts `|Hom(q, d)|` with both algorithms, backtracking and the
+/// tree-decomposition DP, demanding identical answers.
 fn count2(lemma: &str, ctx: &Context, q: &Query, d: &Structure) -> Result<Nat, Verdict> {
-    let second = if d.vertex_count() <= 12 && d.total_atoms() <= 64 {
-        BackendChoice::FastTreewidth
-    } else {
-        BackendChoice::FastNaive
-    };
     let run = |backend: BackendChoice| {
         CountRequest::new(q, d).backend(backend).run().map_err(|e| {
             violation(
@@ -104,12 +98,12 @@ fn count2(lemma: &str, ctx: &Context, q: &Query, d: &Structure) -> Result<Nat, V
         })
     };
     let a = run(BackendChoice::Naive)?;
-    let b = run(second)?;
+    let b = run(BackendChoice::Treewidth)?;
     if a != b {
         return Err(violation(
             &format!("{lemma}/backend-divergence"),
             ctx,
-            format!("naive={a} vs {}={b} on {q}", second.label()),
+            format!("naive={a} vs treewidth={b} on {q}"),
         ));
     }
     Ok(a)
@@ -365,8 +359,8 @@ impl LemmaOracle for Lemma15Oracle {
     }
 }
 
-/// Evaluates a power query under two explicit backends, demanding
-/// identical exact values (the ζ/δ evaluations of the toy instances stay
+/// Evaluates a power query with both algorithms, demanding identical
+/// exact values (the ζ/δ evaluations of the toy instances stay
 /// exact at the default bit budget).
 fn eval_power2(
     lemma: &str,
@@ -379,12 +373,12 @@ fn eval_power2(
         eval_power_query(pq, db, &opts)
     };
     let a = eval(BackendChoice::Naive);
-    let b = eval(BackendChoice::FastNaive);
+    let b = eval(BackendChoice::Treewidth);
     match (a.as_exact(), b.as_exact()) {
         (Some(x), Some(y)) if x != y => Err(violation(
             &format!("{lemma}/backend-divergence"),
             ctx,
-            format!("power query: naive={x} vs fast-naive={y}"),
+            format!("power query: naive={x} vs treewidth={y}"),
         )),
         _ => Ok(a),
     }
@@ -592,9 +586,12 @@ impl LemmaOracle for Lemma23And24Oracle {
             qb.build()
         };
         let psi_b = path_query(schema, "e", 2);
-        match bagcq_reduction::eliminate_inequalities(&psi_s, &psi_b, db, 2) {
-            Err(_) => Verdict::NotApplicable,
-            Ok(elim) => {
+        let naive =
+            |q: &Query, d: &Structure| CountRequest::new(q, d).backend(BackendChoice::Naive).run();
+        match bagcq_reduction::eliminate_inequalities(&psi_s, &psi_b, db, 2, &naive) {
+            Err(e) => violation(self.name(), ctx, format!("construction count failed: {e}")),
+            Ok(Err(_)) => Verdict::NotApplicable,
+            Ok(Ok(elim)) => {
                 if elim.kappa != 2 {
                     return violation(
                         self.name(),

@@ -1,39 +1,31 @@
-//! The unified counting API: [`CountBackend`] implementations behind a
-//! [`CountRequest`] builder, plus the one [`CountError`] hierarchy every
-//! layer above speaks.
+//! The counting API: a [`CountRequest`] runs one of the two counting
+//! algorithms, and [`CountError`] is the one error hierarchy every layer
+//! above speaks.
 //!
-//! Historically the crate grew three parallel entry-point families
-//! (`count`/`count_with`/`try_count_with` free functions plus the
-//! [`NaiveCounter`]/[`TreewidthCounter`] inherent methods), which the
-//! engine, the containment checker, and the experiment binaries each wired
-//! up slightly differently. This module collapses them: every count is a
-//! [`CountRequest`] — query, structure, backend preference, cancellation
-//! controls — and every registered kernel sits behind the [`CountBackend`]
-//! trait.
+//! Every count is a [`CountRequest`] — query, structure, backend
+//! preference, cancellation controls. [`BackendChoice`] names the kernel:
 //!
-//! Four kernels register ([`BackendChoice`]):
+//! * `Naive` — indexed backtracking ([`NaiveCounter`](crate::NaiveCounter));
+//! * `Treewidth` — the tree-decomposition DP
+//!   ([`TreewidthCounter`](crate::TreewidthCounter));
+//! * `Auto` — picks one of the two by decomposition width and a cheap
+//!   per-component count upper bound (see [`BackendChoice::resolve`]).
 //!
-//! * `Naive` / `Treewidth` — the original arbitrary-precision [`Nat`]
-//!   paths, kept as the cross-validation reference;
-//! * `FastNaive` / `FastTreewidth` — the same kernels monomorphized over
-//!   the widening [`bagcq_arith::Acc`] accumulator: `u64` while counts
-//!   fit, checked promotion to `u128` and then `Nat` on overflow.
-//!   Promotion is per *component* (Lemma 1 factors independently), so one
-//!   astronomically large factor does not drag the others off the machine
-//!   word. Never wrong, only fast.
-//! * `Auto` — picks between the fast kernels by decomposition width and a
-//!   cheap per-component count upper bound (see [`BackendChoice::resolve`]).
+//! Both kernels accumulate in the widening [`bagcq_arith::Acc`]: `u64`
+//! while counts fit, checked promotion to `u128` and then `Nat` on
+//! overflow. Promotion is per *component* (Lemma 1 factors
+//! independently), so one astronomically large factor does not drag the
+//! others off the machine word. Never wrong, only fast.
 //!
 //! The `BAGCQ_BACKEND` environment variable (values `naive`, `treewidth`,
-//! `fast-naive`, `fast-treewidth`, `auto`) overrides what `Auto` resolves
-//! to — the CI backend matrix forces each kernel through every `Auto` call
-//! site this way. Explicitly pinned backends are never overridden, so
-//! differential tests stay meaningful under the matrix.
+//! `auto`) overrides what `Auto` resolves to — the CI backend matrix
+//! forces each kernel through every `Auto` call site this way. Explicitly
+//! pinned backends are never overridden, so differential tests stay
+//! meaningful under the matrix.
 
 use crate::cancel::{CancelReason, Cancelled, EvalControl, MemoryGauge};
 use crate::eval::Engine;
-use crate::naive::{self, NaiveCounter};
-use crate::tw::{self, TreewidthCounter};
+use crate::{naive, tw};
 use bagcq_arith::{Acc, Nat};
 use bagcq_query::Query;
 use bagcq_structure::Structure;
@@ -103,39 +95,24 @@ impl CountError {
 /// Which kernel a [`CountRequest`] runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum BackendChoice {
-    /// Pick a fast kernel by decomposition width and a per-component
-    /// count upper bound (the default; see [`BackendChoice::resolve`]).
+    /// Pick a kernel by decomposition width and a per-component count
+    /// upper bound (the default; see [`BackendChoice::resolve`]).
     #[default]
     Auto,
-    /// Reference backtracking kernel, `Nat` accumulators throughout.
+    /// The backtracking kernel.
     Naive,
-    /// Tree-decomposition DP kernel, `Nat` accumulators throughout.
+    /// The tree-decomposition DP kernel.
     Treewidth,
-    /// Backtracking kernel over the widening machine-word accumulator.
-    FastNaive,
-    /// Tree-decomposition DP over the widening machine-word accumulator.
-    FastTreewidth,
 }
 
 impl BackendChoice {
     /// Every choice, `Auto` included (the CI backend matrix iterates
     /// this).
-    pub const ALL: [BackendChoice; 5] = [
-        BackendChoice::Auto,
-        BackendChoice::Naive,
-        BackendChoice::Treewidth,
-        BackendChoice::FastNaive,
-        BackendChoice::FastTreewidth,
-    ];
+    pub const ALL: [BackendChoice; 3] =
+        [BackendChoice::Auto, BackendChoice::Naive, BackendChoice::Treewidth];
 
-    /// The four concrete registered kernels (what `Auto` resolves into,
-    /// plus the reference paths).
-    pub const REGISTERED: [BackendChoice; 4] = [
-        BackendChoice::Naive,
-        BackendChoice::Treewidth,
-        BackendChoice::FastNaive,
-        BackendChoice::FastTreewidth,
-    ];
+    /// The two concrete kernels (what `Auto` resolves into).
+    pub const REGISTERED: [BackendChoice; 2] = [BackendChoice::Naive, BackendChoice::Treewidth];
 
     /// Stable lowercase label (also the `BAGCQ_BACKEND` syntax).
     pub fn label(self) -> &'static str {
@@ -143,29 +120,23 @@ impl BackendChoice {
             BackendChoice::Auto => "auto",
             BackendChoice::Naive => "naive",
             BackendChoice::Treewidth => "treewidth",
-            BackendChoice::FastNaive => "fast-naive",
-            BackendChoice::FastTreewidth => "fast-treewidth",
         }
     }
 
-    /// The algorithm family this choice runs (fast variants share their
-    /// reference kernel's family) — what cross-validation pairs against.
+    /// The algorithm this choice runs — what cross-validation pairs
+    /// against. Unresolved `Auto` reports [`Engine::Treewidth`].
     pub fn family(self) -> Engine {
         match self {
-            BackendChoice::Naive | BackendChoice::FastNaive => Engine::Naive,
-            BackendChoice::Treewidth | BackendChoice::FastTreewidth | BackendChoice::Auto => {
-                Engine::Treewidth
-            }
+            BackendChoice::Naive => Engine::Naive,
+            BackendChoice::Treewidth | BackendChoice::Auto => Engine::Treewidth,
         }
     }
 
     /// Resolves `Auto` to a concrete kernel for this `(query, structure)`
     /// pair; concrete choices return themselves unchanged.
     ///
-    /// `Auto` always lands on a fast kernel (promotion makes them exact,
-    /// so there is no correctness reason to prefer `Nat`), choosing naive
-    /// vs. treewidth by comparing, per connected component, a cheap count
-    /// upper bound (the product of the matched relations' sizes, capped by
+    /// `Auto` chooses naive vs. treewidth by comparing, per connected
+    /// component, a cheap count upper bound (the product of the matched relations' sizes, capped by
     /// `n^{vars}` — which bounds the backtracking work) against the DP
     /// cost `#bags · n^{w+1}` of the min-fill decomposition. The
     /// `BAGCQ_BACKEND` environment variable overrides the outcome.
@@ -194,23 +165,7 @@ impl FromStr for BackendChoice {
             "auto" => Ok(BackendChoice::Auto),
             "naive" => Ok(BackendChoice::Naive),
             "treewidth" | "tw" => Ok(BackendChoice::Treewidth),
-            "fast-naive" | "fastnaive" => Ok(BackendChoice::FastNaive),
-            "fast-treewidth" | "fasttreewidth" | "fast-tw" => Ok(BackendChoice::FastTreewidth),
-            other => Err(format!(
-                "unknown backend {other:?} (expected auto|naive|treewidth|fast-naive|fast-treewidth)"
-            )),
-        }
-    }
-}
-
-/// The legacy two-engine enum maps onto the `Nat` reference kernels, so
-/// pre-redesign call sites (`Job::count_with(Engine::Naive, ..)`) keep
-/// their exact behavior.
-impl From<Engine> for BackendChoice {
-    fn from(e: Engine) -> Self {
-        match e {
-            Engine::Naive => BackendChoice::Naive,
-            Engine::Treewidth => BackendChoice::Treewidth,
+            other => Err(format!("unknown backend {other:?} (expected auto|naive|treewidth)")),
         }
     }
 }
@@ -256,99 +211,10 @@ fn auto_choice(q: &Query, d: &Structure) -> BackendChoice {
         tw_cost += tw_log.min(COST_LOG_CAP).exp2();
     }
     if tw_cost < naive_cost {
-        BackendChoice::FastTreewidth
+        BackendChoice::Treewidth
     } else {
-        BackendChoice::FastNaive
+        BackendChoice::Naive
     }
-}
-
-/// A registered counting kernel.
-///
-/// Implementations must be exact: every backend returns the same number
-/// for the same `(query, structure)` pair (the fast kernels guarantee it
-/// by checked promotion, and the differential test suite enforces it).
-pub trait CountBackend: Send + Sync {
-    /// Stable backend name (matches [`BackendChoice::label`]).
-    fn name(&self) -> &'static str;
-
-    /// Counts `|Hom(q, d)|` under cooperative cancellation controls.
-    fn try_count(&self, q: &Query, d: &Structure, ctl: &EvalControl) -> Result<Nat, CountError>;
-}
-
-impl CountBackend for NaiveCounter {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-
-    fn try_count(&self, q: &Query, d: &Structure, ctl: &EvalControl) -> Result<Nat, CountError> {
-        Ok(naive::try_count_generic::<Nat>(q, d, ctl)?)
-    }
-}
-
-impl CountBackend for TreewidthCounter {
-    fn name(&self) -> &'static str {
-        "treewidth"
-    }
-
-    fn try_count(&self, q: &Query, d: &Structure, ctl: &EvalControl) -> Result<Nat, CountError> {
-        Ok(tw::try_count_generic::<Nat>(q, d, ctl)?)
-    }
-}
-
-/// Machine-word fast-path variant of [`NaiveCounter`]: same backtracking
-/// kernel, widening `u64 → u128 → Nat` accumulators.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct FastNaiveCounter;
-
-impl CountBackend for FastNaiveCounter {
-    fn name(&self) -> &'static str {
-        "fast-naive"
-    }
-
-    fn try_count(&self, q: &Query, d: &Structure, ctl: &EvalControl) -> Result<Nat, CountError> {
-        Ok(naive::try_count_generic::<Acc>(q, d, ctl)?)
-    }
-}
-
-/// Machine-word fast-path variant of [`TreewidthCounter`]: same DP
-/// kernel, widening `u64 → u128 → Nat` accumulators in the bag tables.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct FastTreewidthCounter;
-
-impl CountBackend for FastTreewidthCounter {
-    fn name(&self) -> &'static str {
-        "fast-treewidth"
-    }
-
-    fn try_count(&self, q: &Query, d: &Structure, ctl: &EvalControl) -> Result<Nat, CountError> {
-        Ok(tw::try_count_generic::<Acc>(q, d, ctl)?)
-    }
-}
-
-/// The kernel registered for a concrete choice.
-///
-/// # Panics
-///
-/// On [`BackendChoice::Auto`], which only resolves against a concrete
-/// `(query, structure)` pair — call [`BackendChoice::resolve`] first.
-pub fn backend_for(choice: BackendChoice) -> &'static dyn CountBackend {
-    static NAIVE: NaiveCounter = NaiveCounter;
-    static TREEWIDTH: TreewidthCounter = TreewidthCounter;
-    static FAST_NAIVE: FastNaiveCounter = FastNaiveCounter;
-    static FAST_TREEWIDTH: FastTreewidthCounter = FastTreewidthCounter;
-    match choice {
-        BackendChoice::Naive => &NAIVE,
-        BackendChoice::Treewidth => &TREEWIDTH,
-        BackendChoice::FastNaive => &FAST_NAIVE,
-        BackendChoice::FastTreewidth => &FAST_TREEWIDTH,
-        BackendChoice::Auto => panic!("Auto must be resolved against a query/structure pair"),
-    }
-}
-
-/// Every registered kernel with its choice tag — the paper-claims
-/// conformance suite and the benches iterate this.
-pub fn registered_backends() -> [(&'static dyn CountBackend, BackendChoice); 4] {
-    BackendChoice::REGISTERED.map(|c| (backend_for(c), c))
 }
 
 /// One homomorphism count, built up fluently: query and structure plus a
@@ -395,10 +261,9 @@ impl<'a> CountRequest<'a> {
         }
     }
 
-    /// Sets the backend preference ([`Engine`] values are accepted and
-    /// map to the `Nat` reference kernels).
-    pub fn backend(mut self, backend: impl Into<BackendChoice>) -> Self {
-        self.backend = backend.into();
+    /// Sets the backend preference.
+    pub fn backend(mut self, backend: BackendChoice) -> Self {
+        self.backend = backend;
         self
     }
 
@@ -441,7 +306,12 @@ impl<'a> CountRequest<'a> {
         self.control.checkpoint("homcount/count")?;
         let resolved = self.resolved_backend();
         let _span = bagcq_obs::span("homcount.request", resolved.label());
-        backend_for(resolved).try_count(self.query, self.database, &self.control)
+        let (q, d, ctl) = (self.query, self.database, &self.control);
+        Ok(match resolved {
+            BackendChoice::Naive => naive::try_count_generic::<Acc>(q, d, ctl)?,
+            BackendChoice::Treewidth => tw::try_count_generic::<Acc>(q, d, ctl)?,
+            BackendChoice::Auto => unreachable!("resolve() returns a concrete kernel"),
+        })
     }
 
     /// Runs the count, panicking on cancellation — the infallible
@@ -482,12 +352,10 @@ mod tests {
             path_query(&s, "E", 1).power(3),
         ] {
             let reference = CountRequest::new(&q, &d).backend(BackendChoice::Naive).count();
-            for (backend, choice) in registered_backends() {
-                let got =
-                    backend.try_count(&q, &d, &EvalControl::unlimited()).expect("unlimited count");
+            for choice in BackendChoice::ALL {
+                let got = CountRequest::new(&q, &d).backend(choice).count();
                 assert_eq!(got, reference, "backend {choice} on {q}");
             }
-            assert_eq!(CountRequest::new(&q, &d).count(), reference, "auto on {q}");
         }
     }
 
@@ -496,26 +364,18 @@ mod tests {
         for choice in BackendChoice::ALL {
             assert_eq!(choice.label().parse::<BackendChoice>(), Ok(choice));
         }
-        assert!("nonsense".parse::<BackendChoice>().is_err());
-        assert_eq!("fast_naive".parse::<BackendChoice>(), Ok(BackendChoice::FastNaive));
+        for unknown in ["nonsense", "fast-naive", "fast-treewidth", "fast-tw"] {
+            assert!(unknown.parse::<BackendChoice>().is_err(), "{unknown}");
+        }
         assert_eq!("TW".parse::<BackendChoice>(), Ok(BackendChoice::Treewidth));
     }
 
     #[test]
-    fn engine_maps_to_reference_kernels() {
-        assert_eq!(BackendChoice::from(Engine::Naive), BackendChoice::Naive);
-        assert_eq!(BackendChoice::from(Engine::Treewidth), BackendChoice::Treewidth);
-    }
-
-    #[test]
-    fn auto_resolves_to_a_fast_kernel() {
+    fn auto_resolves_to_a_concrete_kernel() {
         let (s, d) = complete(3);
         let q = path_query(&s, "E", 4);
         let resolved = BackendChoice::Auto.resolve(&q, &d);
-        assert!(
-            matches!(resolved, BackendChoice::FastNaive | BackendChoice::FastTreewidth),
-            "auto resolved to {resolved}"
-        );
+        assert!(BackendChoice::REGISTERED.contains(&resolved), "auto resolved to {resolved}");
         // Concrete choices resolve to themselves.
         assert_eq!(BackendChoice::Naive.resolve(&q, &d), BackendChoice::Naive);
     }
@@ -527,7 +387,7 @@ mod tests {
         // structure dense.
         let (s, d) = complete(8);
         let q = path_query(&s, "E", 12);
-        assert_eq!(BackendChoice::Auto.resolve(&q, &d), BackendChoice::FastTreewidth);
+        assert_eq!(BackendChoice::Auto.resolve(&q, &d), BackendChoice::Treewidth);
     }
 
     #[test]
@@ -535,7 +395,7 @@ mod tests {
         let (s, d) = complete(8);
         let q = path_query(&s, "E", 5);
         let err = CountRequest::new(&q, &d)
-            .backend(BackendChoice::FastNaive)
+            .backend(BackendChoice::Naive)
             .step_budget(3)
             .run()
             .unwrap_err();
@@ -553,7 +413,7 @@ mod tests {
         // Pin the backtracking kernel: the DP finishes this query in fewer
         // than CHECK_INTERVAL ticks, so the token would never be polled.
         let err = CountRequest::new(&q, &d)
-            .backend(BackendChoice::FastNaive)
+            .backend(BackendChoice::Naive)
             .cancel(token)
             .run()
             .unwrap_err();

@@ -29,6 +29,22 @@ pub(crate) fn inequality_ok(ineq: &Inequality, assign: &[u32], d: &Structure) ->
     a == UNASSIGNED || b == UNASSIGNED || a != b
 }
 
+/// The gate every count and enumeration passes first: `false` when a
+/// variable-free atom is missing from `d` or a variable-free inequality
+/// relates a vertex to itself. Allocates nothing.
+pub(crate) fn ground_facts_hold(q: &Query, d: &Structure) -> bool {
+    let ground = |t: &Term| matches!(t, Term::Const(_));
+    let atoms_hold = q.atoms().iter().filter(|a| a.args.iter().all(ground)).all(|a| {
+        d.tuples(a.rel)
+            .any(|tuple| tuple.iter().zip(&a.args).all(|(&v, t)| resolve(t, &[], d) == v))
+    });
+    atoms_hold
+        && q.inequalities()
+            .iter()
+            .filter(|i| ground(&i.lhs) && ground(&i.rhs))
+            .all(|i| resolve(&i.lhs, &[], d) != resolve(&i.rhs, &[], d))
+}
+
 /// Heap bytes a [`Nat`] occupies (its limbs), for memory-gauge charges.
 #[inline]
 pub(crate) fn nat_bytes(n: &Nat) -> u64 {
@@ -90,8 +106,8 @@ impl IndexCache {
 
 /// Partitions the query's atoms, inequalities and variables into connected
 /// components (variables are connected when they co-occur in an atom or
-/// inequality; atoms/inequalities with no variables form their own
-/// "ground" component).
+/// inequality; atoms/inequalities with no variables belong to no
+/// component — [`ground_facts_hold`] gates on them).
 ///
 /// By Lemma 1 the count of a query is the product of the counts of its
 /// components, which is what makes `θ↑k` countable in time `k·cost(θ)`
@@ -99,10 +115,6 @@ impl IndexCache {
 pub(crate) struct Components {
     /// For each component: (atom indexes, inequality indexes, variable ids).
     pub comps: Vec<(Vec<usize>, Vec<usize>, Vec<u32>)>,
-    /// Atoms mentioning no variable at all (ground facts — e.g. `Arena`).
-    pub ground_atoms: Vec<usize>,
-    /// Inequalities mentioning no variable (constant ≠ constant).
-    pub ground_inequalities: Vec<usize>,
     /// Variables in no atom and no inequality: each contributes a free
     /// factor `|V_D|`.
     pub free_vars: u32,
@@ -136,30 +148,19 @@ pub(crate) fn components(q: &Query) -> Components {
             .collect()
     };
 
-    let mut ground_atoms = Vec::new();
-    for (i, a) in q.atoms().iter().enumerate() {
+    for a in q.atoms() {
         let vs = vars_of_atom(&a.args);
-        if vs.is_empty() {
-            ground_atoms.push(i);
-            continue;
-        }
         for w in vs.windows(2) {
             union(&mut parent, w[0], w[1]);
         }
-        let _ = i;
     }
-    let mut ground_inequalities = Vec::new();
-    for (i, ineq) in q.inequalities().iter().enumerate() {
+    for ineq in q.inequalities() {
         let mut vs = Vec::new();
         if let Term::Var(v) = ineq.lhs {
             vs.push(v.0);
         }
         if let Term::Var(v) = ineq.rhs {
             vs.push(v.0);
-        }
-        if vs.is_empty() {
-            ground_inequalities.push(i);
-            continue;
         }
         for w in vs.windows(2) {
             union(&mut parent, w[0], w[1]);
@@ -219,7 +220,7 @@ pub(crate) fn components(q: &Query) -> Components {
     }
 
     let free_vars = (0..n).filter(|&v| !occurs[v]).count() as u32;
-    Components { comps, ground_atoms, ground_inequalities, free_vars }
+    Components { comps, free_vars }
 }
 
 #[cfg(test)]
@@ -243,7 +244,6 @@ mod tests {
         let c = components(&q3);
         assert_eq!(c.comps.len(), 3);
         assert_eq!(c.free_vars, 0);
-        assert!(c.ground_atoms.is_empty());
     }
 
     #[test]
@@ -260,8 +260,8 @@ mod tests {
         qb.atom_named("E", &[a, x]);
         let q = qb.build();
         let c = components(&q);
-        assert_eq!(c.ground_atoms.len(), 1);
         assert_eq!(c.comps.len(), 1);
+        assert_eq!(c.comps[0].0, vec![1], "the ground atom joins no component");
         assert_eq!(c.free_vars, 1);
     }
 

@@ -5,21 +5,20 @@
 //!
 //! Every count goes through one API — a [`CountRequest`] naming the
 //! query, the structure, a [`BackendChoice`], and optional cancellation
-//! controls — behind which four [`CountBackend`] kernels register:
+//! controls — which runs one of two kernels:
 //!
 //! * [`NaiveCounter`] — indexed backtracking enumeration with component
 //!   factorization (the reference / baseline engine);
 //! * [`TreewidthCounter`] — the textbook `#Hom` dynamic program over a
 //!   min-fill tree decomposition of the query's primal graph
 //!   ([`TreeDecomposition`]), exponential in width instead of variable
-//!   count;
-//! * [`FastNaiveCounter`] / [`FastTreewidthCounter`] — the same kernels
-//!   over widening `u64 → u128 → Nat` accumulators
-//!   ([`bagcq_arith::Acc`]): machine-word speed while counts fit,
-//!   checked promotion on overflow, bit-identical results always.
+//!   count.
 //!
-//! `BackendChoice::Auto` (the default) picks a fast kernel by
-//! decomposition width and a per-component count upper bound.
+//! Both accumulate in widening `u64 → u128 → Nat` words
+//! ([`bagcq_arith::Acc`]): machine-word speed while counts fit, checked
+//! promotion on overflow, exact results always. `BackendChoice::Auto`
+//! (the default) picks a kernel by decomposition width and a
+//! per-component count upper bound.
 //!
 //! On top of raw counting:
 //!
@@ -73,10 +72,7 @@ mod output_eval;
 mod treedec;
 mod tw;
 
-pub use backend::{
-    backend_for, registered_backends, BackendChoice, CountBackend, CountError, CountRequest,
-    FastNaiveCounter, FastTreewidthCounter,
-};
+pub use backend::{BackendChoice, CountError, CountRequest};
 pub use cancel::{
     CancelReason, CancelToken, Cancelled, CheckpointHook, EvalControl, MemoryGauge, Ticker,
     CHECK_INTERVAL,

@@ -11,12 +11,18 @@
 //! * **free-variable factor** — variables occurring in no atom and no
 //!   inequality contribute `|V_D|` each.
 //!
+//! Counting and [`try_for_each_hom_limited`] run the same search: one
+//! gate on variable-free atoms and inequalities, then one backtracker that
+//! hands each complete assignment to a visitor.
+//!
 //! The engine is deliberately simple: it is the *reference* whose results
 //! the tree-decomposition engine (and everything built on top) is
 //! cross-validated against.
 
 use crate::cancel::{Cancelled, EvalControl, Ticker};
-use crate::common::{components, free_var_factor, inequality_ok, resolve, IndexCache, UNASSIGNED};
+use crate::common::{
+    components, free_var_factor, ground_facts_hold, inequality_ok, resolve, IndexCache, UNASSIGNED,
+};
 use bagcq_arith::{Accumulator, Nat};
 use bagcq_query::{Query, Term};
 use bagcq_structure::Structure;
@@ -51,41 +57,27 @@ impl NaiveCounter {
     }
 }
 
-/// The backtracking kernel, generic over the accumulator: `A = Nat` is the
-/// arbitrary-precision reference path, `A = Acc` the machine-word fast
-/// path. Both monomorphize to the same control flow, so their results are
-/// bit-identical by construction of [`Accumulator`].
+/// The backtracking kernel, generic over the accumulator (requests run it
+/// over the widening [`bagcq_arith::Acc`]).
 pub(crate) fn try_count_generic<A: Accumulator>(
     q: &Query,
     d: &Structure,
     ctl: &EvalControl,
 ) -> Result<Nat, Cancelled> {
     let _span = bagcq_obs::span("homcount.naive", "backtrack");
+    if !ground_facts_hold(q, d) {
+        return Ok(Nat::zero());
+    }
     let comps = components(q);
-
-    // Ground atoms/inequalities gate the whole count.
-    for &i in &comps.ground_atoms {
-        let a = &q.atoms()[i];
-        let assign: Vec<u32> = vec![UNASSIGNED; q.var_count() as usize];
-        let args: Vec<_> =
-            a.args.iter().map(|t| bagcq_structure::Vertex(resolve(t, &assign, d))).collect();
-        if !d.contains_atom(a.rel, &args) {
-            return Ok(Nat::zero());
-        }
-    }
-    for &i in &comps.ground_inequalities {
-        let ineq = &q.inequalities()[i];
-        let assign: Vec<u32> = vec![UNASSIGNED; q.var_count() as usize];
-        if resolve(&ineq.lhs, &assign, d) == resolve(&ineq.rhs, &assign, d) {
-            return Ok(Nat::zero());
-        }
-    }
-
-    let n = d.vertex_count() as u64;
     let mut ticker = ctl.ticker();
     let mut total = A::one();
     for (atom_idx, ineq_idx, vars) in &comps.comps {
-        let c = count_component::<A>(q, d, atom_idx, ineq_idx, vars, &mut ticker)?;
+        let order = order_atoms(q, d, atom_idx);
+        let mut c = A::zero();
+        Search::run(q, d, &order, ineq_idx, vars, &mut ticker, &mut |_| {
+            c.add_one();
+            true
+        })?;
         if c.is_zero() {
             return Ok(Nat::zero());
         }
@@ -93,39 +85,10 @@ pub(crate) fn try_count_generic<A: Accumulator>(
         total.mul_assign_acc(&c);
     }
     if comps.free_vars > 0 {
+        let n = d.vertex_count() as u64;
         total.mul_assign_nat(&free_var_factor(n, comps.free_vars as u64, ctl)?);
     }
     Ok(total.into_nat())
-}
-
-/// Counts homomorphisms of one connected component by ordered backtracking.
-fn count_component<A: Accumulator>(
-    q: &Query,
-    d: &Structure,
-    atom_idx: &[usize],
-    ineq_idx: &[usize],
-    vars: &[u32],
-    ticker: &mut Ticker<'_>,
-) -> Result<A, Cancelled> {
-    let order = order_atoms(q, d, atom_idx);
-    let mut assign: Vec<u32> = vec![UNASSIGNED; q.var_count() as usize];
-    let mut cache = IndexCache::default();
-    let mut count = A::zero();
-    let mut trail: Vec<u32> = Vec::new();
-    backtrack_atoms(
-        q,
-        d,
-        &order,
-        0,
-        ineq_idx,
-        vars,
-        &mut assign,
-        &mut cache,
-        &mut trail,
-        &mut count,
-        ticker,
-    )?;
-    Ok(count)
 }
 
 /// Greedy atom ordering: repeatedly pick the atom with the most already-
@@ -162,136 +125,137 @@ fn order_atoms(q: &Query, d: &Structure, atom_idx: &[usize]) -> Vec<usize> {
     order
 }
 
-#[allow(clippy::too_many_arguments)]
-fn backtrack_atoms<A: Accumulator>(
-    q: &Query,
-    d: &Structure,
-    order: &[usize],
-    depth: usize,
-    ineq_idx: &[usize],
-    vars: &[u32],
-    assign: &mut Vec<u32>,
-    cache: &mut IndexCache,
-    trail: &mut Vec<u32>,
-    count: &mut A,
-    ticker: &mut Ticker<'_>,
-) -> Result<(), Cancelled> {
-    if depth == order.len() {
-        // All atoms matched; enumerate component variables that occur only
-        // in inequalities.
-        let unbound: Vec<u32> =
-            vars.iter().copied().filter(|&v| assign[v as usize] == UNASSIGNED).collect();
-        return enumerate_unbound(q, d, &unbound, 0, ineq_idx, assign, count, ticker);
+/// The one backtracking search: matches the atoms of `order` in turn,
+/// then enumerates the domain for each variable of `vars` no atom bound.
+/// Every candidate tuple and every candidate vertex costs one tick, and
+/// the inequalities of `ineqs` are checked as soon as a variable binds.
+struct Search<'a, 't> {
+    q: &'a Query,
+    d: &'a Structure,
+    order: &'a [usize],
+    ineqs: &'a [usize],
+    vars: &'a [u32],
+    assign: Vec<u32>,
+    cache: IndexCache,
+    trail: Vec<u32>,
+    ticker: &'a mut Ticker<'t>,
+}
+
+impl<'a, 't> Search<'a, 't> {
+    /// Hands each complete assignment to `visit`, which returns `false` to
+    /// stop the search.
+    fn run(
+        q: &'a Query,
+        d: &'a Structure,
+        order: &'a [usize],
+        ineqs: &'a [usize],
+        vars: &'a [u32],
+        ticker: &'a mut Ticker<'t>,
+        visit: &mut impl FnMut(&[u32]) -> bool,
+    ) -> Result<(), Cancelled> {
+        let assign = vec![UNASSIGNED; q.var_count() as usize];
+        let cache = IndexCache::default();
+        let mut search =
+            Search { q, d, order, ineqs, vars, assign, cache, trail: Vec::new(), ticker };
+        search.atoms(0, visit).map(drop)
     }
-    let atom = &q.atoms()[order[depth]];
-    // Pick the most selective access path: a bound position with the
-    // smallest index bucket, else a full relation scan.
-    let mut best: Option<(usize, u32)> = None; // (position, value)
-    for (pos, t) in atom.args.iter().enumerate() {
-        let v = resolve(t, assign, d);
-        if v != UNASSIGNED {
-            match best {
-                None => best = Some((pos, v)),
-                Some((bp, bv)) => {
-                    let cur_len = cache.get(d, atom.rel, pos).get(v).len();
-                    let best_len = cache.get(d, atom.rel, bp).get(bv).len();
-                    if cur_len < best_len {
-                        best = Some((pos, v));
-                    }
-                }
-            }
+
+    /// Matches `order[depth..]`; `Ok(false)` once `visit` has stopped.
+    fn atoms(
+        &mut self,
+        depth: usize,
+        visit: &mut impl FnMut(&[u32]) -> bool,
+    ) -> Result<bool, Cancelled> {
+        if depth == self.order.len() {
+            return self.unbound(0, visit);
         }
-    }
-
-    let tuple_ids: Vec<u32> = match best {
-        Some((pos, v)) => cache.get(d, atom.rel, pos).get(v).to_vec(),
-        None => (0..d.atom_count(atom.rel) as u32).collect(),
-    };
-    let tuples: Vec<&[u32]> = d.tuples(atom.rel).collect();
-
-    'tuples: for &ti in &tuple_ids {
-        ticker.tick()?;
-        let tuple = tuples[ti as usize];
-        let mark = trail.len();
+        let (q, d) = (self.q, self.d);
+        let atom = &q.atoms()[self.order[depth]];
+        // Pick the most selective access path: a bound position with the
+        // smallest index bucket, else a full relation scan.
+        let mut best: Option<(usize, u32)> = None; // (position, value)
         for (pos, t) in atom.args.iter().enumerate() {
-            let want = tuple[pos];
-            match t {
-                Term::Const(c) => {
-                    if d.constant_vertex(*c).0 != want {
-                        unwind(assign, trail, mark);
-                        continue 'tuples;
-                    }
+            let v = resolve(t, &self.assign, d);
+            if v == UNASSIGNED {
+                continue;
+            }
+            let better = match best {
+                None => true,
+                Some((bp, bv)) => {
+                    self.cache.get(d, atom.rel, pos).get(v).len()
+                        < self.cache.get(d, atom.rel, bp).get(bv).len()
                 }
-                Term::Var(v) => {
-                    let cur = assign[v.0 as usize];
-                    if cur == UNASSIGNED {
-                        assign[v.0 as usize] = want;
-                        trail.push(v.0);
-                        // Inequality propagation on the newly bound var.
-                        for &ii in ineq_idx {
-                            if !inequality_ok(&q.inequalities()[ii], assign, d) {
-                                unwind(assign, trail, mark);
-                                continue 'tuples;
-                            }
-                        }
-                    } else if cur != want {
-                        unwind(assign, trail, mark);
-                        continue 'tuples;
-                    }
-                }
+            };
+            if better {
+                best = Some((pos, v));
             }
         }
-        backtrack_atoms(
-            q,
-            d,
-            order,
-            depth + 1,
-            ineq_idx,
-            vars,
-            assign,
-            cache,
-            trail,
-            count,
-            ticker,
-        )?;
-        unwind(assign, trail, mark);
-    }
-    Ok(())
-}
+        let tuple_ids: Vec<u32> = match best {
+            Some((pos, v)) => self.cache.get(d, atom.rel, pos).get(v).to_vec(),
+            None => (0..d.atom_count(atom.rel) as u32).collect(),
+        };
+        let tuples: Vec<&[u32]> = d.tuples(atom.rel).collect();
 
-fn unwind(assign: &mut [u32], trail: &mut Vec<u32>, mark: usize) {
-    while trail.len() > mark {
-        let v = trail.pop().unwrap();
-        assign[v as usize] = UNASSIGNED;
+        'tuples: for &ti in &tuple_ids {
+            self.ticker.tick()?;
+            let tuple = tuples[ti as usize];
+            let mark = self.trail.len();
+            for (t, &want) in atom.args.iter().zip(tuple) {
+                let fits = match t {
+                    Term::Const(c) => d.constant_vertex(*c).0 == want,
+                    Term::Var(v) if self.assign[v.0 as usize] == UNASSIGNED => {
+                        self.assign[v.0 as usize] = want;
+                        self.trail.push(v.0);
+                        self.ineqs_ok()
+                    }
+                    Term::Var(v) => self.assign[v.0 as usize] == want,
+                };
+                if !fits {
+                    self.unwind(mark);
+                    continue 'tuples;
+                }
+            }
+            if !self.atoms(depth + 1, visit)? {
+                return Ok(false);
+            }
+            self.unwind(mark);
+        }
+        Ok(true)
     }
-}
 
-/// Enumerates variables that occur only in inequalities (never in atoms).
-#[allow(clippy::too_many_arguments)]
-fn enumerate_unbound<A: Accumulator>(
-    q: &Query,
-    d: &Structure,
-    unbound: &[u32],
-    i: usize,
-    ineq_idx: &[usize],
-    assign: &mut Vec<u32>,
-    count: &mut A,
-    ticker: &mut Ticker<'_>,
-) -> Result<(), Cancelled> {
-    if i == unbound.len() {
-        count.add_one();
-        return Ok(());
+    /// Enumerates the domain for each still-unbound variable of
+    /// `vars[i..]`; `Ok(false)` once `visit` has stopped.
+    fn unbound(
+        &mut self,
+        i: usize,
+        visit: &mut impl FnMut(&[u32]) -> bool,
+    ) -> Result<bool, Cancelled> {
+        let next = self.vars[i..].iter().position(|&v| self.assign[v as usize] == UNASSIGNED);
+        let Some(k) = next else {
+            return Ok(visit(&self.assign));
+        };
+        let v = self.vars[i + k] as usize;
+        for u in 0..self.d.vertex_count() {
+            self.ticker.tick()?;
+            self.assign[v] = u;
+            if self.ineqs_ok() && !self.unbound(i + k + 1, visit)? {
+                return Ok(false);
+            }
+        }
+        self.assign[v] = UNASSIGNED;
+        Ok(true)
     }
-    let v = unbound[i];
-    for u in 0..d.vertex_count() {
-        ticker.tick()?;
-        assign[v as usize] = u;
-        if ineq_idx.iter().all(|&ii| inequality_ok(&q.inequalities()[ii], assign, d)) {
-            enumerate_unbound(q, d, unbound, i + 1, ineq_idx, assign, count, ticker)?;
+
+    fn ineqs_ok(&self) -> bool {
+        let ineqs = self.q.inequalities();
+        self.ineqs.iter().all(|&ii| inequality_ok(&ineqs[ii], &self.assign, self.d))
+    }
+
+    fn unwind(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.assign[v as usize] = UNASSIGNED;
         }
     }
-    assign[v as usize] = UNASSIGNED;
-    Ok(())
 }
 
 /// Enumerates complete homomorphisms (every variable assigned, including
@@ -315,187 +279,19 @@ pub fn try_for_each_hom_limited(
     ctl: &EvalControl,
     mut f: impl FnMut(&[u32]) -> bool,
 ) -> Result<(), Cancelled> {
-    // Check ground atoms first.
-    let empty_assign: Vec<u32> = vec![UNASSIGNED; q.var_count() as usize];
-    for a in q.atoms() {
-        if a.args.iter().all(|t| matches!(t, Term::Const(_))) {
-            let args: Vec<_> = a
-                .args
-                .iter()
-                .map(|t| bagcq_structure::Vertex(resolve(t, &empty_assign, d)))
-                .collect();
-            if !d.contains_atom(a.rel, &args) {
-                return Ok(());
-            }
-        }
+    if !ground_facts_hold(q, d) {
+        return Ok(());
     }
-
     let all_atoms: Vec<usize> = (0..q.atoms().len()).collect();
     let all_ineqs: Vec<usize> = (0..q.inequalities().len()).collect();
+    let all_vars: Vec<u32> = (0..q.var_count()).collect();
     let order = order_atoms(q, d, &all_atoms);
-    let mut assign = empty_assign;
-    let mut cache = IndexCache::default();
-    let mut trail: Vec<u32> = Vec::new();
-    let mut seen: u64 = 0;
-    let mut stop = false;
     let mut ticker = ctl.ticker();
-    full_backtrack(
-        q,
-        d,
-        &order,
-        0,
-        &all_ineqs,
-        &mut assign,
-        &mut cache,
-        &mut trail,
-        &mut seen,
-        limit,
-        &mut stop,
-        &mut ticker,
-        &mut f,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn full_backtrack(
-    q: &Query,
-    d: &Structure,
-    order: &[usize],
-    depth: usize,
-    ineq_idx: &[usize],
-    assign: &mut Vec<u32>,
-    cache: &mut IndexCache,
-    trail: &mut Vec<u32>,
-    seen: &mut u64,
-    limit: u64,
-    stop: &mut bool,
-    ticker: &mut Ticker<'_>,
-    f: &mut impl FnMut(&[u32]) -> bool,
-) -> Result<(), Cancelled> {
-    if *stop {
-        return Ok(());
-    }
-    if depth == order.len() {
-        // Enumerate every remaining unassigned variable over the domain.
-        let unbound: Vec<u32> =
-            (0..q.var_count()).filter(|&v| assign[v as usize] == UNASSIGNED).collect();
-        return full_enumerate(q, d, &unbound, 0, ineq_idx, assign, seen, limit, stop, ticker, f);
-    }
-    let atom = &q.atoms()[order[depth]];
-    let mut best: Option<(usize, u32)> = None;
-    for (pos, t) in atom.args.iter().enumerate() {
-        let v = resolve(t, assign, d);
-        if v != UNASSIGNED {
-            best = match best {
-                None => Some((pos, v)),
-                Some((bp, bv)) => {
-                    if cache.get(d, atom.rel, pos).get(v).len()
-                        < cache.get(d, atom.rel, bp).get(bv).len()
-                    {
-                        Some((pos, v))
-                    } else {
-                        Some((bp, bv))
-                    }
-                }
-            };
-        }
-    }
-    let tuple_ids: Vec<u32> = match best {
-        Some((pos, v)) => cache.get(d, atom.rel, pos).get(v).to_vec(),
-        None => (0..d.atom_count(atom.rel) as u32).collect(),
-    };
-    let tuples: Vec<&[u32]> = d.tuples(atom.rel).collect();
-    'tuples: for &ti in &tuple_ids {
-        if *stop {
-            return Ok(());
-        }
-        ticker.tick()?;
-        let tuple = tuples[ti as usize];
-        let mark = trail.len();
-        for (pos, t) in atom.args.iter().enumerate() {
-            let want = tuple[pos];
-            match t {
-                Term::Const(c) => {
-                    if d.constant_vertex(*c).0 != want {
-                        unwind(assign, trail, mark);
-                        continue 'tuples;
-                    }
-                }
-                Term::Var(v) => {
-                    let cur = assign[v.0 as usize];
-                    if cur == UNASSIGNED {
-                        assign[v.0 as usize] = want;
-                        trail.push(v.0);
-                        for &ii in ineq_idx {
-                            if !inequality_ok(&q.inequalities()[ii], assign, d) {
-                                unwind(assign, trail, mark);
-                                continue 'tuples;
-                            }
-                        }
-                    } else if cur != want {
-                        unwind(assign, trail, mark);
-                        continue 'tuples;
-                    }
-                }
-            }
-        }
-        full_backtrack(
-            q,
-            d,
-            order,
-            depth + 1,
-            ineq_idx,
-            assign,
-            cache,
-            trail,
-            seen,
-            limit,
-            stop,
-            ticker,
-            f,
-        )?;
-        unwind(assign, trail, mark);
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn full_enumerate(
-    q: &Query,
-    d: &Structure,
-    unbound: &[u32],
-    i: usize,
-    ineq_idx: &[usize],
-    assign: &mut Vec<u32>,
-    seen: &mut u64,
-    limit: u64,
-    stop: &mut bool,
-    ticker: &mut Ticker<'_>,
-    f: &mut impl FnMut(&[u32]) -> bool,
-) -> Result<(), Cancelled> {
-    if *stop {
-        return Ok(());
-    }
-    if i == unbound.len() {
-        *seen += 1;
-        if !f(assign) || (limit != 0 && *seen >= limit) {
-            *stop = true;
-        }
-        return Ok(());
-    }
-    let v = unbound[i];
-    for u in 0..d.vertex_count() {
-        if *stop {
-            break;
-        }
-        ticker.tick()?;
-        assign[v as usize] = u;
-        if ineq_idx.iter().all(|&ii| inequality_ok(&q.inequalities()[ii], assign, d)) {
-            full_enumerate(q, d, unbound, i + 1, ineq_idx, assign, seen, limit, stop, ticker, f)?;
-        }
-    }
-    assign[v as usize] = UNASSIGNED;
-    Ok(())
+    let mut seen: u64 = 0;
+    Search::run(q, d, &order, &all_ineqs, &all_vars, &mut ticker, &mut |assign| {
+        seen += 1;
+        f(assign) && (limit == 0 || seen < limit)
+    })
 }
 
 #[cfg(test)]
@@ -680,6 +476,36 @@ mod tests {
         let av = d.constant_vertex(s.constant_by_name("a").unwrap());
         d.add_atom(e, &[av, av]);
         assert_eq!(naive_count(&q, &d), Nat::one());
+    }
+
+    #[test]
+    fn variable_free_inequality_gates_every_path() {
+        let mut b = SchemaBuilder::default();
+        b.relation("E", 2);
+        b.constant("a");
+        b.constant("b");
+        let s = b.build();
+        let e = s.relation_by_name("E").unwrap();
+        let mut d = Structure::new(Arc::clone(&s));
+        let av = d.constant_vertex(s.constant_by_name("a").unwrap());
+        d.add_atom(e, &[av, av]);
+        // E(a,a) ∧ a≠a has no homomorphism; E(a,a) ∧ a≠b has exactly one.
+        for (rhs, want) in [("a", 0u64), ("b", 1)] {
+            let mut qb = bagcq_query::Query::builder(Arc::clone(&s));
+            let a = qb.constant("a");
+            let r = qb.constant(rhs);
+            qb.atom_named("E", &[a, a]).neq(a, r);
+            let q = qb.build();
+            let mut homs = 0u64;
+            for_each_hom_limited(&q, &d, 0, |_| {
+                homs += 1;
+                true
+            });
+            assert_eq!(naive_count(&q, &d), Nat::from_u64(want), "count, a≠{rhs}");
+            assert_eq!(homs, want, "enumeration, a≠{rhs}");
+            assert_eq!(NaiveCounter.exists(&q, &d), want == 1, "exists, a≠{rhs}");
+            assert_eq!(NaiveCounter.count_enumerative(&q, &d), Nat::from_u64(want), "a≠{rhs}");
+        }
     }
 
     #[test]

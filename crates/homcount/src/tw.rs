@@ -8,7 +8,9 @@
 //! stars, grids; experiment E-PERF1).
 
 use crate::cancel::{Cancelled, EvalControl, Ticker};
-use crate::common::{components, free_var_factor, inequality_ok, resolve, UNASSIGNED};
+use crate::common::{
+    components, free_var_factor, ground_facts_hold, inequality_ok, resolve, UNASSIGNED,
+};
 use crate::treedec::{decompose_min_fill, TreeDecomposition};
 use bagcq_arith::{Accumulator, Nat};
 use bagcq_query::{Query, Term};
@@ -36,32 +38,17 @@ impl TreewidthCounter {
     }
 }
 
-/// The DP kernel, generic over the accumulator — see
-/// [`crate::naive::try_count_generic`] for the `Nat`/`Acc` contract.
+/// The DP kernel, generic over the accumulator (requests run it over the
+/// widening [`bagcq_arith::Acc`]).
 pub(crate) fn try_count_generic<A: Accumulator>(
     q: &Query,
     d: &Structure,
     ctl: &EvalControl,
 ) -> Result<Nat, Cancelled> {
+    if !ground_facts_hold(q, d) {
+        return Ok(Nat::zero());
+    }
     let comps = components(q);
-
-    // Ground gates, as in the naive engine.
-    let empty: Vec<u32> = vec![UNASSIGNED; q.var_count() as usize];
-    for &i in &comps.ground_atoms {
-        let a = &q.atoms()[i];
-        let args: Vec<_> =
-            a.args.iter().map(|t| bagcq_structure::Vertex(resolve(t, &empty, d))).collect();
-        if !d.contains_atom(a.rel, &args) {
-            return Ok(Nat::zero());
-        }
-    }
-    for &i in &comps.ground_inequalities {
-        let ineq = &q.inequalities()[i];
-        if resolve(&ineq.lhs, &empty, d) == resolve(&ineq.rhs, &empty, d) {
-            return Ok(Nat::zero());
-        }
-    }
-
     let mut ticker = ctl.ticker();
     let mut total = A::one();
     for (atom_idx, ineq_idx, vars) in &comps.comps {

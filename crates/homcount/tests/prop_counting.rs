@@ -1,11 +1,11 @@
 //! Property tests for the counting backends: differential agreement of
-//! every registered backend against the `Nat` reference path (including
-//! adversarial inputs straddling the `u64`/`u128` overflow boundaries),
-//! and the paper's algebraic counting laws (Lemma 1, Definition 2,
-//! Lemma 22).
+//! the backtracker, the tree-decomposition DP and `Auto`, each kernel
+//! checked against the closed form `2^(8k)` on inputs straddling the
+//! `u64`/`u128` overflow boundaries, and the paper's algebraic counting
+//! laws (Lemma 1, Definition 2, Lemma 22).
 
 use bagcq_arith::{acc_promotions, Nat};
-use bagcq_homcount::{registered_backends, BackendChoice, CountRequest};
+use bagcq_homcount::{BackendChoice, CountRequest};
 use bagcq_query::{path_query, Query, QueryGen};
 use bagcq_structure::{Schema, SchemaBuilder, Structure, StructureGen, Vertex};
 use proptest::prelude::*;
@@ -34,19 +34,17 @@ fn small_structure(seed: u64, extra: u32, density: f64) -> Structure {
     sg.sample(&schema(), seed)
 }
 
-/// The arbitrary-precision reference result every backend is judged
-/// against.
-fn nat_count(q: &Query, d: &Structure) -> Nat {
+/// The backtracking count the algebraic laws are checked on.
+fn naive_count(q: &Query, d: &Structure) -> Nat {
     CountRequest::new(q, d).backend(BackendChoice::Naive).count()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Differential test: every registered backend — the two independent
-    /// algorithms and their machine-word fast paths — returns the exact
-    /// `Nat` the reference path returns, on arbitrary queries (with
-    /// inequalities and constants) and databases.
+    /// Differential test: the two independent algorithms and `Auto`
+    /// return the same count on arbitrary queries (with inequalities and
+    /// constants) and databases.
     #[test]
     fn all_backends_bit_identical(
         qseed in 0u64..10_000,
@@ -58,13 +56,11 @@ proptest! {
     ) {
         let q = small_query(qseed, vars, atoms, ineqs);
         let d = small_structure(dseed, extra, 0.35);
-        let reference = nat_count(&q, &d);
-        for (kernel, choice) in registered_backends() {
+        let reference = naive_count(&q, &d);
+        for choice in BackendChoice::ALL {
             let got = CountRequest::new(&q, &d).backend(choice).count();
-            prop_assert_eq!(&got, &reference, "backend {} on query {}", kernel.name(), q);
+            prop_assert_eq!(&got, &reference, "backend {} on query {}", choice, q);
         }
-        // Auto must agree too, whatever it resolves to.
-        prop_assert_eq!(CountRequest::new(&q, &d).count(), reference);
     }
 
     /// Lemma 1: (ρ ∧̄ ρ')(D) = ρ(D) · ρ'(D).
@@ -77,8 +73,8 @@ proptest! {
         let q1 = small_query(s1, 3, 3, 0);
         let q2 = small_query(s2, 3, 3, 0);
         let d = small_structure(dseed, 3, 0.4);
-        let lhs = nat_count(&q1.disjoint_conj(&q2), &d);
-        let rhs = nat_count(&q1, &d).mul_ref(&nat_count(&q2, &d));
+        let lhs = naive_count(&q1.disjoint_conj(&q2), &d);
+        let rhs = naive_count(&q1, &d).mul_ref(&naive_count(&q2, &d));
         prop_assert_eq!(lhs, rhs);
     }
 
@@ -92,8 +88,8 @@ proptest! {
     ) {
         let q = small_query(qseed, 3, 3, ineqs);
         let d = small_structure(dseed, 3, 0.4);
-        let single = nat_count(&q, &d);
-        prop_assert_eq!(nat_count(&q.power(k), &d), single.pow_u64(k as u64));
+        let single = naive_count(&q, &d);
+        prop_assert_eq!(naive_count(&q.power(k), &d), single.pow_u64(k as u64));
     }
 
     /// Lemma 22 (i): φ(blowup(D,k)) = k^j · φ(D) for pure CQs without
@@ -107,8 +103,8 @@ proptest! {
         let qg = QueryGen { variables: 3, atoms: 3, constant_prob: 0.0, inequalities: 0 };
         let q = qg.sample(&schema(), qseed);
         let d = small_structure(dseed, 3, 0.35);
-        let base = nat_count(&q, &d);
-        let blown = nat_count(&q, &d.blowup(k));
+        let base = naive_count(&q, &d);
+        let blown = naive_count(&q, &d.blowup(k));
         let factor = Nat::from_u64(k as u64).pow_u64(q.var_count() as u64);
         prop_assert_eq!(blown, factor.mul_ref(&base));
     }
@@ -123,8 +119,8 @@ proptest! {
         let qg = QueryGen { variables: 3, atoms: 3, constant_prob: 0.0, inequalities: 0 };
         let q = qg.sample(&schema(), qseed);
         let d = small_structure(dseed, 2, 0.4);
-        let base = nat_count(&q, &d);
-        let powered = nat_count(&q, &d.power(k));
+        let base = naive_count(&q, &d);
+        let powered = naive_count(&q, &d.power(k));
         prop_assert_eq!(powered, base.pow_u64(k as u64));
     }
 
@@ -144,24 +140,9 @@ proptest! {
         let mut d2 = d1.clone();
         let extra = small_structure(dseed.wrapping_add(1), 3, 0.25);
         d2 = d2.union(&extra);
-        let c1 = nat_count(&q, &d1);
-        let c2 = nat_count(&q, &d2);
+        let c1 = naive_count(&q, &d1);
+        let c2 = naive_count(&q, &d2);
         prop_assert!(c1 <= c2, "{c1} > {c2}");
-    }
-
-    /// The legacy `Engine` selector routes through `CountRequest` to the
-    /// same answers as the default `Auto` choice on every family.
-    #[test]
-    fn engine_selector_agrees_with_requests(qseed in 0u64..10_000, dseed in 0u64..10_000) {
-        let q = small_query(qseed, 3, 4, 1);
-        let d = small_structure(dseed, 3, 0.35);
-        let via_engines = (
-            CountRequest::new(&q, &d).backend(bagcq_homcount::Engine::Naive).count(),
-            CountRequest::new(&q, &d).backend(bagcq_homcount::Engine::Treewidth).count(),
-        );
-        let want = CountRequest::new(&q, &d).count();
-        prop_assert_eq!(&via_engines.0, &want);
-        prop_assert_eq!(&via_engines.1, &want);
     }
 }
 
@@ -191,12 +172,12 @@ proptest! {
         }
         let permuted = d.quotient(&perm, n);
         prop_assert!(bagcq_structure::isomorphic(&d, &permuted));
-        for (kernel, choice) in registered_backends() {
+        for choice in BackendChoice::REGISTERED {
             prop_assert_eq!(
                 CountRequest::new(&q, &d).backend(choice).count(),
                 CountRequest::new(&q, &permuted).backend(choice).count(),
                 "backend {}",
-                kernel.name()
+                choice
             );
         }
     }
@@ -209,12 +190,12 @@ proptest! {
         let d = small_structure(dseed, 2, 0.3);
         prop_assert_eq!(
             bagcq_homcount::NaiveCounter.count_enumerative(&q, &d),
-            nat_count(&q, &d)
+            naive_count(&q, &d)
         );
     }
 }
 
-/// Adversarial overflow-boundary cases for the machine-word fast path.
+/// Adversarial overflow-boundary cases for the widening accumulators.
 ///
 /// `E(x,y)` into the complete 16-vertex digraph (loops included) has
 /// exactly 16² = 2⁸ homomorphisms, so `E(x,y)↑k` has exactly `2^(8k)`:
@@ -244,23 +225,22 @@ mod overflow_boundaries {
         d
     }
 
-    /// Runs `E(x,y)↑k` on every fast backend against the `Nat` reference
+    /// Runs `E(x,y)↑k` on both kernels against the closed form `2^(8k)`
     /// and returns how many promotions the whole workload performed.
     fn check_power(k: u32) -> (Nat, u64) {
         let schema = edge_schema();
         let q = path_query(&schema, "E", 1).power(k);
         let d = complete_digraph(16);
-        let reference = nat_count(&q, &d);
-        assert_eq!(reference, Nat::pow2(8 * k as u64), "ground truth is 2^(8k)");
+        let want = Nat::pow2(8 * k as u64);
         let before = acc_promotions();
-        for choice in [BackendChoice::FastNaive, BackendChoice::FastTreewidth] {
+        for choice in BackendChoice::REGISTERED {
             let got = CountRequest::new(&q, &d).backend(choice).count();
-            assert_eq!(got, reference, "{choice} wrong at k = {k}");
+            assert_eq!(got, want, "{choice} wrong at k = {k}");
         }
-        (reference, acc_promotions() - before)
+        (want, acc_promotions() - before)
     }
 
-    /// 2⁵⁶ — comfortably inside `u64`: fast paths agree bit-for-bit.
+    /// 2⁵⁶ — comfortably inside `u64`: both kernels are exact.
     #[test]
     fn just_below_u64_boundary() {
         let (n, _) = check_power(7);
@@ -285,7 +265,7 @@ mod overflow_boundaries {
     }
 
     /// 2¹²⁸ — one past `u128::MAX`: both widenings fire (u64 → u128 →
-    /// `Nat`) on each fast backend, and the result is still exact.
+    /// `Nat`) on each kernel, and the result is still exact.
     #[test]
     fn just_above_u128_boundary_promotes_twice_and_stays_exact() {
         let (n, promoted) = check_power(16);

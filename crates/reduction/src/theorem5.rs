@@ -18,7 +18,6 @@
 //! and Theorem 5 follows: `QCP^bag` with inequalities only in the s-query
 //! is decidable iff `QCP^bag_CQ` is.
 
-use crate::counting::naive_count;
 use bagcq_arith::Nat;
 use bagcq_query::Query;
 use bagcq_structure::Structure;
@@ -57,24 +56,28 @@ pub enum EliminationError {
 
 /// Runs the Lemma 23 construction. `max_power` caps `k` (the witness has
 /// `(|D₀| · κ)^k`-ish vertices, so keep seeds tiny).
-pub fn eliminate_inequalities(
+///
+/// Its four counts — `ψ′_s` and `ψ_b` on `D₀`, then both sides on the
+/// witness — go through `count`, whose error comes back unchanged in the
+/// outer `Err`.
+pub fn eliminate_inequalities<E>(
     psi_s: &Query,
     psi_b: &Query,
     d0: &Structure,
     max_power: u32,
-) -> Result<InequalityElimination, EliminationError> {
+    count: &dyn Fn(&Query, &Structure) -> Result<Nat, E>,
+) -> Result<Result<InequalityElimination, EliminationError>, E> {
     if !psi_b.is_pure() {
-        return Err(EliminationError::BigQueryHasInequalities);
+        return Ok(Err(EliminationError::BigQueryHasInequalities));
     }
     let p = psi_s.inequalities().len();
     if p == 0 {
-        return Err(EliminationError::NothingToEliminate);
+        return Ok(Err(EliminationError::NothingToEliminate));
     }
-    let psi_s_pure = psi_s.strip_inequalities();
-    let s0 = naive_count(&psi_s_pure, d0);
-    let b0 = naive_count(psi_b, d0);
+    let s0 = count(&psi_s.strip_inequalities(), d0)?;
+    let b0 = count(psi_b, d0)?;
     if s0 <= b0 {
-        return Err(EliminationError::SeedNotStrict);
+        return Ok(Err(EliminationError::SeedNotStrict));
     }
 
     let kappa = (2 * p) as u32;
@@ -90,24 +93,26 @@ pub fn eliminate_inequalities(
         }
         k += 1;
         if k > max_power {
-            return Err(EliminationError::PowerTooLarge { cap: max_power });
+            return Ok(Err(EliminationError::PowerTooLarge { cap: max_power }));
         }
     }
 
     let witness = d0.power(k).blowup(kappa);
-    let count_s = naive_count(psi_s, &witness);
-    let count_b = naive_count(psi_b, &witness);
+    let count_s = count(psi_s, &witness)?;
+    let count_b = count(psi_b, &witness)?;
     assert!(
         count_s > count_b,
         "Lemma 23 construction failed: ψ_s = {count_s}, ψ_b = {count_b} (k = {k}, κ = {kappa})"
     );
-    Ok(InequalityElimination { k, kappa, witness, count_s, count_b })
+    Ok(Ok(InequalityElimination { k, kappa, witness, count_s, count_b }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counting::naive_count;
     use bagcq_structure::{SchemaBuilder, Vertex};
+    use std::convert::Infallible;
     use std::sync::Arc;
 
     fn digraph() -> Arc<bagcq_structure::Schema> {
@@ -116,9 +121,18 @@ mod tests {
         b.build()
     }
 
-    /// ψ_s = E(x,y) ∧ x≠y, ψ_b = E(u,v) ∧ E(v,w): on a seed with a loop
-    /// and an extra edge, ψ′_s(D₀) = 2 > 1 = would need checking... build
-    /// a seed where ψ′_s strictly exceeds ψ_b.
+    /// The construction, counting with the crate's backtracking counter.
+    fn lift(
+        psi_s: &Query,
+        psi_b: &Query,
+        d0: &Structure,
+        max_power: u32,
+    ) -> Result<InequalityElimination, EliminationError> {
+        let naive = |q: &Query, d: &Structure| Ok::<_, Infallible>(naive_count(q, d));
+        eliminate_inequalities(psi_s, psi_b, d0, max_power, &naive).expect("infallible counter")
+    }
+
+    /// ψ_s = E(x,y) ∧ x≠y against ψ_b = E(u,v) ∧ E(v,w) (2-paths).
     #[test]
     fn eliminates_single_inequality() {
         let s = digraph();
@@ -129,8 +143,7 @@ mod tests {
         qb.atom_named("E", &[x, y]).neq(x, y);
         let psi_s = qb.build();
 
-        // ψ_b: a 3-cycle query — zero on acyclic-with-loops seeds is too
-        // easy; use a 2-path so counts stay comparable.
+        // ψ_b: 2-paths, which a seed of isolated edges does not contain.
         let mut qb = Query::builder(Arc::clone(&s));
         let u = qb.var("u");
         let v = qb.var("v");
@@ -138,15 +151,14 @@ mod tests {
         qb.atom_named("E", &[u, v]).atom_named("E", &[v, w]);
         let psi_b = qb.build();
 
-        // Seed: 3 isolated edges (no 2-paths): ψ′_s = 3 > 0 = ψ_b... but
-        // b0 = 0 makes the ratio infinite; good stress for the loop.
+        // Seed: 3 isolated edges: ψ′_s = 3 > 0 = ψ_b, so k = 1 suffices.
         let mut d0 = Structure::new(Arc::clone(&s));
         d0.add_vertices(6);
         d0.add_atom(e, &[Vertex(0), Vertex(1)]);
         d0.add_atom(e, &[Vertex(2), Vertex(3)]);
         d0.add_atom(e, &[Vertex(4), Vertex(5)]);
 
-        let r = eliminate_inequalities(&psi_s, &psi_b, &d0, 8).expect("construction works");
+        let r = lift(&psi_s, &psi_b, &d0, 8).expect("construction works");
         assert!(r.count_s > r.count_b);
         assert_eq!(r.kappa, 2);
         assert_eq!(r.k, 1, "b0 = 0 should need no powering");
@@ -176,7 +188,7 @@ mod tests {
         d0.add_atom(e, &[Vertex(1), Vertex(2)]);
         d0.add_atom(e, &[Vertex(2), Vertex(3)]);
 
-        let r = eliminate_inequalities(&psi_s, &psi_b, &d0, 8).expect("construction works");
+        let r = lift(&psi_s, &psi_b, &d0, 8).expect("construction works");
         assert!(r.count_s > r.count_b, "{} vs {}", r.count_s, r.count_b);
         assert!(r.k >= 1);
     }
@@ -198,16 +210,14 @@ mod tests {
         qb.atom_named("E", &[u, u]);
         let psi_b = qb.build();
 
-        // Seed: a directed path 0→1→2 plus a loop at 3 (ψ_b = 1; ψ′_s
-        // counts 2-paths = 1 + walks through the loop = 1+1+... loop gives
-        // walks (3,3,3): ψ′_s = 2 > 1).
+        // Seed: a directed path 0→1→2 plus a loop at 3, so ψ′_s = 2 > 1 = ψ_b.
         let mut d0 = Structure::new(Arc::clone(&s));
         d0.add_vertices(4);
         d0.add_atom(e, &[Vertex(0), Vertex(1)]);
         d0.add_atom(e, &[Vertex(1), Vertex(2)]);
         d0.add_atom(e, &[Vertex(3), Vertex(3)]);
 
-        let r = eliminate_inequalities(&psi_s, &psi_b, &d0, 10).expect("construction works");
+        let r = lift(&psi_s, &psi_b, &d0, 10).expect("construction works");
         assert_eq!(r.kappa, 4);
         assert!(r.count_s > r.count_b);
     }
@@ -228,16 +238,10 @@ mod tests {
         let d0 = Structure::new(Arc::clone(&s));
 
         assert_eq!(
-            eliminate_inequalities(&pure, &with_ineq, &d0, 4).unwrap_err(),
+            lift(&pure, &with_ineq, &d0, 4).unwrap_err(),
             EliminationError::BigQueryHasInequalities
         );
-        assert_eq!(
-            eliminate_inequalities(&pure, &pure, &d0, 4).unwrap_err(),
-            EliminationError::NothingToEliminate
-        );
-        assert_eq!(
-            eliminate_inequalities(&with_ineq, &pure, &d0, 4).unwrap_err(),
-            EliminationError::SeedNotStrict
-        );
+        assert_eq!(lift(&pure, &pure, &d0, 4).unwrap_err(), EliminationError::NothingToEliminate);
+        assert_eq!(lift(&with_ineq, &pure, &d0, 4).unwrap_err(), EliminationError::SeedNotStrict);
     }
 }

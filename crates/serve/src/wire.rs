@@ -599,7 +599,7 @@ mod tests {
     fn responses_round_trip() {
         let frames = [
             WireResponse::Count {
-                backend: BackendChoice::FastTreewidth,
+                backend: BackendChoice::Treewidth,
                 bag_total: 7,
                 support_atoms: 3,
                 count: "340282366920938463463374607431768211456".parse().unwrap(),

@@ -113,7 +113,7 @@ proptest! {
     /// every backend name and arbitrary numeric payloads.
     #[test]
     fn count_response_round_trips(
-        which in 0usize..5,
+        which in 0usize..BackendChoice::ALL.len(),
         bag_total in 0u64..u64::MAX,
         support_atoms in 0u64..100_000,
         count in 0u64..u64::MAX,

@@ -1,10 +1,10 @@
-//! Backend comparison: the four registered counting kernels.
+//! Backend comparison: the two counting kernels.
 //!
 //! Counts homomorphisms of the classic query families (paths, cycles,
-//! stars, grids) into a random structure with every registered
-//! [`CountBackend`] — naive backtracking and tree-decomposition DP,
-//! each in its `Nat` reference form and its machine-word fast-path
-//! form — reporting counts, decomposition widths and wall-clock times.
+//! stars, grids) into a random structure with both kernels — naive
+//! backtracking and the tree-decomposition DP, each over widening
+//! machine-word accumulators — reporting counts, decomposition widths and
+//! wall-clock times.
 //!
 //! Run with `cargo run --release --example hom_counting_engines`.
 
@@ -30,8 +30,8 @@ fn main() {
     );
     println!();
     print!("{:<14} {:>5} {:>6} {:>22}", "query", "vars", "width", "count");
-    for (kernel, _) in registered_backends() {
-        print!(" {:>14}", kernel.name());
+    for choice in BackendChoice::REGISTERED {
+        print!(" {:>14}", choice.label());
     }
     println!();
 
@@ -50,13 +50,13 @@ fn main() {
 
         let mut agreed: Option<Nat> = None;
         let mut times = Vec::new();
-        for (kernel, choice) in registered_backends() {
+        for choice in BackendChoice::REGISTERED {
             let t0 = Instant::now();
             let n = CountRequest::new(&q, &d).backend(choice).count();
             times.push(t0.elapsed());
             match &agreed {
                 None => agreed = Some(n),
-                Some(prev) => assert_eq!(prev, &n, "{} disagrees on {name}", kernel.name()),
+                Some(prev) => assert_eq!(prev, &n, "{choice} disagrees on {name}"),
             }
         }
         let shown = agreed.unwrap().to_string();
@@ -74,11 +74,11 @@ fn main() {
     let before = acc_promotions();
     for k in [1u32, 4, 16, 64] {
         let t0 = Instant::now();
-        let c = CountRequest::new(&q.power(k), &d).backend(BackendChoice::FastTreewidth).count();
+        let c = CountRequest::new(&q.power(k), &d).backend(BackendChoice::Treewidth).count();
         println!("  (2-walks)↑{k:<3} = value with {:>6} bits   in {:.2?}", c.bits(), t0.elapsed());
     }
     println!(
-        "  fast path promoted to Nat {} time(s) — large powers overflow u128 and widen.",
+        "  accumulators promoted to Nat {} time(s) — large powers overflow u128 and widen.",
         acc_promotions() - before
     );
 }

@@ -21,9 +21,9 @@ fn main() {
 
     // ---- 2. Queries and bag-semantics answers -------------------------
     // Under bag semantics a boolean CQ returns |Hom(ψ, D)|. The entry
-    // point is the `CountRequest` builder; by default it auto-selects a
-    // counting backend (machine-word fast path where safe, arbitrary
-    // precision where not — the result is identical either way).
+    // point is the `CountRequest` builder; by default it auto-selects one
+    // of two counting kernels (both count in machine words and widen to
+    // arbitrary precision on overflow, so the result is exact either way).
     let edges = path_query(&schema, "E", 1);
     let walks2 = path_query(&schema, "E", 2);
     let tri = cycle_query(&schema, "E", 3);
@@ -31,9 +31,8 @@ fn main() {
     println!("2-walks(D) = {}", CountRequest::new(&walks2, &d).count());
     println!("3-cycles(D)= {}", CountRequest::new(&tri, &d).count());
 
-    // Backends can be pinned, and they all agree (the naive backtracker
-    // and the treewidth DP are independent implementations; the fast
-    // variants are the same algorithms on machine-word accumulators).
+    // Backends can be pinned, and they agree (the naive backtracker and
+    // the treewidth DP are independent implementations).
     let reference = CountRequest::new(&walks2, &d).backend(BackendChoice::Naive).count();
     for choice in BackendChoice::REGISTERED {
         assert_eq!(CountRequest::new(&walks2, &d).backend(choice).count(), reference);

@@ -55,8 +55,11 @@ fn main() {
         CountRequest::new(&psi_b, &d0).count()
     );
 
-    // Lemma 23: power then blow up.
-    let elim = eliminate_inequalities(&psi_s, &psi_b, &d0, 8).expect("construction succeeds");
+    // Lemma 23: power then blow up, counting with any exact counter.
+    let count = |q: &Query, d: &Structure| CountRequest::new(q, d).run();
+    let elim = eliminate_inequalities(&psi_s, &psi_b, &d0, 8, &count)
+        .expect("unlimited count")
+        .expect("construction succeeds");
     println!();
     println!(
         "Lemma 23 construction: D = blowup(D₀^×{}, {}) with {} vertices",

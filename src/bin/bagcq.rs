@@ -55,8 +55,7 @@ fn print_usage() {
 
 USAGE:
   bagcq count -q <query> -d <database>     count |Hom(ψ, D)|
-              [--backend <name>]           auto (default), naive, treewidth,
-                                           fast-naive, fast-treewidth
+              [--backend <name>]           auto (default), naive, treewidth
   bagcq check -s <small> -b <big>          check ϱ_s(D) ≤ ϱ_b(D) for all D
               [--semantics set|bag]        bag (default) or set semantics
               [--containment <name>]       auto (default), bag-search,
