@@ -199,23 +199,8 @@ fn main() {
         injector.checkpoints()
     );
 
-    // Surface a sweep-journal resume through the same metrics pipe the
-    // experiment drivers use (see exp_theorem1 for the real sweeps).
-    let journal_path =
-        std::env::temp_dir().join(format!("bagcq-demo-{}.journal", std::process::id()));
-    let _ = std::fs::remove_file(&journal_path);
-    let mut j = SweepJournal::open(&journal_path, "demo").expect("fresh journal");
-    for p in ["0,0", "1,0", "0,1"] {
-        j.record(p, "ok:3").expect("journal commit");
-    }
-    drop(j);
-    let j = SweepJournal::open(&journal_path, "demo").expect("reopen");
-    chaos.record_journal_resumes(j.resumed_entries() as u64);
-    j.finish().expect("journal cleanup");
-
     let m = chaos.metrics();
     assert!(m.retries + m.fallbacks_taken + m.jobs_panicked > 0 || injector.injected() == 0);
-    assert_eq!(m.journal_resumes, 3);
     println!();
     print!("{}", m.render());
 

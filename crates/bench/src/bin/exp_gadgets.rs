@@ -7,6 +7,7 @@
 //! Section 3.2 (`α` multiplies by exactly `c` with one inequality).
 
 use bagcq_bench::{row, sep};
+use bagcq_core::polynomial::valuations;
 use bagcq_core::prelude::*;
 use bagcq_core::reduction::cyclique;
 
@@ -54,27 +55,13 @@ fn main() {
     for p in 2usize..=9 {
         let mut max_deg = 0usize;
         let mut checked = 0usize;
-        let mut tuple = vec![0u32; p];
-        loop {
+        // Every tuple over the alphabet {0, 1, 2}.
+        for val in valuations(p, 2) {
+            let tuple: Vec<u32> = val.into_iter().map(|v| v as u32).collect();
             if cyclique::classify(&tuple) == cyclique::CycliqueKind::Degenerate {
                 max_deg = max_deg.max(cyclique::cyclass(&tuple).len());
             }
             checked += 1;
-            let mut i = 0;
-            loop {
-                if i == p {
-                    break;
-                }
-                tuple[i] += 1;
-                if tuple[i] < 3 {
-                    break;
-                }
-                tuple[i] = 0;
-                i += 1;
-            }
-            if i == p {
-                break;
-            }
         }
         row(&[p.to_string(), checked.to_string(), max_deg.to_string(), (p / 2).to_string()]);
         assert!(max_deg * 2 <= p || max_deg == 0);

@@ -3,6 +3,7 @@
 //! which its four steps then strengthen from UCQs to single CQs).
 
 use bagcq_bench::{row, sep};
+use bagcq_core::polynomial::valuations;
 use bagcq_core::prelude::*;
 
 fn main() {
@@ -46,27 +47,10 @@ fn main() {
             assert!(v, "{}: root must violate the UCQ containment", inst.name);
         } else {
             // Rootless: spot-check containment on a box.
-            let mut ok = true;
-            let mut val = vec![0u64; n_vars as usize];
-            'outer: loop {
+            let ok = valuations(n_vars as usize, 2).all(|val| {
                 let d = enc.valuation_database(&val);
-                if eval_union(&enc.u1, &d) > eval_union(&enc.u2, &d) {
-                    ok = false;
-                    break;
-                }
-                let mut i = 0;
-                loop {
-                    if i == val.len() {
-                        break 'outer;
-                    }
-                    val[i] += 1;
-                    if val[i] <= 2 {
-                        break;
-                    }
-                    val[i] = 0;
-                    i += 1;
-                }
-            }
+                eval_union(&enc.u1, &d) <= eval_union(&enc.u2, &d)
+            });
             assert!(ok, "{}: rootless but UCQ containment violated", inst.name);
         }
     }

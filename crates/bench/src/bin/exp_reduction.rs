@@ -1,20 +1,13 @@
 //! Experiments E-L12, E-L15, E-L17/18, E-L19/20/21 — the Section 4
 //! machinery of the Theorem 1 reduction, claim by claim.
 
-use bagcq_bench::{fmt_count, journaled_backward_sweep, row, sep};
+use bagcq_bench::{fmt_count, resumable_sweep, row, sep};
+use bagcq_coord::{InstanceSpec, SweepSpec};
 use bagcq_core::prelude::*;
-use std::path::PathBuf;
-
-/// Where sweep journals live: `BAGCQ_JOURNAL_DIR`, defaulting to
-/// `target/sweep-journals` (same convention as `exp_theorem1`).
-fn journal_dir() -> PathBuf {
-    std::env::var_os("BAGCQ_JOURNAL_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/sweep-journals"))
-}
 
 fn main() {
-    let red = Theorem1Reduction::new(toy_instance(2, vec![1, 2], vec![2, 3]));
+    let instance = InstanceSpec::Toy { c: 2, coeff_s: [1, 2], coeff_b: [2, 3] };
+    let red = instance.build().expect("the toy instance satisfies Lemma 11");
     let opts = EvalOptions::default();
     println!(
         "Instance: c = {}, P_s = {}, P_b = {}",
@@ -183,24 +176,17 @@ fn main() {
     println!("Every valuation in 0..=1² re-checked across all three Definition 13");
     println!("classes, one journal commit per point: kill this binary mid-sweep and");
     println!("the next run resumes at the first unrecorded valuation.");
-    let sweep_name = "reduction-classes-bound1";
-    let path = journal_dir().join(format!("{sweep_name}.journal"));
-    let mut journal = SweepJournal::open(&path, sweep_name)
-        .unwrap_or_else(|e| panic!("cannot open sweep journal: {e}"));
-    match journaled_backward_sweep(&red, 1, &opts, &mut journal, |_| {}) {
-        Ok(stats) => {
-            println!(
-                "points: {} ({} resumed from {:?}, {} computed); databases checked: {}",
-                stats.points_total,
-                stats.points_resumed,
-                path,
-                stats.points_computed,
-                stats.databases_checked,
-            );
-            journal.finish().unwrap_or_else(|e| panic!("cannot remove journal: {e}"));
-        }
-        Err(e) => panic!("journaled class sweep failed: {e}"),
-    }
+    let (stats, path) =
+        resumable_sweep("reduction-classes-bound1", &SweepSpec { instance, bound: 1 })
+            .unwrap_or_else(|e| panic!("class sweep failed: {e}"));
+    println!(
+        "points: {} ({} resumed from {:?}, {} computed); databases checked: {}",
+        stats.points_total,
+        stats.points_resumed,
+        path,
+        stats.points_computed,
+        stats.databases_checked,
+    );
 
     println!();
     println!("counts shown compactly where huge, e.g. ℂ = {}", fmt_count(&red.big_c));

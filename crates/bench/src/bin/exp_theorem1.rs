@@ -2,72 +2,14 @@
 //! the Hilbert corpus: root existence ⇔ database witness existence, with
 //! the Appendix B chain in between.
 
-use bagcq_bench::{emit_trace_section, journaled_backward_sweep, row, sep, start_trace_from_args};
+use bagcq_bench::{
+    emit_trace_section, resumable_sweep, row, sep, start_trace_from_args, sweep_dir,
+};
+use bagcq_coord::{InstanceSpec, SweepSpec};
+use bagcq_core::polynomial::valuations;
 use bagcq_core::prelude::*;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Where sweep journals live: `BAGCQ_JOURNAL_DIR`, defaulting to
-/// `target/sweep-journals`. A sweep killed mid-run leaves its journal
-/// here and resumes from it on the next invocation.
-fn journal_dir() -> PathBuf {
-    std::env::var_os("BAGCQ_JOURNAL_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/sweep-journals"))
-}
-
-/// Value of `--flag v` / `--flag=v` from the command line, if present.
-fn flag_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// Opt-in (`--store DIR [--workers N]`): route the backward sweeps
-/// through the persistent memo store and the sharded coordinator, then
-/// run them again to show the warm restart recomputes nothing. Strictly
-/// additive — without `--store` the output is byte-identical to before
-/// (the golden snapshot runs without it).
-fn store_backed_sweeps(store_root: &str, workers: usize) {
-    use bagcq_coord::{run_coordinator, CoordConfig, InstanceSpec, SweepSpec};
-    println!();
-    println!("## Store-backed sharded sweeps (opt-in: --store {store_root} --workers {workers})");
-    row(&[
-        "instance".into(),
-        "points".into(),
-        "this run resumed/computed".into(),
-        "warm rerun resumed/computed".into(),
-    ]);
-    sep(4);
-    for name in ["parity", "shifted-positive"] {
-        let spec = SweepSpec { instance: InstanceSpec::Hilbert(name.to_string()), bound: 1 };
-        let dir = PathBuf::from(store_root).join(name);
-        let mut config = CoordConfig::new(spec.clone(), &dir);
-        config.workers = workers;
-        config.report_path = dir.join("report.txt");
-        let first = run_coordinator(&config).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let warm = run_coordinator(&config).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(
-            warm.points_computed, 0,
-            "{name}: a warm restart over the store must recompute nothing"
-        );
-        assert_eq!(warm.points_resumed, warm.points_total);
-        row(&[
-            name.into(),
-            first.points_total.to_string(),
-            format!("{}/{}", first.points_resumed, first.points_computed),
-            format!("{}/{}", warm.points_resumed, warm.points_computed),
-        ]);
-    }
-}
 
 /// Re-verifies `ℂ·φ_s(D) ≤ φ_b(D)` decisions through the `bagcq-engine`
 /// service: all φ-evaluations for a box of correct databases go in as one
@@ -75,24 +17,12 @@ fn store_backed_sweeps(store_root: &str, workers: usize) {
 /// with dual-engine cross-validation on every underlying count.
 fn engine_sweep(red: &Theorem1Reduction, bound: u64, opts: &EvalOptions) -> (usize, usize) {
     let engine = EvalEngine::new(EngineConfig { cross_validate: true, ..EngineConfig::default() });
-    let n = red.instance.n_vars as usize;
-    let mut databases = Vec::new();
-    let mut val = vec![0u64; n];
-    'odometer: loop {
-        databases.push((val.clone(), Arc::new(red.correct_database(&val))));
-        let mut i = 0;
-        loop {
-            if i == n {
-                break 'odometer;
-            }
-            val[i] += 1;
-            if val[i] <= bound {
-                break;
-            }
-            val[i] = 0;
-            i += 1;
-        }
-    }
+    let databases: Vec<_> = valuations(red.instance.n_vars as usize, bound)
+        .map(|val| {
+            let d = Arc::new(red.correct_database(&val));
+            (val, d)
+        })
+        .collect();
 
     // Two jobs per database (φ_s, φ_b). The whole batch runs twice; the
     // second round, submitted after the first completes, must be answered
@@ -140,18 +70,6 @@ fn engine_sweep(red: &Theorem1Reduction, bound: u64, opts: &EvalOptions) -> (usi
 }
 
 fn main() {
-    // Hidden re-exec mode: the sharded coordinator spawns workers as
-    // `<current_exe> sweep-worker ...`, so this binary doubles as its
-    // own worker when the opt-in `--store` sweep runs.
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("sweep-worker") {
-        if let Err(e) = bagcq_coord::worker_main(&argv[1..]) {
-            eprintln!("sweep-worker: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
     let trace = start_trace_from_args();
     println!("## E-B / E-T1 — Hilbert corpus through Appendix B + Theorem 1");
     row(&[
@@ -197,7 +115,7 @@ fn main() {
 
     println!();
     println!("## Backward sweeps on rootless instances (correct + perturbed databases)");
-    println!("(crash-safe: each point is journaled under {:?}; a killed", journal_dir());
+    println!("(crash-safe: each point is journaled under {:?}; a killed", sweep_dir());
     println!(" sweep resumes from its journal instead of recomputing)");
     row(&[
         "instance".into(),
@@ -207,25 +125,15 @@ fn main() {
     ]);
     sep(4);
     for name in ["parity", "shifted-positive", "square-plus-one"] {
-        let inst = hilbert_instance(name).unwrap();
-        let chain = reduce(&inst.poly);
-        let red = Theorem1Reduction::new(chain.instance.clone());
-        let sweep_name = format!("theorem1-backward-{name}-bound1");
-        let path = journal_dir().join(format!("{sweep_name}.journal"));
-        let mut journal = SweepJournal::open(&path, &sweep_name).unwrap_or_else(|e| {
-            panic!("cannot open sweep journal: {e}");
-        });
-        match journaled_backward_sweep(&red, 1, &opts, &mut journal, |_| {}) {
-            Ok(stats) => {
+        let spec = SweepSpec { instance: InstanceSpec::Hilbert(name.to_string()), bound: 1 };
+        match resumable_sweep(&format!("theorem1-backward-{name}-bound1"), &spec) {
+            Ok((stats, _)) => {
                 row(&[
                     name.into(),
                     stats.databases_checked.to_string(),
                     stats.points_resumed.to_string(),
                     "yes".into(),
                 ]);
-                // Clean completion: drop the journal so the next run
-                // re-verifies instead of replaying.
-                journal.finish().unwrap_or_else(|e| panic!("cannot remove journal: {e}"));
             }
             Err(e) => {
                 row(&[name.into(), "-".into(), "-".into(), format!("NO: {e}")]);
@@ -260,11 +168,6 @@ fn main() {
         let demo = matches!(doomed.wait(), Outcome::TimedOut) && fine.wait().as_power().is_some();
         assert!(demo, "deadline must isolate the doomed job only");
         row(&[name.into(), agreements.to_string(), hits.to_string(), "ok".into()]);
-    }
-
-    if let Some(store_root) = flag_value("--store") {
-        let workers = flag_value("--workers").and_then(|v| v.parse().ok()).unwrap_or(1);
-        store_backed_sweeps(&store_root, workers);
     }
 
     println!();

@@ -7,7 +7,9 @@
 
 #![forbid(unsafe_code)]
 
+use bagcq_coord::{sweep_local, SweepSpec, SweepStats};
 use bagcq_core::prelude::*;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// A digraph schema with a single binary relation `E`.
@@ -41,78 +43,26 @@ pub fn query_families(schema: &Arc<Schema>) -> Vec<(&'static str, Query)> {
     ]
 }
 
-/// Summary of one journaled backward sweep.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SweepStats {
-    /// Total sweep points (valuations) in the box.
-    pub points_total: usize,
-    /// Points answered from the journal (completed by an earlier run).
-    pub points_resumed: usize,
-    /// Points computed (and committed) by this run.
-    pub points_computed: usize,
-    /// Databases checked across all points, including resumed ones.
-    pub databases_checked: usize,
+/// Where the experiment binaries keep their resumable sweep stores:
+/// `BAGCQ_JOURNAL_DIR`, defaulting to `target/sweep-journals`.
+pub fn sweep_dir() -> PathBuf {
+    std::env::var_os("BAGCQ_JOURNAL_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("target/sweep-journals"))
 }
 
-/// The crash-safe variant of
-/// [`Theorem1Reduction::sweep_databases`]: every completed sweep point
-/// (valuation) is committed to `journal` with an atomic
-/// write-temp-then-rename, and points already committed by a previous
-/// (killed) run are skipped instead of recomputed.
-///
-/// `on_point` fires immediately *before* each computed point — the resume
-/// integration test uses it to kill the sweep partway; experiment
-/// binaries pass a no-op.
-///
-/// The caller decides the journal's fate: [`SweepJournal::finish`] after
-/// a fully clean sweep, or keep it on disk to resume after a failure.
-pub fn journaled_backward_sweep(
-    red: &Theorem1Reduction,
-    bound: u64,
-    opts: &EvalOptions,
-    journal: &mut SweepJournal,
-    mut on_point: impl FnMut(&[u64]),
-) -> Result<SweepStats, String> {
-    let n = red.instance.n_vars as usize;
-    let mut stats =
-        SweepStats { points_total: 0, points_resumed: 0, points_computed: 0, databases_checked: 0 };
-    let mut val = vec![0u64; n];
-    loop {
-        stats.points_total += 1;
-        let key: String = val.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-        match journal.get(&key) {
-            Some(recorded) => {
-                // Committed by an earlier run; trust the journal.
-                let checked: usize = recorded
-                    .strip_prefix("ok:")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("journal entry {key:?} is corrupt: {recorded:?}"))?;
-                stats.points_resumed += 1;
-                stats.databases_checked += checked;
-            }
-            None => {
-                on_point(&val);
-                let checked = red.sweep_point(&val, opts)?;
-                journal.record(&key, &format!("ok:{checked}"))?;
-                stats.points_computed += 1;
-                stats.databases_checked += checked;
-            }
-        }
-
-        // Odometer.
-        let mut i = 0;
-        loop {
-            if i == n {
-                return Ok(stats);
-            }
-            val[i] += 1;
-            if val[i] <= bound {
-                break;
-            }
-            val[i] = 0;
-            i += 1;
-        }
-    }
+/// Runs `spec` through [`sweep_local`] on the [`MemoStore`] at
+/// `<sweep_dir()>/<name>/`. A killed run leaves that store behind and
+/// the next run resumes from it; a clean sweep removes it, so the next
+/// run re-verifies rather than replays. Returns the sweep's stats and
+/// the store directory.
+pub fn resumable_sweep(name: &str, spec: &SweepSpec) -> Result<(SweepStats, PathBuf), String> {
+    let dir = sweep_dir().join(name);
+    let store = MemoStore::open(&dir).map_err(|e| e.to_string())?;
+    let stats = sweep_local(spec, &store, |_| {})?;
+    drop(store);
+    std::fs::remove_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    Ok((stats, dir))
 }
 
 /// Parses a `--trace <path>` (or `--trace=<path>`) flag from the command

@@ -5,6 +5,14 @@
 //! lease-based work-stealing, merging results through the persistent
 //! [`MemoStore`] into one bit-identical final report.
 //!
+//! [`sweep_local`] is the same sweep run in-process, one point at a
+//! time, for drivers that need no worker processes. Both drivers store a
+//! point under [`SweepSpec::point_fingerprint`] as
+//! `Outcome::Count(databases_checked)`, resume every point the store
+//! already holds, and `put` then `flush` each computed point before the
+//! next one counts as done — so a sweep either driver started, and was
+//! killed in, is finished by the other.
+//!
 //! ## Protocol (newline-delimited text over the worker's stdio)
 //!
 //! ```text
@@ -15,9 +23,9 @@
 //!                         EXIT
 //! ```
 //!
-//! A *key* is the comma-joined valuation (`"0,2"`), identical to the
-//! [`SweepJournal`](bagcq_engine::SweepJournal) key format, so the two
-//! resume mechanisms agree on point identity.
+//! A *key* is the comma-joined valuation (`"0,2"`): the point's name on
+//! the wire and in the report. The store identifies a point by its
+//! fingerprint instead, which also covers the instance and the bound.
 //!
 //! ## Fault model (see `DESIGN.md` §9)
 //!
@@ -44,6 +52,7 @@ use bagcq_arith::Nat;
 use bagcq_engine::{MemoStore, Outcome};
 use bagcq_homcount::EvalOptions;
 use bagcq_obs as obs;
+use bagcq_polynomial::valuations;
 use bagcq_reduction::{toy_instance, Theorem1Reduction};
 use bagcq_structure::{Fingerprint, FingerprintHasher};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -134,27 +143,11 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// Every valuation in the box, in the same odometer order as
-    /// [`Theorem1Reduction::sweep_databases`] — the report lists points
+    /// Every valuation in the box, in [`valuations`] order (the order of
+    /// [`Theorem1Reduction::sweep_databases`]) — the report lists points
     /// in this order.
     pub fn frontier(&self, n_vars: usize) -> Vec<Vec<u64>> {
-        let mut points = Vec::new();
-        let mut val = vec![0u64; n_vars];
-        loop {
-            points.push(val.clone());
-            let mut i = 0;
-            loop {
-                if i == n_vars {
-                    return points;
-                }
-                val[i] += 1;
-                if val[i] <= self.bound {
-                    break;
-                }
-                val[i] = 0;
-                i += 1;
-            }
-        }
+        valuations(n_vars, self.bound).collect()
     }
 
     /// The stable store fingerprint of one sweep point. Covers the
@@ -172,13 +165,96 @@ impl SweepSpec {
     }
 }
 
-/// The wire/journal key of a sweep point: the comma-joined valuation.
+/// The wire/report key of a sweep point: the comma-joined valuation.
 pub fn point_key(val: &[u64]) -> String {
     val.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
 }
 
 fn parse_key(key: &str) -> Result<Vec<u64>, String> {
     key.split(',').map(|v| v.parse().map_err(|_| format!("malformed point key {key:?}"))).collect()
+}
+
+/// The databases checked at `val`, if an earlier run of either driver
+/// committed the point to `store`. Committed points are trusted and
+/// never recomputed.
+fn resumed_point(
+    store: &MemoStore,
+    spec: &SweepSpec,
+    val: &[u64],
+) -> Result<Option<usize>, String> {
+    let Some(outcome) = store.get(&spec.point_fingerprint(val)) else {
+        return Ok(None);
+    };
+    let checked = outcome
+        .as_count()
+        .and_then(Nat::to_u64)
+        .ok_or_else(|| format!("store entry for {} is not a count", point_key(val)))?;
+    obs::instant("coord.point", "resumed");
+    Ok(Some(checked as usize))
+}
+
+/// Commits a computed point: `put`, then `flush`, before the caller
+/// counts it as done — a driver killed right after this loses nothing.
+fn commit_point(
+    store: &MemoStore,
+    spec: &SweepSpec,
+    val: &[u64],
+    checked: usize,
+) -> Result<(), String> {
+    let outcome = Outcome::Count(Nat::from_u64(checked as u64));
+    store.put(spec.point_fingerprint(val), &outcome).map_err(|e| e.to_string())?;
+    store.flush().map_err(|e| e.to_string())
+}
+
+// ---------------------------------------------------------------------------
+// In-process driver
+// ---------------------------------------------------------------------------
+
+/// What one [`sweep_local`] run did.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SweepStats {
+    /// Total sweep points (valuations) in the box.
+    pub points_total: usize,
+    /// Points answered from the store (committed by an earlier run).
+    pub points_resumed: usize,
+    /// Points computed (and committed) by this run.
+    pub points_computed: usize,
+    /// Databases checked across all points, including resumed ones.
+    pub databases_checked: usize,
+}
+
+/// Runs `spec` in this process, one point at a time in frontier order,
+/// through `store`: points the store holds are resumed, every other point
+/// is computed with [`Theorem1Reduction::sweep_point`] and committed
+/// before the next one starts. Returns the first failing point's error.
+///
+/// `on_point` fires immediately *before* each computed point; the resume
+/// tests use it to kill the sweep partway.
+pub fn sweep_local(
+    spec: &SweepSpec,
+    store: &MemoStore,
+    mut on_point: impl FnMut(&[u64]),
+) -> Result<SweepStats, String> {
+    let red = spec.instance.build()?;
+    let opts = EvalOptions::default();
+    let mut stats = SweepStats::default();
+    for val in valuations(red.instance.n_vars as usize, spec.bound) {
+        stats.points_total += 1;
+        stats.databases_checked += match resumed_point(store, spec, &val)? {
+            Some(checked) => {
+                stats.points_resumed += 1;
+                checked
+            }
+            None => {
+                on_point(&val);
+                let checked = red.sweep_point(&val, &opts)?;
+                commit_point(store, spec, &val, checked)?;
+                stats.points_computed += 1;
+                checked
+            }
+        };
+    }
+    Ok(stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -462,19 +538,8 @@ fn write_report(
         buf.push_str(&format!("{}\tok:{checked}\n", point_key(val)));
     }
     buf.push_str(&format!("# points={} databases={databases}\n", frontier.len()));
-    if let Some(dir) = config.report_path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        }
-    }
-    let tmp = config.report_path.with_extension("tmp");
-    let write = || -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(buf.as_bytes())?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, &config.report_path)
-    };
-    write().map_err(|e| format!("{}: {e}", config.report_path.display()))
+    obs::atomic_write(&config.report_path, buf.as_bytes())
+        .map_err(|e| format!("{}: {e}", config.report_path.display()))
 }
 
 /// Runs the sweep: resumes completed points from the store, partitions
@@ -487,28 +552,20 @@ pub fn run_coordinator(config: &CoordConfig) -> Result<CoordReport, String> {
     let n_vars = red.instance.n_vars as usize;
     drop(red); // the coordinator never computes points itself
     let frontier = config.spec.frontier(n_vars);
-    let fingerprints: Vec<Fingerprint> =
-        frontier.iter().map(|v| config.spec.point_fingerprint(v)).collect();
     let keys: Vec<String> = frontier.iter().map(|v| point_key(v)).collect();
     let key_to_idx: HashMap<&str, usize> =
         keys.iter().enumerate().map(|(i, k)| (k.as_str(), i)).collect();
 
     let store = MemoStore::open(&config.store_dir).map_err(|e| e.to_string())?;
 
-    // Resume: a point whose fingerprint is in the store was fully
-    // committed by an earlier run (worker results are flushed before
-    // acknowledgement) — trust it, recompute nothing.
+    // Resume: a point in the store was fully committed by an earlier run
+    // of either driver — trust it, recompute nothing.
     let mut done: HashMap<usize, usize> = HashMap::new();
     let mut pending: VecDeque<usize> = VecDeque::new();
-    for idx in 0..frontier.len() {
-        match store.get(&fingerprints[idx]) {
-            Some(outcome) => {
-                let checked = outcome
-                    .as_count()
-                    .and_then(Nat::to_u64)
-                    .ok_or_else(|| format!("store entry for {} is not a count", keys[idx]))?;
-                obs::instant("coord.point", "resumed");
-                done.insert(idx, checked as usize);
+    for (idx, val) in frontier.iter().enumerate() {
+        match resumed_point(&store, &config.spec, val)? {
+            Some(checked) => {
+                done.insert(idx, checked);
             }
             None => pending.push_back(idx),
         }
@@ -634,10 +691,7 @@ pub fn run_coordinator(config: &CoordConfig) -> Result<CoordReport, String> {
                         // Commit to the store *before* counting the point
                         // complete: a coordinator killed right here
                         // recomputes the point, never loses it.
-                        store
-                            .put(fingerprints[idx], &Outcome::Count(Nat::from_u64(checked as u64)))
-                            .map_err(|e| e.to_string())?;
-                        store.flush().map_err(|e| e.to_string())?;
+                        commit_point(&store, &config.spec, &frontier[idx], checked)?;
                         e.insert(checked);
                         leases.remove(&idx);
                         report.points_computed += 1;

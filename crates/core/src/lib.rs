@@ -18,10 +18,10 @@
 //! * a concurrent batched evaluation service with a single-flight memo
 //!   cache, deadlines, continuous dual-engine cross-validation, and a
 //!   resilience layer (deterministic fault injection, retry/backoff,
-//!   engine fallback, circuit breakers, crash-safe sweep journals), and
-//!   an overload-safe serving layer (bounded admission, typed load
-//!   shedding, worker supervision, memory budgeting, graceful drain)
-//!   ([`engine`]).
+//!   engine fallback, circuit breakers), a crash-safe persistent memo
+//!   store that long sweeps resume from, and an overload-safe serving
+//!   layer (bounded admission, typed load shedding, worker supervision,
+//!   memory budgeting, graceful drain) ([`engine`]).
 //!
 //! ## Quickstart
 //!
@@ -75,8 +75,8 @@ pub mod prelude {
         AdmissionConfig, AdmissionPolicy, BreakerConfig, CachedCounter, CountError, DrainReport,
         EngineConfig, EngineHealth, EvalEngine, FailFast, FaultInjector, FaultKind, FaultPlan, Job,
         JobHandle, JobSpec, MemoStore, MetricsSnapshot, Outcome, RecoveryReport, RetryPolicy,
-        ShedReason, StoreError, StoreOptions, StoreStats, SupervisorConfig, SweepJournal,
-        TraceReport, TraceSession,
+        ShedReason, StoreError, StoreOptions, StoreStats, SupervisorConfig, TraceReport,
+        TraceSession,
     };
     pub use bagcq_hilbert::{by_name as hilbert_instance, library as hilbert_library, reduce};
     pub use bagcq_homcount::{

@@ -196,7 +196,6 @@ pub(crate) struct Shared {
     budget: Option<Arc<MemoryBudget>>,
     drain_stop: Arc<AtomicBool>,
     hook: Arc<EngineHook>,
-    flush_hooks: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
 }
 
 /// One breaker per job kind (see [`JobSpec::kind`]).
@@ -853,7 +852,6 @@ impl EvalEngine {
             budget,
             drain_stop,
             hook,
-            flush_hooks: Mutex::new(Vec::new()),
         });
         let slots: WorkerSlots = Arc::new(Mutex::new(
             (0..worker_count)
@@ -940,13 +938,6 @@ impl EvalEngine {
         self.shared.metrics.submitted_count().saturating_sub(self.shared.metrics.completed_count())
     }
 
-    /// Registers a flush hook the drain runs after the workers stop —
-    /// sweep-journal syncs, trace-buffer commits, and the like. Hooks run
-    /// under panic isolation, in registration order.
-    pub fn register_drain_flush(&self, hook: impl Fn() + Send + Sync + 'static) {
-        self.shared.flush_hooks.lock().unwrap_or_else(|p| p.into_inner()).push(Box::new(hook));
-    }
-
     /// Gracefully winds the engine down, returning by `timeout`:
     ///
     /// 1. health → [`EngineHealth::Draining`] (terminal) and admission
@@ -958,7 +949,7 @@ impl EvalEngine {
     ///    still-running evaluations are hard-stopped through the
     ///    cooperative checkpoint hook (they resolve as
     ///    [`Outcome::TimedOut`]);
-    /// 4. registered flush hooks run (journal/trace commits).
+    /// 4. the persistent store's write-behind buffer is flushed.
     ///
     /// Every job submitted before or during the drain resolves to exactly
     /// one outcome; none is lost or left hanging. Draining is terminal —
@@ -991,14 +982,7 @@ impl EvalEngine {
                 thread::sleep(Duration::from_micros(200));
             }
         }
-        {
-            let hooks = self.shared.flush_hooks.lock().unwrap_or_else(|p| p.into_inner());
-            for hook in hooks.iter() {
-                let _ = catch_unwind(AssertUnwindSafe(hook));
-            }
-        }
-        // The persistent store's write-behind buffer is a flush hook in
-        // spirit: a drain must leave every completed count on disk.
+        // A drain must leave every completed count on disk.
         if let Some(store) = &self.shared.config.store {
             if store.flush().is_err() {
                 obs::instant("engine.store", "flush_error");
@@ -1035,13 +1019,6 @@ impl EvalEngine {
     /// Completed (`Ready`) memo-cache entries.
     pub fn cache_entries(&self) -> usize {
         self.shared.cache.ready_len()
-    }
-
-    /// Adds sweep-journal resume counts to this engine's metrics, so an
-    /// experiment driver that resumed `n` points from a
-    /// [`crate::SweepJournal`] surfaces them in the same report.
-    pub fn record_journal_resumes(&self, n: u64) {
-        self.shared.metrics.journal_resumes_add(n);
     }
 
     /// A cloneable counter that routes every count through this engine's

@@ -56,19 +56,18 @@
 //!   that would dwarf memory fails with a typed error instead of taking
 //!   the process down.
 //! * **Graceful drain** ([`EvalEngine::drain`]): stops admission,
-//!   finishes or sheds in-flight work, runs registered flush hooks, and
+//!   finishes or sheds in-flight work, flushes the persistent store, and
 //!   returns by a caller-supplied deadline with a [`DrainReport`] —
 //!   every job resolves to exactly one outcome.
-//! * **Crash-safe sweeps** ([`SweepJournal`]): experiment drivers commit
-//!   each completed sweep point with an atomic write-temp-then-rename, so
-//!   a killed sweep resumes where it stopped.
 //! * **Persistent memo store** ([`MemoStore`],
 //!   [`EngineConfig::store`]): completed counts are appended to
 //!   disk-backed, CRC-framed segment files keyed by the same 128-bit
 //!   fingerprints, and the memo cache reads through to them — a warm
 //!   restart (or a sibling worker process sharing the directory) skips
 //!   recomputation entirely. Recovery truncates torn tails, quarantines
-//!   corrupt records ([`RecoveryReport`]), and compacts dead bytes.
+//!   corrupt records ([`RecoveryReport`]), and compacts dead bytes. Long
+//!   sweeps commit their points to the same store, so a killed sweep
+//!   resumes where it stopped (see `bagcq-coord`).
 //! * **Metrics**: atomic job/cache/resilience counters plus a log₂
 //!   latency histogram, snapshot-able as text
 //!   ([`MetricsSnapshot::render`]).
@@ -90,7 +89,6 @@ mod cache;
 mod engine;
 mod fault;
 mod job;
-mod journal;
 mod metrics;
 mod retry;
 mod store;
@@ -118,7 +116,6 @@ pub use breaker::{BreakerConfig, FailFast};
 pub use engine::{CachedCounter, DrainReport, EngineConfig, EvalEngine};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSchedule};
 pub use job::{Job, JobHandle, JobSpec, Outcome, ShedReason};
-pub use journal::SweepJournal;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use retry::RetryPolicy;
 pub use store::{MemoStore, RecoveryReport, StoreError, StoreOptions, StoreStats};

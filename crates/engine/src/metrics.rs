@@ -35,7 +35,6 @@ pub struct Metrics {
     fallbacks_taken: AtomicU64,
     breaker_transitions: AtomicU64,
     breaker_rejections: AtomicU64,
-    journal_resumes: AtomicU64,
     jobs_shed: AtomicU64,
     jobs_requeued: AtomicU64,
     admission_waits: AtomicU64,
@@ -114,13 +113,6 @@ impl Metrics {
         bagcq_obs::instant("engine.resilience", "breaker_rejection");
     }
 
-    pub(crate) fn journal_resumes_add(&self, n: u64) {
-        if n != 0 {
-            self.journal_resumes.fetch_add(n, Ordering::Relaxed);
-            bagcq_obs::instant("engine.resilience", "journal_resume");
-        }
-    }
-
     pub(crate) fn job_shed(&self, reason: ShedReason) {
         self.jobs_shed.fetch_add(1, Ordering::Relaxed);
         bagcq_obs::instant("engine.admission", reason.label());
@@ -190,7 +182,6 @@ impl Metrics {
             fallbacks_taken: self.fallbacks_taken.load(Ordering::Relaxed),
             breaker_transitions: self.breaker_transitions.load(Ordering::Relaxed),
             breaker_rejections: self.breaker_rejections.load(Ordering::Relaxed),
-            journal_resumes: self.journal_resumes.load(Ordering::Relaxed),
             jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
             jobs_requeued: self.jobs_requeued.load(Ordering::Relaxed),
             admission_waits: self.admission_waits.load(Ordering::Relaxed),
@@ -252,9 +243,6 @@ pub struct MetricsSnapshot {
     pub breaker_transitions: u64,
     /// Jobs rejected by an open breaker before evaluation.
     pub breaker_rejections: u64,
-    /// Sweep points restored from a [`crate::SweepJournal`] instead of
-    /// recomputed (reported by experiment drivers).
-    pub journal_resumes: u64,
     /// Jobs shed by the serving layer ([`crate::Outcome::Shed`]): refused
     /// at admission, expired at dequeue, or flushed by a drain.
     pub jobs_shed: u64,
@@ -347,12 +335,8 @@ impl fmt::Display for MetricsSnapshot {
         writeln!(f, "  validate cross_validations={}", self.cross_validations)?;
         writeln!(
             f,
-            "  resilience retries={} fallbacks={} breaker_transitions={} breaker_rejections={} journal_resumes={}",
-            self.retries,
-            self.fallbacks_taken,
-            self.breaker_transitions,
-            self.breaker_rejections,
-            self.journal_resumes
+            "  resilience retries={} fallbacks={} breaker_transitions={} breaker_rejections={}",
+            self.retries, self.fallbacks_taken, self.breaker_transitions, self.breaker_rejections
         )?;
         writeln!(
             f,
@@ -457,18 +441,15 @@ mod tests {
         m.fallback_taken();
         m.breaker_transitions_add(3);
         m.breaker_rejection();
-        m.journal_resumes_add(4);
         m.job_failed_fast();
         let s = m.snapshot();
         assert_eq!(s.retries, 2);
         assert_eq!(s.fallbacks_taken, 1);
         assert_eq!(s.breaker_transitions, 3);
         assert_eq!(s.breaker_rejections, 1);
-        assert_eq!(s.journal_resumes, 4);
         assert_eq!(s.jobs_failed_fast, 1);
         let text = s.render();
         assert!(text.contains("retries=2"), "{text}");
-        assert!(text.contains("journal_resumes=4"), "{text}");
         assert!(text.contains("failed_fast=1"), "{text}");
     }
 

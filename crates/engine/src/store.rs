@@ -47,6 +47,9 @@
 //!   corrupted region risks mistaking garbage for a record, and a wrong
 //!   count is strictly worse than a recomputation.
 //!
+//! A `*.tmp` file is never replayed: it is the uncommitted output of a
+//! compaction killed before its rename. An exclusive open deletes it.
+//!
 //! # Write-behind and durability
 //!
 //! [`MemoStore::put`] appends into a buffered writer; the buffer is
@@ -401,8 +404,11 @@ fn encode_record(key: &Fingerprint, value: &StoredValue) -> Vec<u8> {
 }
 
 /// Segment files in replay order (ascending sequence number; ties broken
-/// by name so the order is total and stable).
-fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
+/// by name so the order is total and stable). With `remove_tmp` the same
+/// pass deletes every `*.tmp` file: only exclusive stores compact, and
+/// the rename is their commit point, so a tmp file is uncommitted by
+/// definition.
+fn list_segments(dir: &Path, remove_tmp: bool) -> Result<Vec<(u64, PathBuf)>, StoreError> {
     let mut segments = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -414,6 +420,11 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
+        if remove_tmp && name.ends_with(".tmp") {
+            obs::instant("store.recover", "remove_orphan_tmp");
+            fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
+            continue;
+        }
         if !name.ends_with(".seg") {
             continue;
         }
@@ -521,7 +532,7 @@ impl MemoStore {
         let mut dead_bytes = 0u64;
         let mut live_bytes = 0u64;
         let mut next_seq = 0u64;
-        let segments = list_segments(dir)?;
+        let segments = list_segments(dir, exclusive)?;
         report.segments = segments.len();
         for (seq, path) in &segments {
             next_seq = next_seq.max(seq + 1);
@@ -705,11 +716,12 @@ impl MemoStore {
         Ok(())
     }
 
-    /// Rewrites every live record into one fresh segment and removes the
-    /// old files — the write-temp-rename journal discipline applied to
-    /// segments. A crash mid-compaction leaves either the old segments,
-    /// or the new one plus not-yet-deleted old ones (whose records are
-    /// identical and harmlessly superseded on the next replay).
+    /// Rewrites every live record into one fresh segment, committed
+    /// through [`obs::atomic_write`], and removes the old files. A crash
+    /// mid-compaction leaves either the old segments (plus a `.seg.tmp`
+    /// the next exclusive open deletes), or the new one plus
+    /// not-yet-deleted old ones (whose records are identical and
+    /// harmlessly superseded on the next replay).
     ///
     /// Callable only on an exclusive store; a shared writer returns
     /// without touching files it may not own.
@@ -724,7 +736,6 @@ impl MemoStore {
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let dest = self.dir.join(format!("{}-{seq:010}.seg", self.writer_tag));
-        let tmp = dest.with_extension("seg.tmp");
         let mut buffer = SEGMENT_MAGIC.to_vec();
         let mut keys: Vec<&Fingerprint> = inner.index.keys().collect();
         // Deterministic on-disk order, so equal stores compact to equal
@@ -734,14 +745,8 @@ impl MemoStore {
             let value = &inner.index[key];
             buffer.extend_from_slice(&encode_record(key, value));
         }
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&buffer)?;
-            f.sync_all()?;
-            fs::rename(&tmp, &dest)
-        };
-        write().map_err(|e| io_err(&dest, e))?;
-        for (_, path) in list_segments(&self.dir)? {
+        obs::atomic_write(&dest, &buffer).map_err(|e| io_err(&dest, e))?;
+        for (_, path) in list_segments(&self.dir, false)? {
             if path != dest {
                 fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
             }
@@ -852,7 +857,7 @@ mod tests {
             store.flush().unwrap();
         }
         // Simulate a kill mid-append: a half-record at the tail.
-        let (_, seg) = list_segments(&dir).unwrap().pop().unwrap();
+        let (_, seg) = list_segments(&dir, false).unwrap().pop().unwrap();
         let clean_len = fs::metadata(&seg).unwrap().len();
         let mut f = fs::OpenOptions::new().append(true).open(&seg).unwrap();
         f.write_all(&[0x55, 0x00, 0x00]).unwrap();
@@ -886,7 +891,7 @@ mod tests {
         }
         // Flip one byte inside the *second* record's payload: framing
         // stays intact, the CRC no longer matches.
-        let (_, seg) = list_segments(&dir).unwrap().pop().unwrap();
+        let (_, seg) = list_segments(&dir, false).unwrap().pop().unwrap();
         let mut bytes = fs::read(&seg).unwrap();
         let first_record_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize + 8;
         let target = 16 + first_record_len + 8 + 2; // inside record 2's payload
@@ -916,7 +921,7 @@ mod tests {
             store.put(key(2), &count(2)).unwrap();
             store.flush().unwrap();
         }
-        let (_, seg) = list_segments(&dir).unwrap().pop().unwrap();
+        let (_, seg) = list_segments(&dir, false).unwrap().pop().unwrap();
         let mut bytes = fs::read(&seg).unwrap();
         // Blast the second record's length field.
         let first_record_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize + 8;
@@ -967,8 +972,8 @@ mod tests {
             }
             store.compact().unwrap();
         }
-        let seg_a = fs::read(&list_segments(&dir_a).unwrap()[0].1).unwrap();
-        let seg_b = fs::read(&list_segments(&dir_b).unwrap()[0].1).unwrap();
+        let seg_a = fs::read(&list_segments(&dir_a, false).unwrap()[0].1).unwrap();
+        let seg_b = fs::read(&list_segments(&dir_b, false).unwrap()[0].1).unwrap();
         assert_eq!(seg_a, seg_b, "equal stores must compact to identical bytes");
         let _ = fs::remove_dir_all(&dir_a);
         let _ = fs::remove_dir_all(&dir_b);
@@ -1007,7 +1012,7 @@ mod tests {
                 store.put(key(i), &count(i)).unwrap();
             }
         }
-        let segments = list_segments(&dir).unwrap();
+        let segments = list_segments(&dir, false).unwrap();
         assert!(segments.len() > 1, "tiny cap must rotate segments");
         // Reopen appends above every existing sequence number.
         let store = MemoStore::open_opts(
@@ -1018,7 +1023,7 @@ mod tests {
         store.put(key(100), &count(100)).unwrap();
         store.flush().unwrap();
         let max_before = segments.iter().map(|(s, _)| *s).max().unwrap();
-        let max_after = list_segments(&dir).unwrap().iter().map(|(s, _)| *s).max().unwrap();
+        let max_after = list_segments(&dir, false).unwrap().iter().map(|(s, _)| *s).max().unwrap();
         assert!(max_after > max_before);
         assert_eq!(store.len(), 7);
         let _ = fs::remove_dir_all(&dir);
@@ -1032,7 +1037,7 @@ mod tests {
             store.put(key(1), &count(1)).unwrap();
             store.flush().unwrap();
         }
-        let (_, seg) = list_segments(&dir).unwrap().pop().unwrap();
+        let (_, seg) = list_segments(&dir, false).unwrap().pop().unwrap();
         let mut f = fs::OpenOptions::new().append(true).open(&seg).unwrap();
         f.write_all(&[1, 2, 3]).unwrap();
         drop(f);
@@ -1042,6 +1047,31 @@ mod tests {
         assert_eq!(fs::metadata(&seg).unwrap().len(), len_before, "verify must not truncate");
         assert!(MemoStore::verify(temp_dir("verify-missing")).is_err());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn exclusive_open_removes_a_crashed_compactions_tmp() {
+        let dir = temp_dir("orphantmp");
+        let src = temp_dir("orphantmp-src");
+        MemoStore::open(&dir).unwrap().put(key(1), &count(1)).unwrap();
+        MemoStore::open(&src).unwrap().put(key(9), &count(9)).unwrap();
+        // A compaction killed before its rename: a complete, valid
+        // segment under the tmp name, holding a record nothing committed.
+        let tmp = dir.join("main-0000000007.seg.tmp");
+        fs::copy(src.join("main-0000000000.seg"), &tmp).unwrap();
+
+        assert_eq!(MemoStore::verify(&dir).unwrap().segments, 1);
+        let shared = MemoStore::open_shared(&dir, "w1").unwrap();
+        assert!(shared.get(&key(9)).is_none());
+        drop(shared);
+        assert!(tmp.exists(), "verify and shared opens must leave the tmp alone");
+
+        let store = MemoStore::open(&dir).unwrap();
+        assert!(!tmp.exists(), "an exclusive open must remove the orphaned tmp");
+        assert!(store.get(&key(9)).is_none(), "uncommitted records must not load");
+        assert_eq!(store.get(&key(1)).unwrap().as_count(), Some(&Nat::from_u64(1)));
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&src);
     }
 
     #[test]

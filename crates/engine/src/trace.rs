@@ -9,8 +9,8 @@
 //! * [`TraceSession`] — the `--trace <path>` lifecycle used by the
 //!   `exp_*` binaries: enable → run → [`TraceSession::finish`], which
 //!   commits both the Chrome-trace JSON (Perfetto /
-//!   `chrome://tracing`) and the JSONL event log with the sweep-journal
-//!   write-temp-rename discipline;
+//!   `chrome://tracing`) and the JSONL event log through
+//!   [`bagcq_obs::atomic_write`] (write-temp, fsync, rename);
 //! * [`outcome_label`] — stable names for publish instants;
 //! * the fingerprint bridge from [`bagcq_structure::Fingerprint`] to
 //!   the tracer's 128-bit span fingerprints.

@@ -7,7 +7,7 @@
 //! bounds) and additionally checked by bounded search.
 
 use bagcq_arith::{Int, Nat};
-use bagcq_polynomial::{Monomial, Polynomial};
+use bagcq_polynomial::{valuations, Monomial, Polynomial};
 use std::fmt;
 
 /// A Diophantine instance: does `Q(Ξ) = 0` for some `Ξ : vars → ℕ`?
@@ -40,25 +40,7 @@ impl DiophantineInstance {
 
     /// Exhaustive root search with entries in `0..=bound`.
     pub fn find_root(&self, bound: u64) -> Option<Vec<u64>> {
-        let n = self.n_vars as usize;
-        let mut val = vec![0u64; n];
-        loop {
-            if self.is_root(&val) {
-                return Some(val);
-            }
-            let mut i = 0;
-            loop {
-                if i == n {
-                    return None;
-                }
-                val[i] += 1;
-                if val[i] <= bound {
-                    break;
-                }
-                val[i] = 0;
-                i += 1;
-            }
-        }
+        valuations(self.n_vars as usize, bound).find(|val| self.is_root(val))
     }
 
     /// Internal consistency: the `known_root` really is a root, and

@@ -19,13 +19,13 @@
 //!
 //! When tracing is disabled (the default) every entry point returns after
 //! a single relaxed atomic load, so instrumented hot paths pay effectively
-//! nothing. Files are committed with the same write-temp-then-rename
-//! discipline as the engine's sweep journal, so a crash mid-export never
-//! leaves a torn trace behind.
+//! nothing. Files are committed through [`atomic_write`]
+//! (write-temp, fsync, rename), so a crash mid-export never leaves a
+//! torn trace behind.
 //!
 //! Being the dependency-free leaf every other crate links, it also holds
 //! the one copy of each shared primitive: [`Log2Histogram`], [`crc32`],
-//! [`SplitMix64`] / [`splitmix64`] and [`fnv1a`].
+//! [`SplitMix64`] / [`splitmix64`], [`fnv1a`] and [`atomic_write`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -386,8 +386,10 @@ pub fn render_stage_report(stats: &[StageStats]) -> String {
 // Export
 // ---------------------------------------------------------------------
 
-/// Writes `bytes` to `path` atomically: write a sibling `.tmp`, fsync,
-/// rename — the sweep-journal commit discipline.
+/// Writes `bytes` to `path` atomically: write the sibling `<path>.tmp`,
+/// fsync it, then rename it over `path`. The rename is the commit point,
+/// so a crash leaves either the old file or the new one — at worst with
+/// an orphaned `.tmp` beside it, never a torn `path`.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {

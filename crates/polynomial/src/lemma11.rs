@@ -146,27 +146,9 @@ impl Lemma11Instance {
     /// Exhaustive search for a violating valuation with entries in
     /// `0..=bound`. Returns the first violation found.
     pub fn find_violation(&self, bound: u64) -> Option<Vec<Nat>> {
-        let n = self.n_vars as usize;
-        let mut val = vec![0u64; n];
-        loop {
-            let nat_val: Vec<Nat> = val.iter().map(|&v| Nat::from_u64(v)).collect();
-            if !self.holds_at(&nat_val) {
-                return Some(nat_val);
-            }
-            // Odometer.
-            let mut i = 0;
-            loop {
-                if i == n {
-                    return None;
-                }
-                val[i] += 1;
-                if val[i] <= bound {
-                    break;
-                }
-                val[i] = 0;
-                i += 1;
-            }
-        }
+        crate::valuations(self.n_vars as usize, bound)
+            .map(|val| val.into_iter().map(Nat::from_u64).collect::<Vec<Nat>>())
+            .find(|nat_val| !self.holds_at(nat_val))
     }
 }
 

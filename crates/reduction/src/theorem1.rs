@@ -14,6 +14,7 @@
 use crate::arena::{Correctness, Theorem1Reduction};
 use bagcq_arith::{CertOrd, Nat};
 use bagcq_homcount::EvalOptions;
+use bagcq_polynomial::valuations;
 use bagcq_structure::Structure;
 
 /// Outcome of the constructive `ℜ ⇒ ☀` direction.
@@ -54,9 +55,9 @@ impl Theorem1Reduction {
     /// Returns the number of databases checked (3), or the first
     /// counterexample to the *expected* behaviour.
     ///
-    /// This is the unit of work the crash-safe sweep journal checkpoints:
+    /// This is the unit of work a resumable sweep commits to its store:
     /// a point is self-contained, so a killed sweep resumes at the next
-    /// unrecorded valuation.
+    /// uncommitted valuation.
     pub fn sweep_point(&self, val: &[u64], opts: &EvalOptions) -> Result<usize, String> {
         let _span = bagcq_obs::span("reduction.sweep_point", "point");
         let mut checked = 0usize;
@@ -106,26 +107,9 @@ impl Theorem1Reduction {
     /// valuation in `0..=bound`ⁿ. Returns the total number of databases
     /// checked, or the first failure.
     pub fn sweep_databases(&self, bound: u64, opts: &EvalOptions) -> Result<usize, String> {
-        let n = self.instance.n_vars as usize;
-        let mut checked = 0usize;
-        let mut val = vec![0u64; n];
-        loop {
-            checked += self.sweep_point(&val, opts)?;
-
-            // Odometer.
-            let mut i = 0;
-            loop {
-                if i == n {
-                    return Ok(checked);
-                }
-                val[i] += 1;
-                if val[i] <= bound {
-                    break;
-                }
-                val[i] = 0;
-                i += 1;
-            }
-        }
+        valuations(self.instance.n_vars as usize, bound)
+            .map(|val| self.sweep_point(&val, opts))
+            .sum()
     }
 }
 

@@ -1,93 +1,106 @@
 //! Crash-safe sweep resume (acceptance criterion for the resilience
-//! layer): kill a journaled backward sweep partway through, re-run it,
-//! and verify the second run resumes from the journal without
-//! recomputing any completed point.
+//! layer): kill a sweep partway through, re-run it, and verify the second
+//! run resumes from the persistent store without recomputing any
+//! completed point — whether the sweep runs in-process (`sweep_local`)
+//! or over worker processes (`bagcq sweep-coord`).
 
-use bagcq_bench::journaled_backward_sweep;
+use bagcq_coord::{point_key, sweep_local, InstanceSpec, SweepSpec};
 use bagcq_core::prelude::*;
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
-#[test]
-fn killed_sweep_resumes_from_journal() {
-    // The safe toy instance: c·P_s ≤ P_b everywhere, so the full sweep
-    // (2 vars, bound 1 → 4 points × 3 databases) completes cleanly.
-    let red = Theorem1Reduction::new(toy_instance(2, vec![1, 1], vec![2, 2]));
-    let opts = EvalOptions::default();
-    let path =
-        std::env::temp_dir().join(format!("bagcq-sweep-resume-{}.journal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+/// The safe toy instance (2 vars): c·P_s ≤ P_b everywhere, so every
+/// sweep completes cleanly; bound 2 gives a 9-point frontier.
+const TOY: &str = "toy:2:1,1:2,2";
+const BOUND: &str = "2";
 
-    // First run: simulate a crash after two completed points. `on_point`
-    // fires before a point is computed or committed, so the third point
-    // dies without a journal entry.
-    let mut first_run_points: Vec<Vec<u64>> = Vec::new();
-    let mut journal = SweepJournal::open(&path, "resume-test").expect("fresh journal");
+fn e2e_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bagcq-e2e-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// Runs `spec` locally until `on_point` has let `survivors` points through,
+/// then crashes it; returns the points computed before the crash.
+fn crash_after(spec: &SweepSpec, store: &MemoStore, survivors: usize) -> Vec<Vec<u64>> {
+    let mut computed: Vec<Vec<u64>> = Vec::new();
+    // `on_point` fires before a point is computed or committed, so the
+    // point after the survivors dies without a store record.
     let crash = catch_unwind(AssertUnwindSafe(|| {
-        journaled_backward_sweep(&red, 1, &opts, &mut journal, |val| {
-            if first_run_points.len() == 2 {
+        sweep_local(spec, store, |val| {
+            if computed.len() == survivors {
                 panic!("simulated crash");
             }
-            first_run_points.push(val.to_vec());
+            computed.push(val.to_vec());
         })
     }));
     assert!(crash.is_err(), "the injected crash must abort the sweep");
-    assert_eq!(first_run_points.len(), 2);
-    drop(journal);
-    assert!(path.exists(), "journal must survive the crash");
+    assert_eq!(computed.len(), survivors);
+    computed
+}
 
-    // Second run: a fresh process reopening the same path. The two
-    // committed points come back from the journal; only the remaining
-    // two are recomputed.
-    let mut journal = SweepJournal::open(&path, "resume-test").expect("reopen after crash");
-    assert_eq!(journal.resumed_entries(), 2);
+#[test]
+fn killed_local_sweep_resumes_from_store() {
+    // 2 vars, bound 1: 4 points × 3 databases.
+    let spec = SweepSpec { instance: InstanceSpec::parse(TOY).expect("toy spec"), bound: 1 };
+    let dir = e2e_dir("local-resume");
+    let store = MemoStore::open(&dir).expect("fresh store");
+    let first_run_points = crash_after(&spec, &store, 2);
+    drop(store);
+
+    // Second run: a fresh handle on the same directory. The two
+    // committed points come back from the store; only the remaining two
+    // are recomputed.
+    let store = MemoStore::open(&dir).expect("reopen after crash");
     let mut second_run_points: Vec<Vec<u64>> = Vec::new();
-    let stats = journaled_backward_sweep(&red, 1, &opts, &mut journal, |val| {
-        second_run_points.push(val.to_vec());
-    })
-    .expect("resumed sweep completes");
-
+    let stats = sweep_local(&spec, &store, |val| second_run_points.push(val.to_vec()))
+        .expect("resumed sweep completes");
     assert_eq!(stats.points_total, 4);
     assert_eq!(stats.points_resumed, 2);
     assert_eq!(stats.points_computed, 2);
     assert_eq!(stats.databases_checked, 12);
     for p in &second_run_points {
-        assert!(
-            !first_run_points.contains(p),
-            "point {p:?} was recomputed despite being journaled"
-        );
+        assert!(!first_run_points.contains(p), "point {p:?} was recomputed despite being stored");
     }
-
-    // Clean completion deletes the journal; the next sweep starts fresh.
-    journal.finish().expect("journal cleanup");
-    assert!(!path.exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn journal_refuses_a_different_sweeps_file() {
-    let path =
-        std::env::temp_dir().join(format!("bagcq-sweep-name-{}.journal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let mut j = SweepJournal::open(&path, "sweep-a").expect("fresh");
-    j.record("0,0", "ok:3").expect("commit");
-    drop(j);
-    let err = SweepJournal::open(&path, "sweep-b").expect_err("name mismatch must be an error");
-    assert!(err.contains("sweep-a"), "error should name the owning sweep: {err}");
-    std::fs::remove_file(&path).expect("cleanup");
+fn sweeps_sharing_a_store_do_not_alias() {
+    // Point fingerprints cover the instance and the bound, so equal
+    // valuations of different sweeps are different records.
+    let toy = InstanceSpec::parse(TOY).expect("toy spec");
+    let other = InstanceSpec::parse("toy:2:1,2:2,3").expect("toy spec");
+    let sweeps = [
+        SweepSpec { instance: toy.clone(), bound: 1 },
+        SweepSpec { instance: toy, bound: 2 },
+        SweepSpec { instance: other, bound: 1 },
+    ];
+    let dir = e2e_dir("local-alias");
+    let store = MemoStore::open(&dir).expect("fresh store");
+    for spec in &sweeps {
+        let stats = sweep_local(spec, &store, |_| {}).expect("sweep completes");
+        assert_eq!(
+            stats.points_resumed,
+            0,
+            "{} resumed another sweep's points",
+            spec.instance.label()
+        );
+        assert_eq!(stats.points_computed, stats.points_total);
+    }
+    let rerun = sweep_local(&sweeps[0], &store, |_| panic!("a stored point was recomputed"))
+        .expect("rerun completes");
+    assert_eq!((rerun.points_resumed, rerun.points_computed), (4, 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
 // Process-level kill -9 tolerance: the sharded coordinator + memo store
 // ---------------------------------------------------------------------------
-
-use bagcq_coord::{point_key, InstanceSpec, SweepSpec};
-use std::collections::HashSet;
-use std::path::Path;
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
-
-/// The safe toy instance (2 vars); bound 2 gives a 9-point frontier.
-const TOY: &str = "toy:2:1,1:2,2";
-const BOUND: &str = "2";
 
 fn bagcq() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bagcq"))
@@ -101,13 +114,6 @@ fn sweep_coord(store: &Path, report: &Path, extra: &[&str]) -> Command {
         .arg(report)
         .args(extra);
     cmd
-}
-
-fn e2e_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("bagcq-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
 }
 
 /// A worker killed with SIGKILL mid-sweep loses its leases; the
@@ -241,6 +247,43 @@ fn killed_coordinator_resumes_from_store_without_recomputing() {
     let want = std::fs::read(&clean_report).expect("clean report");
     let got = std::fs::read(&report2).expect("resumed report");
     assert_eq!(want, got, "resumed report must be byte-identical to a never-crashed run");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A local sweep killed mid-run is finished by the coordinator: both
+/// drivers key, value and commit points alike, so the coordinator resumes
+/// every point the local sweep committed, and its report is byte-identical
+/// to a clean run's.
+#[test]
+fn coordinator_finishes_a_killed_local_sweep() {
+    let dir = e2e_dir("local-then-coord");
+    let store_dir = dir.join("store");
+    let spec = SweepSpec { instance: InstanceSpec::parse(TOY).expect("toy spec"), bound: 2 };
+    let store = MemoStore::open(&store_dir).expect("fresh store");
+    let local: HashSet<String> =
+        crash_after(&spec, &store, 3).iter().map(|val| point_key(val)).collect();
+    drop(store);
+
+    let report = dir.join("report.txt");
+    let out = sweep_coord(&store_dir, &report, &["--workers", "1", "--print-computed"])
+        .output()
+        .expect("coordinator spawns");
+    assert!(out.status.success(), "coordinator: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("resumed=3 computed=6"), "{stdout}");
+    for key in stdout.lines().filter_map(|l| l.strip_prefix("computed ")) {
+        assert!(!local.contains(key), "point {key} was recomputed despite the local commit");
+    }
+
+    let clean_report = dir.join("report-clean.txt");
+    let out = sweep_coord(&dir.join("clean-store"), &clean_report, &["--workers", "1"])
+        .output()
+        .expect("clean run spawns");
+    assert!(out.status.success(), "clean run: {}", String::from_utf8_lossy(&out.stderr));
+    let want = std::fs::read(&clean_report).expect("clean report");
+    let got = std::fs::read(&report).expect("finished report");
+    assert_eq!(want, got, "the finished report must be byte-identical to a clean run's");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
