@@ -31,8 +31,11 @@
 //! All parse errors are [`ParseQueryError`]s with line/column spans and
 //! caret snippets, which the server returns verbatim in 400 responses.
 
-use crate::parse::{Cursor, ParseQueryError, RawConjunct, RawTerm, RawTermKind};
-use crate::query::{Query, QueryBuilder, Term};
+use crate::parse::{
+    constant_id, declare, infer, lex, relation_id, resolve, Cursor, ParseQueryError, RawConjunct,
+    RawTerm, RawTermKind, Vocabulary,
+};
+use crate::query::{Query, Term};
 use crate::ucq::UnionQuery;
 use bagcq_structure::{Schema, SchemaBuilder, Structure, Vertex};
 use std::collections::HashMap;
@@ -182,104 +185,19 @@ fn dlgp_conjunct(cur: &mut Cursor<'_>) -> Result<RawConjunct, ParseQueryError> {
         return cur.error(format!("expected '!=' at {:?}", cur.preview()));
     }
     let rhs = dlgp_term(cur)?;
-    Ok(RawConjunct::Neq(lhs, rhs))
-}
-
-fn resolve_query(
-    src: &str,
-    raw: Vec<RawConjunct>,
-    schema: Arc<Schema>,
-) -> Result<Query, ParseQueryError> {
-    let mut qb = Query::builder(Arc::clone(&schema));
-    let term = |qb: &mut QueryBuilder, t: &RawTerm| -> Result<Term, ParseQueryError> {
-        match &t.kind {
-            RawTermKind::Var(name) => Ok(qb.var(name)),
-            RawTermKind::Const(name) => match schema.constant_by_name(name) {
-                Some(c) => Ok(Term::Const(c)),
-                None => Err(ParseQueryError::at(src, t.pos, format!("unknown constant {name}"))),
-            },
-        }
-    };
-    for c in raw {
-        match c {
-            RawConjunct::Atom { rel, rel_pos, args } => {
-                let Some(r) = schema.relation_by_name(&rel) else {
-                    return Err(ParseQueryError::at(
-                        src,
-                        rel_pos,
-                        format!("unknown relation {rel}"),
-                    ));
-                };
-                if schema.arity(r) != args.len() {
-                    return Err(ParseQueryError::at(
-                        src,
-                        rel_pos,
-                        format!(
-                            "relation {rel} has arity {}, got {} arguments",
-                            schema.arity(r),
-                            args.len()
-                        ),
-                    ));
-                }
-                let mut terms = Vec::with_capacity(args.len());
-                for a in &args {
-                    terms.push(term(&mut qb, a)?);
-                }
-                qb.atom(r, &terms);
-            }
-            RawConjunct::Neq(l, r) => {
-                let lt = term(&mut qb, &l)?;
-                let rt = term(&mut qb, &r)?;
-                qb.neq(lt, rt);
-            }
-        }
-    }
-    Ok(qb.build())
+    Ok(RawConjunct::Neq([lhs, rhs]))
 }
 
 /// Parses a DLGP query against an existing schema.
 pub fn parse_dlgp_query(schema: &Arc<Schema>, src: &str) -> Result<Query, ParseQueryError> {
-    resolve_query(src, dlgp_query_raw(src)?, Arc::clone(schema))
+    resolve(src, dlgp_query_raw(src)?, schema)
 }
 
 /// Parses a DLGP query, inferring the schema from the observed relations
 /// (with their arities) and constants.
 pub fn parse_dlgp_query_infer(src: &str) -> Result<(Query, Arc<Schema>), ParseQueryError> {
-    let raw = dlgp_query_raw(src)?;
-    let mut sb = SchemaBuilder::default();
-    let mut arities: HashMap<&str, usize> = HashMap::new();
-    for c in &raw {
-        match c {
-            RawConjunct::Atom { rel, rel_pos, args } => {
-                if let Some(&prev) = arities.get(rel.as_str()) {
-                    if prev != args.len() {
-                        return Err(ParseQueryError::at(
-                            src,
-                            *rel_pos,
-                            format!("relation {rel} used with arities {prev} and {}", args.len()),
-                        ));
-                    }
-                }
-                arities.insert(rel, args.len());
-                sb.relation(rel, args.len());
-                for a in args {
-                    if let RawTermKind::Const(name) = &a.kind {
-                        sb.constant(name);
-                    }
-                }
-            }
-            RawConjunct::Neq(l, r) => {
-                for t in [l, r] {
-                    if let RawTermKind::Const(name) = &t.kind {
-                        sb.constant(name);
-                    }
-                }
-            }
-        }
-    }
-    let schema = sb.build();
-    let q = resolve_query(src, raw, Arc::clone(&schema))?;
-    Ok((q, schema))
+    let (raw, schema) = infer(src, dlgp_query_raw)?;
+    Ok((resolve(src, raw, &schema)?, schema))
 }
 
 /// Serializes a query into DLGP syntax, round-trippable through
@@ -380,59 +298,52 @@ fn dlgp_union_raw(src: &str) -> Result<Vec<Vec<RawConjunct>>, ParseQueryError> {
     }
 }
 
+/// Resolves a lexed union against `schema`, one disjunct per rule.
+fn resolve_union(
+    src: &str,
+    rules: Vec<Vec<RawConjunct>>,
+    schema: &Arc<Schema>,
+) -> Result<UnionQuery, ParseQueryError> {
+    let disjuncts = rules.into_iter().map(|raw| resolve(src, raw, schema));
+    Ok(UnionQuery::new(disjuncts.collect::<Result<_, _>>()?))
+}
+
 /// Parses a DLGP union of queries against an existing schema: one
 /// period-terminated rule per disjunct. The empty source is the empty
 /// union (evaluates to 0 everywhere).
 pub fn parse_dlgp_union(schema: &Arc<Schema>, src: &str) -> Result<UnionQuery, ParseQueryError> {
-    let rules = dlgp_union_raw(src)?;
-    let mut disjuncts = Vec::with_capacity(rules.len());
-    for raw in rules {
-        disjuncts.push(resolve_query(src, raw, Arc::clone(schema))?);
-    }
-    Ok(UnionQuery::new(disjuncts))
+    resolve_union(src, dlgp_union_raw(src)?, schema)
 }
 
 /// Parses a DLGP union of queries, inferring one shared schema across
 /// all disjuncts (relations with their arities, constants).
 pub fn parse_dlgp_union_infer(src: &str) -> Result<(UnionQuery, Arc<Schema>), ParseQueryError> {
-    let rules = dlgp_union_raw(src)?;
+    let (rules, schema) = infer(src, dlgp_union_raw)?;
+    Ok((resolve_union(src, rules, &schema)?, schema))
+}
+
+/// Parses the `small` and `big` union payloads of a check frame over one
+/// schema: `small`'s relations and constants, then `big`'s new ones.
+/// Each payload is lexed and resolved once.
+///
+/// On failure the index names the payload at fault (0 = `small`,
+/// 1 = `big`). Errors come in this order: `small`'s syntax, a relation
+/// used with two arities within `small`, the same two for `big`, then a
+/// relation whose arity differs between the two, reported at `big`'s
+/// atom.
+pub fn parse_dlgp_union_pair(
+    small: &str,
+    big: &str,
+) -> Result<(UnionQuery, UnionQuery, Arc<Schema>), (usize, ParseQueryError)> {
+    let small_raw = lex(small, dlgp_union_raw).map_err(|e| (0, e))?;
+    let big_raw = lex(big, dlgp_union_raw).map_err(|e| (1, e))?;
     let mut sb = SchemaBuilder::default();
-    let mut arities: HashMap<&str, usize> = HashMap::new();
-    for c in rules.iter().flatten() {
-        match c {
-            RawConjunct::Atom { rel, rel_pos, args } => {
-                if let Some(&prev) = arities.get(rel.as_str()) {
-                    if prev != args.len() {
-                        return Err(ParseQueryError::at(
-                            src,
-                            *rel_pos,
-                            format!("relation {rel} used with arities {prev} and {}", args.len()),
-                        ));
-                    }
-                }
-                arities.insert(rel, args.len());
-                sb.relation(rel, args.len());
-                for a in args {
-                    if let RawTermKind::Const(name) = &a.kind {
-                        sb.constant(name);
-                    }
-                }
-            }
-            RawConjunct::Neq(l, r) => {
-                for t in [l, r] {
-                    if let RawTermKind::Const(name) = &t.kind {
-                        sb.constant(name);
-                    }
-                }
-            }
-        }
-    }
+    declare(&mut sb, &small_raw);
+    declare(&mut sb, &big_raw);
     let schema = sb.build();
-    let mut disjuncts = Vec::with_capacity(rules.len());
-    for raw in rules {
-        disjuncts.push(resolve_query(src, raw, Arc::clone(&schema))?);
-    }
-    Ok((UnionQuery::new(disjuncts), schema))
+    let small = resolve_union(small, small_raw, &schema).map_err(|e| (0, e))?;
+    let big = resolve_union(big, big_raw, &schema).map_err(|e| (1, e))?;
+    Ok((small, big, schema))
 }
 
 /// Serializes a union into DLGP syntax, one rule line per disjunct,
@@ -477,8 +388,8 @@ impl fmt::Display for BagFact {
 /// kept in input order so serialization round-trips exactly.
 ///
 /// Evaluation runs on the **set support** (see the module docs); the
-/// collapsed [`Structure`] is produced by [`parse_bag_instance`] /
-/// [`parse_bag_instance_infer`] or [`BagInstance::support`].
+/// collapsed [`Structure`] is produced by [`parse_bag_instance`],
+/// [`parse_bag_instance_infer`] or [`parse_dlgp_count`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BagInstance {
     /// The facts, in input order; the same ground atom may repeat.
@@ -526,39 +437,6 @@ impl BagInstance {
             out.push('\n');
         }
         out
-    }
-
-    /// Builds the set support of the bag over the given schema: one
-    /// structure whose domain is the schema's constant vertices, with
-    /// each distinct ground atom appearing once. Fails (without a useful
-    /// position — prefer the `parse_bag_instance` entry points for
-    /// user-facing errors) if a relation/constant is missing or an arity
-    /// mismatches.
-    pub fn support(&self, schema: &Arc<Schema>) -> Result<Structure, String> {
-        let mut d = Structure::new(Arc::clone(schema));
-        let mut buf: Vec<Vertex> = Vec::new();
-        for f in &self.facts {
-            let Some(r) = schema.relation_by_name(&f.rel) else {
-                return Err(format!("unknown relation {}", f.rel));
-            };
-            if schema.arity(r) != f.args.len() {
-                return Err(format!(
-                    "relation {} has arity {}, got {} arguments",
-                    f.rel,
-                    schema.arity(r),
-                    f.args.len()
-                ));
-            }
-            buf.clear();
-            for a in &f.args {
-                let Some(c) = schema.constant_by_name(a) else {
-                    return Err(format!("unknown constant {a}"));
-                };
-                buf.push(d.constant_vertex(c));
-            }
-            d.add_atom(r, &buf);
-        }
-        Ok(d)
     }
 }
 
@@ -624,38 +502,32 @@ fn bag_raw(src: &str) -> Result<Vec<(BagFact, usize)>, ParseQueryError> {
     }
 }
 
-/// Parses a DLGP bag database against an existing schema, returning both
-/// the faithful bag view and its set support for evaluation.
-pub fn parse_bag_instance(
-    schema: &Arc<Schema>,
+/// A database's facts.
+impl Vocabulary for Vec<(BagFact, usize)> {
+    fn atoms(&self) -> impl Iterator<Item = (&str, usize, usize)> {
+        self.iter().map(|(f, rel_pos)| (f.rel.as_str(), *rel_pos, f.args.len()))
+    }
+
+    fn constants(&self) -> impl Iterator<Item = &str> {
+        self.iter().flat_map(|(f, _)| f.args.iter().map(String::as_str))
+    }
+}
+
+/// Resolves lexed facts against `schema`: the bag view and its set
+/// support.
+fn resolve_bag(
     src: &str,
+    raw: Vec<(BagFact, usize)>,
+    schema: &Arc<Schema>,
 ) -> Result<(BagInstance, Structure), ParseQueryError> {
-    let raw = bag_raw(src)?;
     let mut d = Structure::new(Arc::clone(schema));
     let mut buf: Vec<Vertex> = Vec::new();
     let mut facts = Vec::with_capacity(raw.len());
     for (f, rel_pos) in raw {
-        let Some(r) = schema.relation_by_name(&f.rel) else {
-            return Err(ParseQueryError::at(src, rel_pos, format!("unknown relation {}", f.rel)));
-        };
-        if schema.arity(r) != f.args.len() {
-            return Err(ParseQueryError::at(
-                src,
-                rel_pos,
-                format!(
-                    "relation {} has arity {}, got {} arguments",
-                    f.rel,
-                    schema.arity(r),
-                    f.args.len()
-                ),
-            ));
-        }
+        let r = relation_id(schema, src, &f.rel, rel_pos, f.args.len())?;
         buf.clear();
         for a in &f.args {
-            let Some(c) = schema.constant_by_name(a) else {
-                return Err(ParseQueryError::at(src, rel_pos, format!("unknown constant {a}")));
-            };
-            buf.push(d.constant_vertex(c));
+            buf.push(d.constant_vertex(constant_id(schema, src, a, rel_pos)?));
         }
         d.add_atom(r, &buf);
         facts.push(f);
@@ -663,33 +535,58 @@ pub fn parse_bag_instance(
     Ok((BagInstance { facts }, d))
 }
 
+/// Parses a DLGP bag database against an existing schema, returning both
+/// the faithful bag view and its set support for evaluation.
+pub fn parse_bag_instance(
+    schema: &Arc<Schema>,
+    src: &str,
+) -> Result<(BagInstance, Structure), ParseQueryError> {
+    resolve_bag(src, bag_raw(src)?, schema)
+}
+
 /// Parses a DLGP bag database, inferring the schema (relations with
 /// their arities, constants from the fact arguments).
 pub fn parse_bag_instance_infer(
     src: &str,
 ) -> Result<(BagInstance, Structure, Arc<Schema>), ParseQueryError> {
-    let raw = bag_raw(src)?;
-    let mut sb = SchemaBuilder::default();
-    let mut arities: HashMap<&str, usize> = HashMap::new();
-    for (f, rel_pos) in &raw {
-        if let Some(&prev) = arities.get(f.rel.as_str()) {
-            if prev != f.args.len() {
-                return Err(ParseQueryError::at(
-                    src,
-                    *rel_pos,
-                    format!("relation {} used with arities {prev} and {}", f.rel, f.args.len()),
-                ));
-            }
-        }
-        arities.insert(&f.rel, f.args.len());
-        sb.relation(&f.rel, f.args.len());
-        for a in &f.args {
-            sb.constant(a);
-        }
-    }
-    let schema = sb.build();
-    let (bag, support) = parse_bag_instance(&schema, src)?;
+    let (raw, schema) = infer(src, bag_raw)?;
+    let (bag, support) = resolve_bag(src, raw, &schema)?;
     Ok((bag, support, schema))
+}
+
+/// The query and data payloads of a count frame, parsed over one schema
+/// by [`parse_dlgp_count`].
+#[derive(Debug)]
+pub struct DlgpCount {
+    /// The query, resolved against [`DlgpCount::schema`].
+    pub query: Query,
+    /// The bag view of the database (faithful multiplicities).
+    pub bag: BagInstance,
+    /// The set support the count runs on.
+    pub support: Structure,
+    /// The data's relations and constants, then the query's new ones.
+    pub schema: Arc<Schema>,
+}
+
+/// Parses the query and data payloads of a count frame over one schema,
+/// so query constants can name database vertices. Each payload is lexed
+/// and resolved once.
+///
+/// On failure the index names the payload at fault (0 = query, 1 =
+/// data). Errors come in this order: the query's syntax, a relation used
+/// with two arities within the query, the same two for the data, then a
+/// relation whose arity differs between the two, reported at the
+/// query's atom.
+pub fn parse_dlgp_count(query: &str, data: &str) -> Result<DlgpCount, (usize, ParseQueryError)> {
+    let query_raw = lex(query, dlgp_query_raw).map_err(|e| (0, e))?;
+    let data_raw = lex(data, bag_raw).map_err(|e| (1, e))?;
+    let mut sb = SchemaBuilder::default();
+    declare(&mut sb, &data_raw);
+    declare(&mut sb, &query_raw);
+    let schema = sb.build();
+    let query = resolve(query, query_raw, &schema).map_err(|e| (0, e))?;
+    let (bag, support) = resolve_bag(data, data_raw, &schema).map_err(|e| (1, e))?;
+    Ok(DlgpCount { query, bag, support, schema })
 }
 
 #[cfg(test)]
@@ -866,13 +763,6 @@ mod tests {
         // Normalization is canonical: permuted input normalizes equally.
         let (bag2, _, _) = parse_bag_instance_infer("p(a, b)@3. q(b).").unwrap();
         assert_eq!(bag2.normalized(), n);
-    }
-
-    #[test]
-    fn support_matches_parse_support() {
-        let (bag, d, s) = parse_bag_instance_infer("e(a, b)@2. e(b, c).").unwrap();
-        let d2 = bag.support(&s).unwrap();
-        assert_eq!(d, d2);
     }
 
     #[test]

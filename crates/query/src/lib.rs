@@ -40,8 +40,9 @@ mod query;
 mod ucq;
 
 pub use dlgp::{
-    parse_bag_instance, parse_bag_instance_infer, parse_dlgp_query, parse_dlgp_query_infer,
-    parse_dlgp_union, parse_dlgp_union_infer, query_to_dlgp, union_to_dlgp, BagFact, BagInstance,
+    parse_bag_instance, parse_bag_instance_infer, parse_dlgp_count, parse_dlgp_query,
+    parse_dlgp_query_infer, parse_dlgp_union, parse_dlgp_union_infer, parse_dlgp_union_pair,
+    query_to_dlgp, union_to_dlgp, BagFact, BagInstance, DlgpCount,
 };
 pub use gen::{cycle_query, grid_query, path_query, star_query, QueryGen, UnionGen};
 pub use output::{free_constants, OutputQuery};

@@ -12,7 +12,12 @@
 //! Two entry points: [`parse_query`] parses against an existing schema
 //! (relations and constants must exist, arities must match), and
 //! [`parse_query_infer`] additionally *builds* the schema from what it
-//! sees — convenient for CLI use and tests.
+//! sees — convenient for CLI use and tests. The inferring parsers here
+//! and in [`crate::dlgp`] share one set of steps, run once per payload:
+//! lex, check that each relation keeps one arity, declare the vocabulary
+//! into a builder (shared by a wire frame's payloads; the first arity
+//! wins), build the schema, resolve. Resolving reports an arity that
+//! differs between two payloads.
 //!
 //! Errors carry the **line/column** of the offending token and can render
 //! a caret-style snippet ([`ParseQueryError::render`]) — the serving
@@ -20,7 +25,8 @@
 //! exactly where its frame went wrong.
 
 use crate::query::{Query, QueryBuilder, Term};
-use bagcq_structure::{Schema, SchemaBuilder};
+use bagcq_structure::{ConstId, RelId, Schema, SchemaBuilder};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -200,7 +206,7 @@ impl<'a> Cursor<'a> {
 #[derive(Debug, Clone)]
 pub(crate) enum RawConjunct {
     Atom { rel: String, rel_pos: usize, args: Vec<RawTerm> },
-    Neq(RawTerm, RawTerm),
+    Neq([RawTerm; 2]),
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -294,52 +300,150 @@ fn parse_conjunct(cur: &mut Cursor<'_>) -> Result<RawConjunct, ParseQueryError> 
         return cur.error(format!("expected '!=' at {:?}", cur.preview()));
     }
     let rhs = parse_term(cur)?;
-    Ok(RawConjunct::Neq(lhs, rhs))
+    Ok(RawConjunct::Neq([lhs, rhs]))
 }
 
-fn resolve(
+/// What the check and declare steps need of a lexed payload: each atom's
+/// relation, the offset of its token and its arity, and every constant
+/// term, both in source order.
+pub(crate) trait Vocabulary {
+    /// `(relation, offset, arity)` of each atom.
+    fn atoms(&self) -> impl Iterator<Item = (&str, usize, usize)>;
+    /// The name of each constant term.
+    fn constants(&self) -> impl Iterator<Item = &str>;
+}
+
+/// A query's conjuncts.
+impl Vocabulary for Vec<RawConjunct> {
+    fn atoms(&self) -> impl Iterator<Item = (&str, usize, usize)> {
+        self.iter().filter_map(|c| match c {
+            RawConjunct::Atom { rel, rel_pos, args } => Some((rel.as_str(), *rel_pos, args.len())),
+            RawConjunct::Neq(_) => None,
+        })
+    }
+
+    fn constants(&self) -> impl Iterator<Item = &str> {
+        self.iter()
+            .flat_map(|c| match c {
+                RawConjunct::Atom { args, .. } => args.as_slice(),
+                RawConjunct::Neq(pair) => pair.as_slice(),
+            })
+            .filter_map(|t| match &t.kind {
+                RawTermKind::Const(name) => Some(name.as_str()),
+                RawTermKind::Var(_) => None,
+            })
+    }
+}
+
+/// A union's rules, one conjunct list per disjunct.
+impl Vocabulary for Vec<Vec<RawConjunct>> {
+    fn atoms(&self) -> impl Iterator<Item = (&str, usize, usize)> {
+        self.iter().flat_map(|rule| rule.atoms())
+    }
+
+    fn constants(&self) -> impl Iterator<Item = &str> {
+        self.iter().flat_map(|rule| rule.constants())
+    }
+}
+
+/// Lexes one payload and checks that each relation keeps one arity
+/// within it: a use with a second arity fails at that use.
+pub(crate) fn lex<R: Vocabulary>(
+    src: &str,
+    lexer: fn(&str) -> Result<R, ParseQueryError>,
+) -> Result<R, ParseQueryError> {
+    let raw = lexer(src)?;
+    let mut arities: HashMap<&str, usize> = HashMap::new();
+    for (rel, pos, n) in raw.atoms() {
+        let prev = *arities.entry(rel).or_insert(n);
+        if prev != n {
+            let message = format!("relation {rel} used with arities {prev} and {n}");
+            return Err(ParseQueryError::at(src, pos, message));
+        }
+    }
+    Ok(raw)
+}
+
+/// Declares a lexed payload's relations and constants, in source order.
+/// A relation already declared keeps its first arity: resolving the
+/// payload then reports the conflict at its atom.
+pub(crate) fn declare(sb: &mut SchemaBuilder, raw: &impl Vocabulary) {
+    for (rel, _, arity) in raw.atoms() {
+        let _ = sb.try_relation(rel, arity);
+    }
+    for name in raw.constants() {
+        sb.constant(name);
+    }
+}
+
+/// [`lex`] and [`declare`] for a lone payload: the lexed payload and the
+/// schema of its own vocabulary, ready to resolve.
+pub(crate) fn infer<R: Vocabulary>(
+    src: &str,
+    lexer: fn(&str) -> Result<R, ParseQueryError>,
+) -> Result<(R, Arc<Schema>), ParseQueryError> {
+    let raw = lex(src, lexer)?;
+    let mut sb = SchemaBuilder::default();
+    declare(&mut sb, &raw);
+    Ok((raw, sb.build()))
+}
+
+/// Looks up relation `rel`, used with `arity` arguments at byte `pos` of
+/// `src`.
+pub(crate) fn relation_id(
+    schema: &Schema,
+    src: &str,
+    rel: &str,
+    pos: usize,
+    arity: usize,
+) -> Result<RelId, ParseQueryError> {
+    let Some(r) = schema.relation_by_name(rel) else {
+        return Err(ParseQueryError::at(src, pos, format!("unknown relation {rel}")));
+    };
+    if schema.arity(r) != arity {
+        let message =
+            format!("relation {rel} has arity {}, got {arity} arguments", schema.arity(r));
+        return Err(ParseQueryError::at(src, pos, message));
+    }
+    Ok(r)
+}
+
+/// Looks up constant `name`, used at byte `pos` of `src`.
+pub(crate) fn constant_id(
+    schema: &Schema,
+    src: &str,
+    name: &str,
+    pos: usize,
+) -> Result<ConstId, ParseQueryError> {
+    schema
+        .constant_by_name(name)
+        .ok_or_else(|| ParseQueryError::at(src, pos, format!("unknown constant {name}")))
+}
+
+/// Resolves a lexed query of either syntax against `schema`.
+pub(crate) fn resolve(
     src: &str,
     raw: Vec<RawConjunct>,
-    schema: Arc<Schema>,
+    schema: &Arc<Schema>,
 ) -> Result<Query, ParseQueryError> {
-    let mut qb = Query::builder(Arc::clone(&schema));
+    let mut qb = Query::builder(Arc::clone(schema));
     let term = |qb: &mut QueryBuilder, t: &RawTerm| -> Result<Term, ParseQueryError> {
-        match &t.kind {
-            RawTermKind::Var(name) => Ok(qb.var(name)),
-            RawTermKind::Const(name) => match schema.constant_by_name(name) {
-                Some(c) => Ok(Term::Const(c)),
-                None => Err(ParseQueryError::at(src, t.pos, format!("unknown constant '{name}'"))),
-            },
-        }
+        Ok(match &t.kind {
+            RawTermKind::Var(name) => qb.var(name),
+            RawTermKind::Const(name) => Term::Const(constant_id(schema, src, name, t.pos)?),
+        })
     };
     for c in raw {
         match c {
             RawConjunct::Atom { rel, rel_pos, args } => {
-                let Some(r) = schema.relation_by_name(&rel) else {
-                    return Err(ParseQueryError::at(
-                        src,
-                        rel_pos,
-                        format!("unknown relation {rel}"),
-                    ));
-                };
-                if schema.arity(r) != args.len() {
-                    return Err(ParseQueryError::at(
-                        src,
-                        rel_pos,
-                        format!(
-                            "relation {rel} has arity {}, got {} arguments",
-                            schema.arity(r),
-                            args.len()
-                        ),
-                    ));
-                }
+                let r = relation_id(schema, src, &rel, rel_pos, args.len())?;
                 let mut terms = Vec::with_capacity(args.len());
                 for a in &args {
                     terms.push(term(&mut qb, a)?);
                 }
                 qb.atom(r, &terms);
             }
-            RawConjunct::Neq(l, r) => {
+            RawConjunct::Neq([l, r]) => {
                 let lt = term(&mut qb, &l)?;
                 let rt = term(&mut qb, &r)?;
                 qb.neq(lt, rt);
@@ -351,50 +455,15 @@ fn resolve(
 
 /// Parses a query against an existing schema.
 pub fn parse_query(schema: &Arc<Schema>, src: &str) -> Result<Query, ParseQueryError> {
-    resolve(src, parse_raw(src)?, Arc::clone(schema))
+    resolve(src, parse_raw(src)?, schema)
 }
 
 /// Parses a query, inferring the schema (relations with their observed
 /// arities, constants from quoted names). Inconsistent arities across
 /// atoms are an error.
 pub fn parse_query_infer(src: &str) -> Result<(Query, Arc<Schema>), ParseQueryError> {
-    let raw = parse_raw(src)?;
-    let mut sb = SchemaBuilder::default();
-    let mut arities: std::collections::HashMap<&str, usize> = Default::default();
-    for c in &raw {
-        match c {
-            RawConjunct::Atom { rel, rel_pos, args } => {
-                // SchemaBuilder panics on arity conflicts; pre-check to
-                // return a proper error instead.
-                if let Some(&prev) = arities.get(rel.as_str()) {
-                    if prev != args.len() {
-                        return Err(ParseQueryError::at(
-                            src,
-                            *rel_pos,
-                            format!("relation {rel} used with arities {prev} and {}", args.len()),
-                        ));
-                    }
-                }
-                arities.insert(rel, args.len());
-                sb.relation(rel, args.len());
-                for a in args {
-                    if let RawTermKind::Const(name) = &a.kind {
-                        sb.constant(name);
-                    }
-                }
-            }
-            RawConjunct::Neq(l, r) => {
-                for t in [l, r] {
-                    if let RawTermKind::Const(name) = &t.kind {
-                        sb.constant(name);
-                    }
-                }
-            }
-        }
-    }
-    let schema = sb.build();
-    let q = resolve(src, raw, Arc::clone(&schema))?;
-    Ok((q, schema))
+    let (raw, schema) = infer(src, parse_raw)?;
+    Ok((resolve(src, raw, &schema)?, schema))
 }
 
 #[cfg(test)]

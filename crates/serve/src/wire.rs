@@ -31,6 +31,12 @@
 //! count: 4
 //! ```
 //!
+//! A frame's two payload sections share one schema. Each request parser
+//! makes one call into `bagcq-query` ([`bagcq_query::parse_dlgp_count`]
+//! or [`bagcq_query::parse_dlgp_union_pair`]), which lexes and resolves
+//! each section once; a payload error comes back tagged with its
+//! section, and `reposition` maps it to the body's line and column.
+//!
 //! Every frame type round-trips: [`WireResponse::render`] ∘
 //! [`parse_response`] is the identity (the proptest suite pins this),
 //! and the DLGP payload sections round-trip through
@@ -40,8 +46,7 @@ use bagcq_arith::Nat;
 use bagcq_containment::{CheckSpec, ContainmentChoice, Semantics, Unsupported};
 use bagcq_homcount::BackendChoice;
 use bagcq_query::{
-    parse_bag_instance, parse_bag_instance_infer, parse_dlgp_query, parse_dlgp_query_infer,
-    parse_dlgp_union, parse_dlgp_union_infer, BagInstance, ParseQueryError, Query,
+    parse_dlgp_count, parse_dlgp_union_pair, BagInstance, DlgpCount, ParseQueryError, Query,
 };
 use bagcq_structure::{Schema, Structure};
 use std::fmt;
@@ -208,7 +213,8 @@ pub struct CountJob {
     pub support: Arc<Structure>,
     /// Requested backend.
     pub backend: BackendChoice,
-    /// The schema merged from the query's and the instance's vocabulary.
+    /// The schema of both payloads: the instance's vocabulary, then the
+    /// query's new relations and constants.
     pub schema: Arc<Schema>,
 }
 
@@ -221,30 +227,9 @@ pub struct CountJob {
 pub struct CheckJob {
     /// The validated check spec (`q_s`, `q_b`, semantics, choice).
     pub spec: CheckSpec,
-    /// The merged schema both sides are resolved against.
+    /// The schema both sides are resolved against: `small`'s
+    /// vocabulary, then `big`'s new relations and constants.
     pub schema: Arc<Schema>,
-}
-
-/// Merges inferred schemas: relations (first arity wins — a conflicting
-/// re-parse then yields a *positioned* arity error) and constants.
-fn merge_into(
-    sb: &mut bagcq_structure::SchemaBuilder,
-    seen: &mut Vec<(String, usize)>,
-    s: &Schema,
-) {
-    for r in s.relations() {
-        let name = &s.relation(r).name;
-        match seen.iter().find(|(n, _)| n == name) {
-            Some(_) => {} // first arity wins; re-parse reports the conflict
-            None => {
-                seen.push((name.clone(), s.arity(r)));
-                sb.relation(name, s.arity(r));
-            }
-        }
-    }
-    for c in s.constants() {
-        sb.constant(s.constant_name(c));
-    }
 }
 
 /// Parses a `/v1/count` body: `backend:` (optional), `query:`, `data:`.
@@ -266,22 +251,9 @@ pub fn parse_count_request(body: &str) -> Result<CountJob, WireError> {
         .ok_or(WireError::Frame("missing section query:".into()))?;
     let data_sec =
         take_section(&sections, "data").ok_or(WireError::Frame("missing section data:".into()))?;
-    // Infer both vocabularies (this surfaces payload syntax errors with
-    // their positions), merge, then re-resolve both against the merged
-    // schema so query variables can range over the instance's constants.
-    let (_, query_schema) =
-        parse_dlgp_query_infer(&query_sec.content).map_err(|e| reposition(e, query_sec))?;
-    let (_, _, data_schema) =
-        parse_bag_instance_infer(&data_sec.content).map_err(|e| reposition(e, data_sec))?;
-    let mut sb = Schema::builder();
-    let mut seen = Vec::new();
-    merge_into(&mut sb, &mut seen, &data_schema);
-    merge_into(&mut sb, &mut seen, &query_schema);
-    let schema = sb.build();
-    let query =
-        parse_dlgp_query(&schema, &query_sec.content).map_err(|e| reposition(e, query_sec))?;
-    let (bag, support) =
-        parse_bag_instance(&schema, &data_sec.content).map_err(|e| reposition(e, data_sec))?;
+    let DlgpCount { query, bag, support, schema } =
+        parse_dlgp_count(&query_sec.content, &data_sec.content)
+            .map_err(|(i, e)| reposition(e, [query_sec, data_sec][i]))?;
     Ok(CountJob { query, bag, support: Arc::new(support), backend, schema })
 }
 
@@ -313,18 +285,8 @@ pub fn parse_check_request(body: &str) -> Result<CheckJob, WireError> {
         .ok_or(WireError::Frame("missing section small:".into()))?;
     let big_sec =
         take_section(&sections, "big").ok_or(WireError::Frame("missing section big:".into()))?;
-    let (_, s_small) =
-        parse_dlgp_union_infer(&small_sec.content).map_err(|e| reposition(e, small_sec))?;
-    let (_, s_big) =
-        parse_dlgp_union_infer(&big_sec.content).map_err(|e| reposition(e, big_sec))?;
-    let mut sb = Schema::builder();
-    let mut seen = Vec::new();
-    merge_into(&mut sb, &mut seen, &s_small);
-    merge_into(&mut sb, &mut seen, &s_big);
-    let schema = sb.build();
-    let q_small =
-        parse_dlgp_union(&schema, &small_sec.content).map_err(|e| reposition(e, small_sec))?;
-    let q_big = parse_dlgp_union(&schema, &big_sec.content).map_err(|e| reposition(e, big_sec))?;
+    let (q_small, q_big, schema) = parse_dlgp_union_pair(&small_sec.content, &big_sec.content)
+        .map_err(|(i, e)| reposition(e, [small_sec, big_sec][i]))?;
     let mut spec = CheckSpec::union(q_small, q_big);
     spec.semantics = semantics;
     spec.choice = choice;

@@ -4,10 +4,11 @@
 //! never panic a parser — every rejection is a typed error).
 
 use bagcq_containment::{ContainmentChoice, Semantics};
+use bagcq_engine::Job;
 use bagcq_homcount::{BackendChoice, CountRequest};
 use bagcq_query::{
-    parse_bag_instance_infer, parse_dlgp_query, parse_dlgp_query_infer, query_to_dlgp, BagFact,
-    BagInstance, QueryGen,
+    parse_bag_instance, parse_bag_instance_infer, parse_dlgp_query, parse_dlgp_query_infer,
+    parse_dlgp_union, parse_dlgp_union_infer, query_to_dlgp, BagFact, BagInstance, QueryGen,
 };
 use bagcq_serve::{
     parse_check_request, parse_count_request, parse_response, HttpLimits, WireResponse,
@@ -51,6 +52,15 @@ fn sample_bag(seed: u64, facts: usize) -> BagInstance {
         out.push(BagFact { rel: rel.to_string(), args, mult: 1 + next() % 5 });
     }
     BagInstance { facts: out }
+}
+
+/// Whether `whole` declares `part`'s relations (with their arities) and
+/// constants first, in `part`'s order.
+fn declares_first(part: &Schema, whole: &Schema) -> bool {
+    let rels = |s: &Schema| s.relations().map(|r| s.relation(r).clone()).collect::<Vec<_>>();
+    let consts =
+        |s: &Schema| s.constants().map(|c| s.constant_name(c).to_owned()).collect::<Vec<_>>();
+    rels(whole).starts_with(&rels(part)) && consts(whole).starts_with(&consts(part))
 }
 
 proptest! {
@@ -192,6 +202,15 @@ proptest! {
         for (parsed, orig) in job.spec.q_b.disjuncts().iter().zip(&big) {
             prop_assert_eq!(&query_to_dlgp(parsed), &query_to_dlgp(orig));
         }
+        // The one-pass parse resolves each side as the parser given the
+        // frame's schema does, and declares `small:`'s vocabulary first.
+        let (small_src, big_src) = (render_union(&small), render_union(&big));
+        let s = parse_dlgp_union(&job.schema, &small_src).unwrap();
+        prop_assert_eq!(s.disjuncts(), job.spec.q_s.disjuncts());
+        let b = parse_dlgp_union(&job.schema, &big_src).unwrap();
+        prop_assert_eq!(b.disjuncts(), job.spec.q_b.disjuncts());
+        let (_, small_schema) = parse_dlgp_union_infer(&small_src).unwrap();
+        prop_assert!(declares_first(&small_schema, &job.schema), "{}", job.schema);
     }
 
     /// `parse_response ∘ render = id` for typed errors, with and without
@@ -230,6 +249,15 @@ proptest! {
         // The job's schema is the merged vocabulary; the query must still
         // serialize to the same DLGP text modulo that re-resolution.
         prop_assert_eq!(&query_to_dlgp(&job.query), &query_to_dlgp(&q));
+        // The one-pass parse resolves each payload as the parser given
+        // the frame's schema does, and declares the data's vocabulary
+        // first.
+        let data_src = bag.to_dlgp();
+        prop_assert_eq!(&parse_dlgp_query(&job.schema, &query_to_dlgp(&q)).unwrap(), &job.query);
+        let (_, support) = parse_bag_instance(&job.schema, &data_src).unwrap();
+        prop_assert_eq!(&support, &*job.support);
+        let (_, _, data_schema) = parse_bag_instance_infer(&data_src).unwrap();
+        prop_assert!(declares_first(&data_schema, &job.schema), "{}", job.schema);
     }
 
     // -- fuzzing: nothing panics, every rejection is typed -----------------
@@ -297,26 +325,312 @@ proptest! {
     }
 }
 
+/// Every rejected count frame and its exact 400 body, byte for byte:
+/// the malformed kinds of exp_perf and the loadgen, arity conflicts
+/// within the query, within the data and across sections (block and
+/// inline), frames with an error in both sections (so which one is
+/// reported is pinned), errors at end of input, and CRLF bodies.
+const COUNT_400: &[(&str, &str)] = &[
+    (
+        "query:\n  ?- e(X, Y\ndata:\n  e(a, b).\n",
+        "error: parse\ndetail: query parse error at line 2, column 12: expected ',' or ')' in atom e at \"\"\n  |    ?- e(X, Y\n  |             ^\n",
+    ),
+    (
+        "qurey:\n  ?- e(X, Y).\n",
+        "error: frame\ndetail: expected a section header (backend/query/data/small/big/semantics/containment), got \"qurey:\"\n",
+    ),
+    (
+        "query:\n  ?- e(X, Y).\ndata:\n  e(a, b)@0.\n",
+        "error: parse\ndetail: query parse error at line 4, column 11: multiplicity must be ≥ 1\n  |    e(a, b)@0.\n  |            ^\n",
+    ),
+    (
+        "query:\n  ?- e(X, Y).\ndata:\n  e(a, Z).\n",
+        "error: parse\ndetail: query parse error at line 4, column 8: facts must be ground: Z is a variable (uppercase)\n  |    e(a, Z).\n  |         ^\n",
+    ),
+    (
+        "query:\n  ?- e(X, Y, Z).\ndata:\n  e(a, b).\n",
+        "error: parse\ndetail: query parse error at line 2, column 6: relation e has arity 2, got 3 arguments\n  |    ?- e(X, Y, Z).\n  |       ^\n",
+    ),
+    ("data:\n  e(a, b).\n", "error: frame\ndetail: missing section query:\n"),
+    (
+        "query:\n  ?- e(X, Y\ndata:\n  e(c17, c912).\n",
+        "error: parse\ndetail: query parse error at line 2, column 12: expected ',' or ')' in atom e at \"\"\n  |    ?- e(X, Y\n  |             ^\n",
+    ),
+    (
+        "query:\n  ?- e(X, Y, Z).\ndata:\n  e(c3, c404).\n",
+        "error: parse\ndetail: query parse error at line 2, column 6: relation e has arity 2, got 3 arguments\n  |    ?- e(X, Y, Z).\n  |       ^\n",
+    ),
+    ("", "error: frame\ndetail: missing section query:\n"),
+    ("query:", "error: frame\ndetail: missing section data:\n"),
+    ("query: ?- e(X, Y).", "error: frame\ndetail: missing section data:\n"),
+    ("data: e(a).", "error: frame\ndetail: missing section query:\n"),
+    (
+        "query: ?- e(X Y).\ndata: e(a, a).",
+        "error: parse\ndetail: query parse error at line 1, column 15: expected ',' or ')' in atom e at \"Y).\"\n  |  query: ?- e(X Y).\n  |                ^\n",
+    ),
+    (
+        "query: ?- e(X, Y).\ndata: e(a, b)@0.",
+        "error: parse\ndetail: query parse error at line 2, column 15: multiplicity must be ≥ 1\n  |  data: e(a, b)@0.\n  |                ^\n",
+    ),
+    (
+        "query: ?- e(X, Y).\ndata: e(a, X).",
+        "error: parse\ndetail: query parse error at line 2, column 12: facts must be ground: X is a variable (uppercase)\n  |  data: e(a, X).\n  |             ^\n",
+    ),
+    (
+        "small: ?- e(X).\nbig: ?- e(X, Y).\ndata: e(a).",
+        "error: frame\ndetail: section \"small\" is not valid in a count frame\n",
+    ),
+    (
+        "backend: warp\nquery: ?- .\ndata: e(a).",
+        "error: frame\ndetail: unknown backend \"warp\" (expected auto|naive|treewidth)\n",
+    ),
+    ("query: a\nquery: b\ndata: c", "error: frame\ndetail: duplicate section \"query\"\n"),
+    (
+        "query:\n?- e(X, Y), e(X).\ndata:\ne(a, b).\n",
+        "error: parse\ndetail: query parse error at line 2, column 13: relation e used with arities 2 and 1\n  |  ?- e(X, Y), e(X).\n  |              ^\n",
+    ),
+    (
+        "query: ?- e(X, Y), e(X).\ndata: e(a, b).",
+        "error: parse\ndetail: query parse error at line 1, column 20: relation e used with arities 2 and 1\n  |  query: ?- e(X, Y), e(X).\n  |                     ^\n",
+    ),
+    (
+        "query:\n?- e(X, Y).\ndata:\ne(a, b).\ne(a).\n",
+        "error: parse\ndetail: query parse error at line 5, column 1: relation e used with arities 2 and 1\n  |  e(a).\n  |  ^\n",
+    ),
+    (
+        "query: ?- e(X, Y).\ndata: e(a, b). e(a).",
+        "error: parse\ndetail: query parse error at line 2, column 16: relation e used with arities 2 and 1\n  |  data: e(a, b). e(a).\n  |                 ^\n",
+    ),
+    (
+        "query:\n?- e(X).\ndata:\ne(a, b).\n",
+        "error: parse\ndetail: query parse error at line 2, column 4: relation e has arity 2, got 1 arguments\n  |  ?- e(X).\n  |     ^\n",
+    ),
+    (
+        "query: ?- f(X), e(X, Y, Z).\ndata: e(a, b).",
+        "error: parse\ndetail: query parse error at line 1, column 17: relation e has arity 2, got 3 arguments\n  |  query: ?- f(X), e(X, Y, Z).\n  |                  ^\n",
+    ),
+    (
+        "query:\n  ?- f(X, c), e(X, Y),\n     e(Y, Z, W).\ndata:\n  e(a, b).\n  g(b).\n",
+        "error: parse\ndetail: query parse error at line 3, column 6: relation e used with arities 2 and 3\n  |       e(Y, Z, W).\n  |       ^\n",
+    ),
+    (
+        "query:\n  ?- f(X, c), e(X, Y, Z).\ndata:\n  e(a, b).\n  g(b).\n",
+        "error: parse\ndetail: query parse error at line 2, column 15: relation e has arity 2, got 3 arguments\n  |    ?- f(X, c), e(X, Y, Z).\n  |                ^\n",
+    ),
+    (
+        "query: ?- e(X, Y).\ndata: e(a, b),",
+        "error: parse\ndetail: query parse error at line 2, column 14: expected '.' after fact at \",\"\n  |  data: e(a, b),\n  |               ^\n",
+    ),
+    (
+        "query: ?- e(X Y).\ndata: e(a, X).",
+        "error: parse\ndetail: query parse error at line 1, column 15: expected ',' or ')' in atom e at \"Y).\"\n  |  query: ?- e(X Y).\n  |                ^\n",
+    ),
+    (
+        "query: ?- e(X Y).\ndata: e(a, b). e(a).",
+        "error: parse\ndetail: query parse error at line 1, column 15: expected ',' or ')' in atom e at \"Y).\"\n  |  query: ?- e(X Y).\n  |                ^\n",
+    ),
+    (
+        "query: ?- e(X, Y), e(X).\ndata: e(a, b)@0.",
+        "error: parse\ndetail: query parse error at line 1, column 20: relation e used with arities 2 and 1\n  |  query: ?- e(X, Y), e(X).\n  |                     ^\n",
+    ),
+    (
+        "query: ?- e(X), e(X, Y).\ndata: f(a). f(a, b).",
+        "error: parse\ndetail: query parse error at line 1, column 17: relation e used with arities 1 and 2\n  |  query: ?- e(X), e(X, Y).\n  |                  ^\n",
+    ),
+    (
+        "query: ?- e(X).\ndata: e(a, b)@0.",
+        "error: parse\ndetail: query parse error at line 2, column 15: multiplicity must be ≥ 1\n  |  data: e(a, b)@0.\n  |                ^\n",
+    ),
+    (
+        "query: ?- e(X).\ndata: e(a, b). e(a, b, c).",
+        "error: parse\ndetail: query parse error at line 2, column 16: relation e used with arities 2 and 3\n  |  data: e(a, b). e(a, b, c).\n  |                 ^\n",
+    ),
+    (
+        "query:\n?- e(X Y).\ndata:\ne(a).\n",
+        "error: parse\ndetail: query parse error at line 2, column 8: expected ',' or ')' in atom e at \"Y).\"\n  |  ?- e(X Y).\n  |         ^\n",
+    ),
+    (
+        "query:\n?- e(X, Y),\ndata:\ne(a, b).\n",
+        "error: parse\ndetail: query parse error at line 2, column 12: trailing separator\n  |  ?- e(X, Y),\n  |             ^\n",
+    ),
+    (
+        "query: ?- e(X, Y),\ndata: e(a, b).",
+        "error: parse\ndetail: query parse error at line 1, column 19: trailing separator\n  |  query: ?- e(X, Y),\n  |                    ^\n",
+    ),
+    (
+        "query:\n?- e(X, Y\n\n\ndata:\ne(a, b).\n",
+        "error: parse\ndetail: query parse error at line 4, column 1: expected ',' or ')' in atom e at \"\"\n  |  \n  |  ^\n",
+    ),
+    (
+        "query:\n?- e(X, Y).\ndata:\ne(a, b)\n\n",
+        "error: parse\ndetail: query parse error at line 5, column 1: expected '.' after fact at \"\"\n  |  \n  |  ^\n",
+    ),
+    (
+        "query:\n?- e(X, Y).\ndata:\ne(a, b).\ne(b,\n\n",
+        "error: parse\ndetail: query parse error at line 6, column 1: expected a term at \"\"\n  |  \n  |  ^\n",
+    ),
+    (
+        "query:\r\n?- e(X, Y).\r\ndata:\r\ne(a, b)@0.\r\n",
+        "error: parse\ndetail: query parse error at line 4, column 9: multiplicity must be ≥ 1\n  |  e(a, b)@0.\n  |          ^\n",
+    ),
+    (
+        "query:\r\n?- e(X).\r\ndata:\r\ne(a, b).\r\n",
+        "error: parse\ndetail: query parse error at line 2, column 4: relation e has arity 2, got 1 arguments\n  |  ?- e(X).\n  |     ^\n",
+    ),
+];
+
+/// The same for check frames: `small:` and `big:` keep the precedence
+/// of `query:` and `data:`, and an unsupported combination is typed.
+const CHECK_400: &[(&str, &str)] = &[
+    ("", "error: frame\ndetail: missing section small:\n"),
+    ("small: ?- e(X).", "error: frame\ndetail: missing section big:\n"),
+    ("big: ?- e(X).", "error: frame\ndetail: missing section small:\n"),
+    (
+        "query: ?- e(X).\ndata: e(a).",
+        "error: frame\ndetail: section \"query\" is not valid in a check frame\n",
+    ),
+    (
+        "small: ?- e(X Y).\nbig: ?- e(X).",
+        "error: parse\ndetail: query parse error at line 1, column 15: expected ',' or ')' in atom e at \"Y).\"\n  |  small: ?- e(X Y).\n  |                ^\n",
+    ),
+    (
+        "small: ?- e(X).\nbig: ?- e(X,.",
+        "error: parse\ndetail: query parse error at line 2, column 13: expected a term at \".\"\n  |  big: ?- e(X,.\n  |              ^\n",
+    ),
+    (
+        "small: ?- e(X) ; e(X, Y).\nbig: ?- e(X).",
+        "error: parse\ndetail: query parse error at line 1, column 18: relation e used with arities 1 and 2\n  |  small: ?- e(X) ; e(X, Y).\n  |                   ^\n",
+    ),
+    (
+        "small:\n?- e(X).\nbig:\n?- f(X).\n?- f(X, Y).\n",
+        "error: parse\ndetail: query parse error at line 5, column 4: relation f used with arities 1 and 2\n  |  ?- f(X, Y).\n  |     ^\n",
+    ),
+    (
+        "small: ?- e(X).\nbig: ?- e(X, Y).",
+        "error: parse\ndetail: query parse error at line 2, column 9: relation e has arity 1, got 2 arguments\n  |  big: ?- e(X, Y).\n  |          ^\n",
+    ),
+    (
+        "small:\n?- e(X, Y).\nbig:\n?- f(X).\n?- e(X).\n",
+        "error: parse\ndetail: query parse error at line 5, column 4: relation e has arity 2, got 1 arguments\n  |  ?- e(X).\n  |     ^\n",
+    ),
+    (
+        "small: ?- e(X Y).\nbig: ?- e(X,.",
+        "error: parse\ndetail: query parse error at line 1, column 15: expected ',' or ')' in atom e at \"Y).\"\n  |  small: ?- e(X Y).\n  |                ^\n",
+    ),
+    (
+        "small: ?- e(X) ; e(X, Y).\nbig: ?- e(X,.",
+        "error: parse\ndetail: query parse error at line 1, column 18: relation e used with arities 1 and 2\n  |  small: ?- e(X) ; e(X, Y).\n  |                   ^\n",
+    ),
+    (
+        "small: ?- e(X).\nbig: ?- f(X) ; e(X, Y,.",
+        "error: parse\ndetail: query parse error at line 2, column 23: expected a term at \".\"\n  |  big: ?- f(X) ; e(X, Y,.\n  |                        ^\n",
+    ),
+    (
+        "small: ?- e(X).\nbig: ?- f(X) ; f(X, Y) ; e(X, Y).",
+        "error: parse\ndetail: query parse error at line 2, column 16: relation f used with arities 1 and 2\n  |  big: ?- f(X) ; f(X, Y) ; e(X, Y).\n  |                 ^\n",
+    ),
+    (
+        "small: ?- e(X) ;\nbig: ?- e(X).",
+        "error: parse\ndetail: query parse error at line 1, column 17: trailing separator\n  |  small: ?- e(X) ;\n  |                  ^\n",
+    ),
+    (
+        "small: ?- e(X).\nbig: ?- e(X),",
+        "error: parse\ndetail: query parse error at line 2, column 14: trailing separator\n  |  big: ?- e(X),\n  |               ^\n",
+    ),
+    (
+        "small:\n?- e(X).\nbig:\n?- e(X),\n\n",
+        "error: parse\ndetail: query parse error at line 5, column 1: trailing separator\n  |  \n  |  ^\n",
+    ),
+    (
+        "semantics: set\ncontainment: bag-search\nsmall: ?- e(X, Y).\nbig: ?- e(X, Y).",
+        "error: unsupported_semantics\nreason: bag-search\ndetail: backend bag-search cannot handle this request: decides bag semantics, request says set\n",
+    ),
+    (
+        "small:\r\n?- e(X).\r\nbig:\r\n?- e(X, Y).\r\n",
+        "error: parse\ndetail: query parse error at line 4, column 4: relation e has arity 1, got 2 arguments\n  |  ?- e(X, Y).\n  |     ^\n",
+    ),
+];
+
 /// Deterministic spot checks that the fuzz families above actually hit
-/// the typed-error paths (so the properties are not vacuous).
+/// the typed-error paths (so the properties are not vacuous), with every
+/// 400 body pinned.
 #[test]
 fn malformed_frames_yield_typed_errors() {
-    for body in [
-        "",
-        "query:",
-        "query: ?- e(X, Y).",
-        "data: e(a).",
-        "query: ?- e(X Y).\ndata: e(a, a).",
-        "query: ?- e(X, Y).\ndata: e(a, b)@0.",
-        "query: ?- e(X, Y).\ndata: e(a, X).",
-        "small: ?- e(X).\nbig: ?- e(X, Y).\ndata: e(a).",
-    ] {
+    for &(body, expected) in COUNT_400 {
         let err = parse_count_request(body).expect_err(body);
-        assert!(!err.to_response().render().is_empty());
+        assert_eq!(err.to_response().render(), expected, "count body {body:?}");
     }
-    for body in ["", "small: ?- e(X).", "big: ?- e(X).", "query: ?- e(X).\ndata: e(a)."] {
+    for &(body, expected) in CHECK_400 {
         let err = parse_check_request(body).expect_err(body);
-        assert!(err.to_response().is_error());
+        assert_eq!(err.to_response().render(), expected, "check body {body:?}");
+    }
+}
+
+/// Accepted count frames with their job and schema fingerprints. These
+/// key the MemoStore on disk, so the schema's declaration order (the
+/// data's vocabulary before the query's, first occurrence within each)
+/// and the resolved query and support must not move. The third frame's
+/// query adds a relation and a constant the data lacks.
+const COUNT_FINGERPRINTS: &[(&str, &str, &str)] = &[
+    (
+        "backend: naive\nquery:\n?- e(X, Y).\ndata:\ne(a, b)@2.\ne(b, c).\n",
+        "f656273b3220fd593125bd866111e901",
+        "fec1c24d83c21935753865d6fae7139e",
+    ),
+    (
+        "query: ?- e(X, b).\ndata: e(a, b).",
+        "14a457c7bbfcc04f6de99f8d3cc658af",
+        "2d7a2c9ba04ce4f40ced4cf2ac48a382",
+    ),
+    (
+        "query:\n  ?- e(X, Y), f(Y, c), X != Y.\ndata:\n  e(a, b)@2. e(b, a).\n  g(a).\n",
+        "90242bf726d6b7a643d181ea0d99d772",
+        "c0ab5e2a076b454ee9c031229d63b643",
+    ),
+    (
+        "backend: treewidth\nquery:\n?- e(X, Y), e(Y, Z), e(Z, X).\ndata:\ne(n0, n1). e(n1, n2). e(n2, n0). e(n0, n0)@3.\n",
+        "7d91e9f2794204b0db9043414a67091e",
+        "a50a97221a3c1878db6d2130c25ed739",
+    ),
+    (
+        "query: ?- .\ndata: r(\"Weird Name\", 42, x1).",
+        "d7e590dfb4eadfd2a111f2d88fab7b31",
+        "67c6fc17eeccd4955f732d0fcaaa4e16",
+    ),
+];
+
+/// Accepted check frames with their job and schema fingerprints
+/// (`small:`'s vocabulary before `big:`'s).
+const CHECK_FINGERPRINTS: &[(&str, &str, &str)] = &[
+    (
+        "small:\n?- e(X, Y).\nbig:\n?- e(X, Y), e(Y, Z).\n",
+        "4905e49d8caece6d046b8fe7a67601c3",
+        "290df575aff59015fe3e088c2039cc6c",
+    ),
+    (
+        "semantics: set\ncontainment: set-ucq\nsmall:\n?- e(X, Y) ; f(X).\nbig:\n?- e(X, Y).\n?- f(Z).\n",
+        "95f3ba6434b0d11887ae820639eae92b",
+        "f2a18a76a4f53ceb668644b93cbb6247",
+    ),
+    (
+        "small: ?- e(X, a), g(a, b, X).\nbig: ?- e(X, Y) ; h(c).",
+        "5a28d209b084278a57cd6e6278c684f5",
+        "00887d67b88469d7d3e8c1c34450b915",
+    ),
+];
+
+#[test]
+fn frame_fingerprints_are_pinned() {
+    for &(body, job_fp, schema_fp) in COUNT_FINGERPRINTS {
+        let job = parse_count_request(body).expect(body);
+        let spec = Job::count_with(job.backend, job.query, job.support).spec;
+        assert_eq!(spec.fingerprint().to_string(), job_fp, "count body {body:?}");
+        assert_eq!(job.schema.fingerprint().to_string(), schema_fp, "count body {body:?}");
+    }
+    for &(body, job_fp, schema_fp) in CHECK_FINGERPRINTS {
+        let job = parse_check_request(body).expect(body);
+        assert_eq!(Job::check(job.spec).spec.fingerprint().to_string(), job_fp, "{body:?}");
+        assert_eq!(job.schema.fingerprint().to_string(), schema_fp, "check body {body:?}");
     }
 }
 

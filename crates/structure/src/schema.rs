@@ -182,7 +182,9 @@ impl SchemaEmbedding {
 }
 
 /// Incremental schema construction. Relation and constant registration is
-/// idempotent by name (asserting equal arity on re-registration).
+/// idempotent by name; re-registering a relation with a different arity
+/// is refused by [`SchemaBuilder::try_relation`] and panics in
+/// [`SchemaBuilder::relation`].
 #[derive(Default)]
 pub struct SchemaBuilder {
     relations: Vec<RelationDecl>,
@@ -192,20 +194,27 @@ pub struct SchemaBuilder {
 }
 
 impl SchemaBuilder {
-    /// Declares (or re-fetches) a relation symbol.
+    /// Declares (or re-fetches) a relation symbol; panics if `name` is
+    /// already declared with a different arity.
     pub fn relation(&mut self, name: &str, arity: usize) -> RelId {
+        self.try_relation(name, arity).unwrap_or_else(|declared| {
+            panic!("relation {name} re-declared with different arity ({declared} vs {arity})")
+        })
+    }
+
+    /// Declares (or re-fetches) a relation symbol, or returns the arity
+    /// `name` is already declared with when that differs from `arity`
+    /// (the builder is then unchanged).
+    pub fn try_relation(&mut self, name: &str, arity: usize) -> Result<RelId, usize> {
         assert!(arity >= 1, "relations must have arity >= 1");
         if let Some(&id) = self.rel_by_name.get(name) {
-            assert_eq!(
-                self.relations[id.0 as usize].arity, arity,
-                "relation {name} re-declared with different arity"
-            );
-            return id;
+            let declared = self.relations[id.0 as usize].arity;
+            return if declared == arity { Ok(id) } else { Err(declared) };
         }
         let id = RelId(self.relations.len() as u32);
         self.relations.push(RelationDecl { name: name.to_string(), arity });
         self.rel_by_name.insert(name.to_string(), id);
-        id
+        Ok(id)
     }
 
     /// Declares (or re-fetches) a named constant.
@@ -284,6 +293,17 @@ mod tests {
         let mut b = Schema::builder();
         b.relation("E", 2);
         b.relation("E", 3);
+    }
+
+    #[test]
+    fn try_relation_refuses_a_second_arity() {
+        let mut b = Schema::builder();
+        let e = b.relation("E", 2);
+        assert_eq!(b.try_relation("E", 3), Err(2));
+        assert_eq!(b.try_relation("E", 2), Ok(e));
+        let s = b.build();
+        assert_eq!(s.relation_count(), 1);
+        assert_eq!(s.arity(e), 2);
     }
 
     #[test]

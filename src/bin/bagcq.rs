@@ -114,13 +114,15 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 }
 
 /// Merges the inferred schemas of several query/structure sources into
-/// one, so the CLI user never writes a schema by hand.
+/// one, so the CLI user never writes a schema by hand. The first arity
+/// declared for a relation wins; the caller's re-parse against the
+/// merged schema then reports a conflicting source as a parse error.
 fn merged_schema(query_srcs: &[&str], db_srcs: &[&str]) -> Result<Arc<Schema>, String> {
     let mut sb = Schema::builder();
     for src in query_srcs {
         let (_, s) = parse_query_infer(src).map_err(|e| e.to_string())?;
         for r in s.relations() {
-            sb.relation(&s.relation(r).name, s.arity(r));
+            let _ = sb.try_relation(&s.relation(r).name, s.arity(r));
         }
         for c in s.constants() {
             sb.constant(s.constant_name(c));
@@ -129,7 +131,7 @@ fn merged_schema(query_srcs: &[&str], db_srcs: &[&str]) -> Result<Arc<Schema>, S
     for src in db_srcs {
         let (_, s) = parse_structure_infer(src).map_err(|e| e.to_string())?;
         for r in s.relations() {
-            sb.relation(&s.relation(r).name, s.arity(r));
+            let _ = sb.try_relation(&s.relation(r).name, s.arity(r));
         }
         for c in s.constants() {
             sb.constant(s.constant_name(c));

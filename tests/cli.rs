@@ -189,4 +189,16 @@ fn errors_are_reported() {
     let (ok, _, stderr) = run(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown command"));
+    // A relation used with two arities across two sources is an error,
+    // not a panic.
+    for args in [
+        &["count", "-q", "E(x,y,z)", "-d", "vertices: 2\nE: (0,1)"][..],
+        &["check", "-s", "E(x,y)", "-b", "E(x,y,z)"],
+        &["hde", "-f", "E(x,y)", "-g", "E(x,y,z)"],
+    ] {
+        let (ok, _, stderr) = run(args);
+        assert!(!ok, "{args:?}");
+        assert!(stderr.contains("arity"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
