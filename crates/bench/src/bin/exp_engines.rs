@@ -141,16 +141,12 @@ fn main() {
         }
     }
 
-    // The containment harness plugged into the engine's cached counter
-    // through the *fallible* path: every count the refutation phase makes
-    // is cached + cross-validated, and a failing counter aborts the check
-    // with a typed error instead of panicking.
-    let counter = engine.cached_counter();
+    // A containment check run on this thread through the engine: every
+    // count the refutation phase makes is cached + cross-validated.
     let edges = path_query(&schema, "E", 1);
     let walks = path_query(&schema, "E", 2);
-    let verdict = CheckRequest::new(&edges, &walks)
-        .try_check_with_counter(&|q, db| counter.try_count(q, db))
-        .expect("no faults configured, counts cannot fail");
+    let out = engine.run(Job::check(CheckRequest::new(&edges, &walks).into_spec()));
+    let verdict = out.as_verdict().expect("no faults configured, the check cannot fail");
     assert!(verdict.is_refuted(), "edges ≤ 2-walks must be refuted");
     println!();
     println!("containment `edges ≤ 2-walks` through the engine: refuted (correct).");
@@ -269,9 +265,12 @@ fn main() {
         memory_budget_bytes: 1,
         ..EngineConfig::default()
     });
-    let err = starved.cached_counter().try_count(&q, &d).expect_err("1-byte budget must refuse");
+    let refused = match starved.run(Job::count(q, Arc::clone(&d))) {
+        Outcome::Panicked(msg) => msg,
+        other => panic!("1-byte budget must refuse, got {other:?}"),
+    };
     println!();
-    println!("1-byte memory budget refuses the count with a typed error: {err}");
+    println!("1-byte memory budget refuses the count with a typed failure: {refused}");
 
     emit_trace_section(trace);
 }

@@ -72,11 +72,10 @@ pub mod prelude {
         SearchBudget, Semantics, TryCountFn, Unsupported, Verdict,
     };
     pub use bagcq_engine::{
-        AdmissionConfig, AdmissionPolicy, BreakerConfig, CachedCounter, CountError, DrainReport,
-        EngineConfig, EngineHealth, EvalEngine, FailFast, FaultInjector, FaultKind, FaultPlan, Job,
-        JobHandle, JobSpec, MemoStore, MetricsSnapshot, Outcome, RecoveryReport, RetryPolicy,
-        ShedReason, StoreError, StoreOptions, StoreStats, SupervisorConfig, TraceReport,
-        TraceSession,
+        AdmissionConfig, AdmissionPolicy, BreakerConfig, CountError, DrainReport, EngineConfig,
+        EngineHealth, EvalEngine, FailFast, FaultInjector, FaultKind, FaultPlan, Job, JobHandle,
+        JobSpec, MemoStore, MetricsSnapshot, Outcome, RecoveryReport, RetryPolicy, ShedReason,
+        StoreError, StoreOptions, StoreStats, SupervisorConfig, TraceReport, TraceSession,
     };
     pub use bagcq_hilbert::{by_name as hilbert_instance, library as hilbert_library, reduce};
     pub use bagcq_homcount::{

@@ -560,7 +560,7 @@ impl TenantGate {
 
 /// RAII proof that a request passed its tenant's quota; dropping it
 /// releases the tenant's in-flight slot. Hold it for the request's whole
-/// lifetime (parse → count → respond), not just the engine hop.
+/// lifetime (parse → count → respond), not just the evaluation.
 pub struct TenantPermit {
     state: Arc<TenantState>,
 }

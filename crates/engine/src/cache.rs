@@ -37,7 +37,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Rendezvous for one in-flight computation.
+/// A one-shot outcome cell: the rendezvous for one in-flight memo
+/// computation, and the completion state behind a [`crate::JobHandle`].
 #[derive(Debug, Default)]
 pub(crate) struct Flight {
     done: Mutex<Option<Outcome>>,
@@ -45,8 +46,8 @@ pub(crate) struct Flight {
 }
 
 impl Flight {
-    /// Blocks until the leader publishes, or until `deadline`. Returns
-    /// `None` iff the caller's deadline expired first.
+    /// Blocks until the outcome is published, or until `deadline`.
+    /// Returns `None` iff the caller's deadline expired first.
     pub(crate) fn wait(&self, deadline: Option<Instant>) -> Option<Outcome> {
         let mut done = self.done.lock().unwrap();
         loop {
@@ -67,10 +68,39 @@ impl Flight {
         }
     }
 
-    fn publish(&self, outcome: Outcome) {
+    /// The outcome, if it was already published.
+    pub(crate) fn get(&self) -> Option<Outcome> {
+        self.done.lock().unwrap().clone()
+    }
+
+    pub(crate) fn publish(&self, outcome: Outcome) {
         let mut done = self.done.lock().unwrap();
         *done = Some(outcome);
         self.cond.notify_all();
+    }
+
+    /// Publishes only if nothing was published yet (so a dying worker
+    /// never overwrites a real outcome — and never leaves waiters hung);
+    /// returns whether this call published. `accounting` runs while still
+    /// holding the cell's lock: metric updates that belong to the
+    /// publication (shed/completed counters) go there, because a waiter
+    /// woken by the publish cannot re-acquire the lock — and therefore
+    /// cannot observe the outcome — before the accounting has landed, so
+    /// a `metrics()` read after `wait()` never sees a resolved job as
+    /// still outstanding.
+    pub(crate) fn publish_if_pending_with(
+        &self,
+        outcome: Outcome,
+        accounting: impl FnOnce(),
+    ) -> bool {
+        let mut done = self.done.lock().unwrap();
+        if done.is_some() {
+            return false;
+        }
+        *done = Some(outcome);
+        accounting();
+        self.cond.notify_all();
+        true
     }
 }
 

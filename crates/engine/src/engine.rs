@@ -1,15 +1,18 @@
-//! The worker pool, resilient job execution, serving layer, and failure
-//! classification.
+//! The one evaluation path, the worker pool, the serving layer, and
+//! failure classification.
 //!
-//! [`EvalEngine`] owns a fixed pool of named worker threads that drain a
-//! bounded admission queue of submitted jobs, plus a supervisor thread
-//! that keeps the pool alive. Each worker:
+//! [`EvalEngine::run`] takes a job through its whole life on the calling
+//! thread. [`EvalEngine::submit`] queues it instead for a fixed pool of
+//! named worker threads, kept alive by a supervisor thread, which run the
+//! same private evaluation and publish the outcome to a [`JobHandle`].
+//! Each evaluation:
 //!
-//! 1. under [`AdmissionPolicy::ShedExpired`], drops a dequeued job whose
-//!    deadline already passed while it sat queued
-//!    ([`Outcome::Shed`]) instead of burning a worker on it;
+//! 1. resolves a job whose deadline already passed (while it sat queued
+//!    or waited for a slot) as [`Outcome::TimedOut`] without evaluating —
+//!    under [`AdmissionPolicy::ShedExpired`] a pool worker sheds it at
+//!    dequeue instead ([`Outcome::Shed`]);
 //! 2. asks the job kind's circuit breaker for admission (an open breaker
-//!    fails fast with [`Outcome::FailedFast`] instead of burning a worker
+//!    fails fast with [`Outcome::FailedFast`] instead of burning a thread
 //!    on a kind that keeps failing);
 //! 3. consults the sharded single-flight [`MemoCache`] under the job's
 //!    content fingerprint (hit → answer immediately; in-flight → join the
@@ -18,25 +21,26 @@
 //!    ladder** below and publishes the outcome — failures
 //!    ([`Outcome::TimedOut`], [`Outcome::Panicked`],
 //!    [`Outcome::FailedFast`], [`Outcome::Shed`]) reach current waiters
-//!    but are never cached, and a panicking evaluation never poisons the
-//!    pool.
+//!    but are never cached; a panicking evaluation neither poisons the
+//!    pool nor unwinds into a caller of [`EvalEngine::run`].
 //!
 //! # The serving layer
 //!
-//! Submission passes through a [`BoundedQueue`] governed by
-//! [`EngineConfig::admission`]; a refused job resolves to
-//! [`Outcome::Shed`] with a typed [`ShedReason`] rather than blocking the
-//! engine or vanishing. A supervisor thread polls worker liveness and —
-//! within [`SupervisorConfig::restart_budget`] — restarts dead workers
-//! with exponential backoff, requeueing the job the dead worker was
-//! holding (once) so a killed worker costs latency, not answers. Big
-//! integer evaluation state is debited against
+//! At most [`EngineConfig::workers`] callers of [`EvalEngine::run`]
+//! evaluate at once; the rest wait for a slot. Submission passes through
+//! a [`BoundedQueue`] governed by [`EngineConfig::admission`]; a refused
+//! job resolves to [`Outcome::Shed`] with a typed [`ShedReason`] rather
+//! than blocking the engine or vanishing. A supervisor thread polls
+//! worker liveness and — within [`SupervisorConfig::restart_budget`] —
+//! restarts dead workers with exponential backoff, requeueing the job the
+//! dead worker was holding (once) so a killed worker costs latency, not
+//! answers. Big integer evaluation state is debited against
 //! [`EngineConfig::memory_budget_bytes`] through `homcount`'s
 //! [`MemoryGauge`](bagcq_homcount::MemoryGauge) hook, so an evaluation
 //! that would dwarf memory fails with a typed error instead of taking the
-//! process down. [`EvalEngine::drain`] stops admission and winds the
-//! engine down by a caller-supplied deadline, shedding what cannot
-//! finish.
+//! process down. [`EvalEngine::drain`] closes admission and the slots and
+//! winds the engine down by a caller-supplied deadline, shedding what
+//! cannot finish.
 //!
 //! # The resilience ladder
 //!
@@ -67,9 +71,9 @@
 use crate::admission::{AdmissionConfig, AdmissionPolicy, BoundedQueue};
 use crate::breaker::{Admit, Breaker, BreakerConfig, Signal};
 use crate::budget::MemoryBudget;
-use crate::cache::{Lookup, MemoCache};
+use crate::cache::{Flight, Lookup, MemoCache};
 use crate::fault::{FaultInjector, WorkerKillMarker};
-use crate::job::{count_fingerprint, Job, JobHandle, JobSpec, JobState, Outcome, ShedReason};
+use crate::job::{count_fingerprint, Job, JobHandle, JobSpec, Outcome, ShedReason};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::retry::RetryPolicy;
 use crate::supervisor::{EngineHealth, SupervisorConfig};
@@ -86,7 +90,7 @@ use bagcq_structure::Structure;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -96,13 +100,16 @@ use std::time::{Duration, Instant};
 /// budget.
 const MAX_JOB_DEATHS: u32 = 2;
 
+/// Memo-cache shards (lock granularity).
+const CACHE_SHARDS: usize = 16;
+
 /// Configuration for an [`EvalEngine`].
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Worker threads. `0` picks `available_parallelism` (capped at 8).
+    /// The same number bounds how many callers of [`EvalEngine::run`]
+    /// evaluate at once.
     pub workers: usize,
-    /// Memo-cache shards (lock granularity; at least 1).
-    pub cache_shards: usize,
     /// When `true`, every raw count is computed by **both** counting
     /// algorithms (the resolved backend plus the kernel of the *other*
     /// [`BackendChoice::family`]) and compared; a mismatch surfaces as
@@ -144,7 +151,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             workers: 0,
-            cache_shards: 16,
             cross_validate: false,
             retry: RetryPolicy::default(),
             fallback_enabled: true,
@@ -185,17 +191,20 @@ impl CheckpointHook for EngineHook {
     }
 }
 
-/// State shared by the public handle, every worker, the supervisor, and
-/// every [`CachedCounter`].
+/// State shared by the public handle, every worker, and the supervisor.
 pub(crate) struct Shared {
     cache: MemoCache,
     metrics: Arc<Metrics>,
     config: EngineConfig,
     breakers: BreakerSet,
-    queue: BoundedQueue<WorkItem>,
+    queue: BoundedQueue<(WorkItem, Arc<Flight>)>,
     budget: Option<Arc<MemoryBudget>>,
     drain_stop: Arc<AtomicBool>,
     hook: Arc<EngineHook>,
+    /// Free evaluation slots for callers of [`EvalEngine::run`]; `None`
+    /// once a drain has closed them.
+    free_slots: Mutex<Option<usize>>,
+    slot_freed: Condvar,
 }
 
 /// One breaker per job kind (see [`JobSpec::kind`]).
@@ -224,6 +233,24 @@ impl BreakerSet {
 }
 
 impl Shared {
+    /// Takes an evaluation slot for a caller of [`EvalEngine::run`],
+    /// waiting while every slot is taken; `None` once a drain closed them.
+    fn acquire_slot(&self) -> Option<EvalSlot<'_>> {
+        // A free count is valid at every step, so a poisoned lock is safe
+        // to recover.
+        let mut free = self.free_slots.lock().unwrap_or_else(|p| p.into_inner());
+        loop {
+            match *free {
+                None => return None,
+                Some(0) => free = self.slot_freed.wait(free).unwrap_or_else(|p| p.into_inner()),
+                Some(n) => {
+                    *free = Some(n - 1);
+                    return Some(EvalSlot(self));
+                }
+            }
+        }
+    }
+
     /// The engine-level fault checkpoint: fires before every raw count.
     fn count_checkpoint(&self, site: &'static str) -> Result<(), CountError> {
         if self.drain_stop.load(Ordering::Relaxed) {
@@ -368,13 +395,15 @@ impl Shared {
     }
 
     /// Runs one attempt with panic isolation and classifies the result.
-    /// A [`WorkerKillMarker`] panic is deliberately re-raised: it
-    /// simulates a worker-thread death, which the supervision layer (not
-    /// the resilience ladder) must absorb.
+    /// On a pool worker (`pooled`) a [`WorkerKillMarker`] panic is
+    /// deliberately re-raised: it simulates a worker-thread death, which
+    /// the supervision layer (not the resilience ladder) must absorb. On a
+    /// caller of [`EvalEngine::run`] it is a panic like any other.
     fn execute_once(
         &self,
         item: &WorkItem,
         backend_override: Option<BackendChoice>,
+        pooled: bool,
     ) -> Result<Outcome, JobFailure> {
         let ctl = self.controls(item.deadline, item.step_budget);
         let run = || self.run_spec(&item.spec, &ctl, item.deadline, backend_override);
@@ -384,7 +413,7 @@ impl Shared {
             Ok(Err(CountError::Transient(msg))) => Err(JobFailure::Transient(msg)),
             Ok(Err(CountError::Mismatch(msg))) => Err(JobFailure::Mismatch(msg)),
             Err(payload) => {
-                if payload.is::<WorkerKillMarker>() {
+                if pooled && payload.is::<WorkerKillMarker>() {
                     std::panic::resume_unwind(payload);
                 }
                 Err(JobFailure::Panic(panic_message(payload)))
@@ -432,9 +461,9 @@ impl Shared {
 
     /// Runs a spec through the full resilience ladder (classification →
     /// retry with backoff → engine fallback → terminal outcome). Always
-    /// returns an outcome; never panics outward — except a
+    /// returns an outcome; never panics outward — except a pool worker's
     /// [`WorkerKillMarker`], which is for the supervisor.
-    fn execute_resilient(&self, item: &WorkItem) -> Outcome {
+    fn execute_resilient(&self, item: &WorkItem, pooled: bool) -> Outcome {
         let fp = item.spec.fingerprint();
         let _span = obs::span_fp("engine.execute", item.spec.kind(), fp_bits(&fp));
         let salt = fp.hi ^ fp.lo;
@@ -444,7 +473,7 @@ impl Shared {
             if item.deadline.is_some_and(|d| Instant::now() >= d) {
                 return Outcome::TimedOut;
             }
-            let failure = match self.execute_once(item, backend_override) {
+            let failure = match self.execute_once(item, backend_override, pooled) {
                 Ok(outcome) => return outcome,
                 Err(f) => f,
             };
@@ -543,21 +572,48 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
+/// A job with its deadline fixed, as [`evaluate`] takes it.
 struct WorkItem {
     spec: JobSpec,
     deadline: Option<Instant>,
     step_budget: u64,
-    state: Arc<JobState>,
     submitted: Instant,
     /// How many workers have already died holding this job.
     deaths: u32,
 }
 
+impl WorkItem {
+    fn new(job: Job) -> Self {
+        let submitted = Instant::now();
+        WorkItem {
+            deadline: job.timeout.map(|t| submitted + t),
+            step_budget: job.step_budget,
+            spec: job.spec,
+            submitted,
+            deaths: 0,
+        }
+    }
+}
+
+/// One evaluation slot held by a caller of [`EvalEngine::run`]. Dropping
+/// it, also while unwinding, returns the slot.
+struct EvalSlot<'a>(&'a Shared);
+
+impl Drop for EvalSlot<'_> {
+    fn drop(&mut self) {
+        let mut free = self.0.free_slots.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(n) = free.as_mut() {
+            *n += 1;
+        }
+        self.0.slot_freed.notify_one();
+    }
+}
+
 /// Resolves a job the serving layer refused to evaluate: publishes the
 /// typed [`Outcome::Shed`] (if nothing was published yet) and keeps the
 /// submitted/completed accounting balanced.
-fn publish_shed(shared: &Shared, state: &Arc<JobState>, reason: ShedReason) {
-    state.publish_if_pending_with(Outcome::Shed(reason), || {
+fn publish_shed(shared: &Shared, flight: &Flight, reason: ShedReason) {
+    flight.publish_if_pending_with(Outcome::Shed(reason), || {
         shared.metrics.job_shed(reason);
         shared.metrics.job_completed();
     });
@@ -572,11 +628,12 @@ fn publish_shed(shared: &Shared, state: &Arc<JobState>, reason: ShedReason) {
 struct PublishGuard<'a> {
     shared: &'a Shared,
     item: &'a WorkItem,
+    flight: &'a Arc<Flight>,
 }
 
 impl PublishGuard<'_> {
     fn publish(self, outcome: Outcome) {
-        self.item.state.publish(outcome);
+        self.flight.publish(outcome);
         std::mem::forget(self);
     }
 }
@@ -593,19 +650,18 @@ impl Drop for PublishGuard<'_> {
                 spec: self.item.spec.clone(),
                 deadline: self.item.deadline,
                 step_budget: self.item.step_budget,
-                state: Arc::clone(&self.item.state),
                 submitted: self.item.submitted,
                 deaths: self.item.deaths + 1,
             };
             // Past the capacity bound on purpose: the job was admitted
             // once already, so bouncing it here would turn a worker death
             // into job loss.
-            if self.shared.queue.force_push(requeued).is_ok() {
+            if self.shared.queue.force_push((requeued, Arc::clone(self.flight))).is_ok() {
                 self.shared.metrics.job_requeued();
                 return;
             }
         }
-        self.item.state.publish_if_pending_with(
+        self.flight.publish_if_pending_with(
             Outcome::Panicked("worker died before publishing an outcome".to_string()),
             || {
                 self.shared.metrics.job_panicked();
@@ -615,15 +671,18 @@ impl Drop for PublishGuard<'_> {
     }
 }
 
-fn process(shared: &Shared, item: WorkItem) {
-    // The dequeue → count → publish span; enqueue time is the gap between
-    // the `engine.enqueue` instant with the same fingerprint and this.
+/// The one evaluation every job gets, on a pool worker (`pooled`) or on a
+/// caller of [`EvalEngine::run`]: deadline, breaker, single-flight memo,
+/// the resilience ladder, and the job's accounting.
+fn evaluate(shared: &Shared, item: &WorkItem, pooled: bool) -> Outcome {
+    // The start → count → publish span; on a pool worker, enqueue time is
+    // the gap between the `engine.enqueue` instant with the same
+    // fingerprint and this.
     let _span = if obs::enabled() {
         obs::span_fp("engine.process", item.spec.kind(), fp_bits(&item.spec.fingerprint()))
     } else {
         None
     };
-    let guard = PublishGuard { shared, item: &item };
     let expired = item.deadline.is_some_and(|d| Instant::now() >= d);
     let outcome = if expired {
         Outcome::TimedOut
@@ -653,7 +712,7 @@ fn process(shared: &Shared, item: WorkItem) {
                             Some(outcome) => break outcome,
                         },
                         Lookup::Lead(token) => {
-                            let outcome = shared.execute_resilient(&item);
+                            let outcome = shared.execute_resilient(item, pooled);
                             shared.cache.complete(token, outcome.clone());
                             break outcome;
                         }
@@ -685,21 +744,22 @@ fn process(shared: &Shared, item: WorkItem) {
     shared.metrics.job_completed();
     shared.metrics.observe_latency(item.submitted.elapsed());
     obs::instant("engine.publish", outcome_label(&outcome));
-    guard.publish(outcome);
+    outcome
 }
 
 /// One worker thread's life: drain the queue until it is closed *and*
 /// empty. Under [`AdmissionPolicy::ShedExpired`], jobs whose deadline
 /// passed while queued are shed at dequeue instead of evaluated.
 fn worker_loop(shared: &Shared) {
-    while let Some(item) = shared.queue.pop() {
+    while let Some((item, flight)) = shared.queue.pop() {
         if matches!(shared.config.admission.policy, AdmissionPolicy::ShedExpired)
             && item.deadline.is_some_and(|d| Instant::now() >= d)
         {
-            publish_shed(shared, &item.state, ShedReason::ExpiredAtDequeue);
+            publish_shed(shared, &flight, ShedReason::ExpiredAtDequeue);
             continue;
         }
-        process(shared, item);
+        let guard = PublishGuard { shared, item: &item, flight: &flight };
+        guard.publish(evaluate(shared, &item, true));
     }
 }
 
@@ -777,8 +837,9 @@ fn supervisor_loop(shared: Arc<Shared>, slots: WorkerSlots, stop: Arc<AtomicBool
 pub struct DrainReport {
     /// Jobs that resolved (any outcome) during the drain window.
     pub completed: u64,
-    /// Jobs the drain shed (queued work flushed with
-    /// [`ShedReason::Draining`], plus dequeue-time sheds in the window).
+    /// Jobs the drain shed (queued work flushed, and callers of
+    /// [`EvalEngine::run`] refused, with [`ShedReason::Draining`], plus
+    /// dequeue-time sheds in the window).
     pub shed: u64,
     /// Jobs still unresolved when the drain returned — `0` unless an
     /// evaluation ignored the cooperative hard stop past the deadline.
@@ -843,7 +904,7 @@ impl EvalEngine {
             (config.memory_budget_bytes > 0).then(|| MemoryBudget::new(config.memory_budget_bytes));
         let queue = BoundedQueue::new(config.admission.capacity);
         let shared = Arc::new(Shared {
-            cache: MemoCache::new(config.cache_shards, Arc::clone(&metrics))
+            cache: MemoCache::new(CACHE_SHARDS, Arc::clone(&metrics))
                 .with_store(config.store.clone()),
             metrics,
             config,
@@ -852,6 +913,8 @@ impl EvalEngine {
             budget,
             drain_stop,
             hook,
+            free_slots: Mutex::new(Some(worker_count)),
+            slot_freed: Condvar::new(),
         });
         let slots: WorkerSlots = Arc::new(Mutex::new(
             (0..worker_count)
@@ -906,31 +969,44 @@ impl EvalEngine {
     /// waitable handle. A job the admission layer refuses still resolves:
     /// its handle yields [`Outcome::Shed`] with the typed reason.
     pub fn submit(&self, job: Job) -> JobHandle {
-        let state = Arc::new(JobState::default());
-        let submitted = Instant::now();
-        let item = WorkItem {
-            deadline: job.timeout.map(|t| submitted + t),
-            step_budget: job.step_budget,
-            spec: job.spec,
-            state: Arc::clone(&state),
-            submitted,
-            deaths: 0,
-        };
+        let flight = Arc::new(Flight::default());
+        let item = WorkItem::new(job);
         self.shared.metrics.job_submitted();
         if obs::enabled() {
             obs::instant_fp("engine.enqueue", item.spec.kind(), fp_bits(&item.spec.fingerprint()));
         }
-        match self.shared.queue.push(item, &self.shared.config.admission.policy) {
+        let policy = &self.shared.config.admission.policy;
+        match self.shared.queue.push((item, Arc::clone(&flight)), policy) {
             Ok(true) => self.shared.metrics.admission_wait(),
             Ok(false) => {}
-            Err(refused) => publish_shed(&self.shared, &refused.item.state, refused.reason),
+            Err(refused) => publish_shed(&self.shared, &refused.item.1, refused.reason),
         }
-        JobHandle { state }
+        JobHandle { flight }
     }
 
     /// Submits a batch; handles are returned in submission order.
     pub fn submit_batch(&self, jobs: impl IntoIterator<Item = Job>) -> Vec<JobHandle> {
         jobs.into_iter().map(|j| self.submit(j)).collect()
+    }
+
+    /// Takes one job through its whole life on the calling thread — the
+    /// same evaluation a pool worker runs, with the same accounting — and
+    /// returns its outcome. At most [`EngineConfig::workers`] callers
+    /// evaluate at once; the rest wait for a slot with no deadline of
+    /// their own (a job whose deadline passes meanwhile resolves as
+    /// [`Outcome::TimedOut`]). Once a drain has begun, the job resolves as
+    /// [`Outcome::Shed`]`(`[`ShedReason::Draining`]`)` without evaluating.
+    /// [`EngineConfig::admission`] does not apply, and no evaluation
+    /// panic unwinds into the caller.
+    pub fn run(&self, job: Job) -> Outcome {
+        let item = WorkItem::new(job);
+        self.shared.metrics.job_submitted();
+        let Some(_slot) = self.shared.acquire_slot() else {
+            self.shared.metrics.job_shed(ShedReason::Draining);
+            self.shared.metrics.job_completed();
+            return Outcome::Shed(ShedReason::Draining);
+        };
+        evaluate(&self.shared, &item, false)
     }
 
     /// Jobs submitted but not yet resolved.
@@ -940,8 +1016,9 @@ impl EvalEngine {
 
     /// Gracefully winds the engine down, returning by `timeout`:
     ///
-    /// 1. health → [`EngineHealth::Draining`] (terminal) and admission
-    ///    closes — new submissions resolve as
+    /// 1. health → [`EngineHealth::Draining`] (terminal); admission and
+    ///    the evaluation slots close — new submissions, and callers of
+    ///    [`EvalEngine::run`] without a slot, resolve as
     ///    [`Outcome::Shed`]`(`[`ShedReason::Draining`]`)`;
     /// 2. in-flight and queued work gets most of the timeout to finish
     ///    normally;
@@ -953,8 +1030,8 @@ impl EvalEngine {
     ///
     /// Every job submitted before or during the drain resolves to exactly
     /// one outcome; none is lost or left hanging. Draining is terminal —
-    /// the engine does not serve again afterwards (submissions shed), but
-    /// [`CachedCounter`]s remain usable on the caller's thread.
+    /// the engine does not serve again afterwards (submissions and runs
+    /// shed).
     pub fn drain(&self, timeout: Duration) -> DrainReport {
         let started = Instant::now();
         let deadline = started + timeout;
@@ -963,6 +1040,8 @@ impl EvalEngine {
         let shed_before = self.shared.metrics.shed_count();
         self.shared.metrics.set_health(EngineHealth::Draining);
         self.shared.queue.close();
+        *self.shared.free_slots.lock().unwrap_or_else(|p| p.into_inner()) = None;
+        self.shared.slot_freed.notify_all();
         // Most of the timeout goes to letting work finish; a margin is
         // reserved for the shed + hard-stop + flush steps.
         let margin = (timeout / 10)
@@ -972,8 +1051,8 @@ impl EvalEngine {
         while self.outstanding() > 0 && Instant::now() < soft_deadline {
             thread::sleep(Duration::from_micros(200));
         }
-        for item in self.shared.queue.drain_now() {
-            publish_shed(&self.shared, &item.state, ShedReason::Draining);
+        for (_, flight) in self.shared.queue.drain_now() {
+            publish_shed(&self.shared, &flight, ShedReason::Draining);
         }
         if self.outstanding() > 0 {
             self.shared.drain_stop.store(true, Ordering::Relaxed);
@@ -1020,14 +1099,6 @@ impl EvalEngine {
     pub fn cache_entries(&self) -> usize {
         self.shared.cache.ready_len()
     }
-
-    /// A cloneable counter that routes every count through this engine's
-    /// memo cache (and cross-validation, when configured) — made to be
-    /// plugged into
-    /// [`CheckRequest::try_check_with_counter`](bagcq_containment::CheckRequest::try_check_with_counter).
-    pub fn cached_counter(&self) -> CachedCounter {
-        CachedCounter { shared: Arc::clone(&self.shared) }
-    }
 }
 
 impl Drop for EvalEngine {
@@ -1045,54 +1116,5 @@ impl Drop for EvalEngine {
                 let _ = handle.join();
             }
         }
-    }
-}
-
-/// A synchronous `|Hom(ψ, D)|` counter backed by an engine's memo cache.
-///
-/// Cloning is cheap (it shares the cache). The counter stays valid after
-/// the engine is dropped — it uses the calling thread, not the pool.
-#[derive(Clone)]
-pub struct CachedCounter {
-    shared: Arc<Shared>,
-}
-
-impl CachedCounter {
-    /// Counts `|Hom(q, d)|` with [`BackendChoice::Auto`], consulting and
-    /// populating the memo cache.
-    /// Transient failures are retried under the engine's [`RetryPolicy`];
-    /// terminal failures (cross-validation mismatch, cancellation, a
-    /// memory-budget refusal) surface as a typed [`CountError`].
-    ///
-    /// Unlike pool execution there is no panic isolation here: an
-    /// evaluation panic propagates to the caller.
-    pub fn try_count(&self, q: &Query, d: &Structure) -> Result<Nat, CountError> {
-        let backend = BackendChoice::Auto;
-        let ctl = self.shared.controls(None, 0);
-        let salt = count_fingerprint(q, d, backend);
-        let salt = salt.hi ^ salt.lo;
-        let mut attempt: u32 = 0;
-        loop {
-            match self.shared.count_cached(backend, q, d, &ctl, None) {
-                Ok(n) => return Ok(n),
-                Err(e) if e.is_transient() && attempt < self.shared.config.retry.max_retries => {
-                    self.shared.backoff_sleep(attempt, salt, None);
-                    attempt += 1;
-                    self.shared.metrics.retry();
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Infallible form of [`CachedCounter::try_count`].
-    ///
-    /// # Panics
-    ///
-    /// When the count fails terminally — in practice when the engine was
-    /// configured with [`EngineConfig::cross_validate`] and the two
-    /// counting engines disagree (which would mean an evaluation bug).
-    pub fn count(&self, q: &Query, d: &Structure) -> Nat {
-        self.try_count(q, d).unwrap_or_else(|e| panic!("cached count failed: {e}"))
     }
 }

@@ -1,9 +1,10 @@
 //! Job descriptions, outcomes, and completion handles.
 //!
 //! A [`Job`] pairs a [`JobSpec`] (what to evaluate) with execution limits
-//! (a wall-clock timeout and a cooperative step budget). Submitting one to
-//! an [`crate::EvalEngine`] returns a [`JobHandle`]; `wait()`ing on the
-//! handle yields an [`Outcome`].
+//! (a wall-clock timeout and a cooperative step budget).
+//! [`crate::EvalEngine::run`] evaluates one on the calling thread and
+//! returns its [`Outcome`]; submitting one to the engine's pool returns a
+//! [`JobHandle`] whose `wait()` yields the same outcome.
 //!
 //! Every spec has a stable 128-bit content [`Fingerprint`] derived from
 //! the fingerprints of its query/structure components — that fingerprint
@@ -11,13 +12,14 @@
 //! submitted from different threads share one computation.
 
 use crate::breaker::FailFast;
+use crate::cache::Flight;
 use bagcq_arith::{Magnitude, Nat};
 use bagcq_containment::{CheckSpec, ContainmentChoice, Semantics, Verdict};
 use bagcq_homcount::BackendChoice;
 use bagcq_query::{PowerQuery, Query};
 use bagcq_structure::{Fingerprint, FingerprintHasher, Structure};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What a job evaluates.
@@ -358,86 +360,21 @@ impl Outcome {
     }
 }
 
-/// Shared completion state between a [`JobHandle`] and the worker that
-/// eventually publishes the outcome.
-#[derive(Debug, Default)]
-pub(crate) struct JobState {
-    slot: Mutex<Option<Outcome>>,
-    cond: Condvar,
-}
-
-impl JobState {
-    pub(crate) fn publish(&self, outcome: Outcome) {
-        let mut slot = self.slot.lock().unwrap();
-        *slot = Some(outcome);
-        self.cond.notify_all();
-    }
-
-    /// Publishes only if nothing was published yet (so a dying worker
-    /// never overwrites a real outcome — and never leaves waiters hung);
-    /// returns whether this call published. `accounting` runs while still
-    /// holding the outcome slot's lock: metric updates that belong to the
-    /// publication (shed/completed counters) go there, because a waiter
-    /// woken by the publish cannot re-acquire the lock — and therefore
-    /// cannot observe the outcome — before the accounting has landed, so
-    /// a `metrics()` read after `wait()` never sees a resolved job as
-    /// still outstanding.
-    pub(crate) fn publish_if_pending_with(
-        &self,
-        outcome: Outcome,
-        accounting: impl FnOnce(),
-    ) -> bool {
-        let mut slot = self.slot.lock().unwrap();
-        if slot.is_some() {
-            return false;
-        }
-        *slot = Some(outcome);
-        accounting();
-        self.cond.notify_all();
-        true
-    }
-}
-
 /// A handle to a submitted job.
 #[derive(Clone, Debug)]
 pub struct JobHandle {
-    pub(crate) state: Arc<JobState>,
+    pub(crate) flight: Arc<Flight>,
 }
 
 impl JobHandle {
     /// Blocks until the job's outcome is published, then returns it.
     pub fn wait(&self) -> Outcome {
-        let mut slot = self.state.slot.lock().unwrap();
-        loop {
-            if let Some(outcome) = slot.as_ref() {
-                return outcome.clone();
-            }
-            slot = self.state.cond.wait(slot).unwrap();
-        }
+        self.flight.wait(None).expect("a wait without a deadline ends only on publish")
     }
 
     /// Returns the outcome if it is already available.
     pub fn try_wait(&self) -> Option<Outcome> {
-        self.state.slot.lock().unwrap().clone()
-    }
-
-    /// Blocks until the outcome is published or `timeout` elapses.
-    /// Returns `None` on timeout — the job may still complete later, and
-    /// a later `wait`/`wait_timeout` will observe it.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Outcome> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut slot = self.state.slot.lock().unwrap();
-        loop {
-            if let Some(outcome) = slot.as_ref() {
-                return Some(outcome.clone());
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self.state.cond.wait_timeout(slot, deadline - now).unwrap();
-            slot = guard;
-        }
+        self.flight.get()
     }
 }
 
@@ -545,23 +482,15 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_returns_none_then_sees_late_outcome() {
-        let state = Arc::new(JobState::default());
-        let handle = JobHandle { state: Arc::clone(&state) };
-        assert!(handle.wait_timeout(Duration::from_millis(10)).is_none());
-        state.publish(Outcome::TimedOut);
-        let out = handle.wait_timeout(Duration::from_millis(10)).expect("published");
-        assert!(out.is_failure());
-    }
-
-    #[test]
     fn publish_if_pending_never_overwrites() {
-        let state = Arc::new(JobState::default());
+        let flight = Arc::new(Flight::default());
         let mut accounted = 0;
-        assert!(state.publish_if_pending_with(Outcome::Count(Nat::one()), || accounted += 1));
-        assert!(!state.publish_if_pending_with(Outcome::Panicked("late".into()), || accounted += 1));
+        assert!(flight.publish_if_pending_with(Outcome::Count(Nat::one()), || accounted += 1));
+        assert!(
+            !flight.publish_if_pending_with(Outcome::Panicked("late".into()), || accounted += 1)
+        );
         assert_eq!(accounted, 1, "accounting runs only when the publish lands");
-        let handle = JobHandle { state };
+        let handle = JobHandle { flight };
         assert_eq!(handle.wait().as_count(), Some(&Nat::one()));
     }
 
@@ -581,14 +510,14 @@ mod tests {
 
     #[test]
     fn handle_publish_wakes_waiter() {
-        let state = Arc::new(JobState::default());
-        let handle = JobHandle { state: Arc::clone(&state) };
+        let flight = Arc::new(Flight::default());
+        let handle = JobHandle { flight: Arc::clone(&flight) };
         assert!(handle.try_wait().is_none());
         let t = std::thread::spawn({
             let handle = handle.clone();
             move || handle.wait()
         });
-        state.publish(Outcome::Count(Nat::from_u64(7)));
+        flight.publish(Outcome::Count(Nat::from_u64(7)));
         let out = t.join().unwrap();
         assert_eq!(out.as_count(), Some(&Nat::from_u64(7)));
         assert!(!out.is_failure());

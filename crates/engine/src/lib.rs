@@ -8,9 +8,12 @@
 //! exponential in the worst case). This crate wraps them in an
 //! [`EvalEngine`]:
 //!
-//! * **Fixed worker pool** (`std::thread` + channels, no external
-//!   dependencies): submit a [`Job`] or a batch, get [`JobHandle`]s,
-//!   `wait()` for [`Outcome`]s.
+//! * **One execution path**: [`EvalEngine::run`] evaluates a [`Job`] on
+//!   the calling thread and returns its [`Outcome`] — that is how
+//!   `bagcq-serve` answers each request; the fixed worker pool
+//!   (`std::thread`, no external dependencies) runs the same evaluation
+//!   for submitted jobs and batches, which return [`JobHandle`]s to
+//!   `wait()` on.
 //! * **Single-flight memo cache**, sharded and keyed by stable 128-bit
 //!   content fingerprints of queries and structures
 //!   ([`bagcq_structure::Fingerprint`]): structurally equal jobs are
@@ -22,7 +25,7 @@
 //!   complete normally.
 //! * **Panic isolation**: evaluations run under `catch_unwind`, so a
 //!   panicking job yields [`Outcome::Panicked`] without poisoning the
-//!   pool.
+//!   pool or unwinding into a caller of [`EvalEngine::run`].
 //! * **Dual-engine cross-validation** ([`EngineConfig::cross_validate`]):
 //!   every count is computed by both the naive backtracking engine and
 //!   the treewidth DP and compared — the workspace-wide soundness story
@@ -71,13 +74,6 @@
 //! * **Metrics**: atomic job/cache/resilience counters plus a log₂
 //!   latency histogram, snapshot-able as text
 //!   ([`MetricsSnapshot::render`]).
-//!
-//! [`CachedCounter`] exposes the cache/cross-validation layer as a plain
-//! synchronous counter: [`CachedCounter::try_count`] returns a typed
-//! [`CountError`], which plugs into
-//! [`bagcq_containment::CheckSpec::try_check_with_counter`] —
-//! that is how the `exp_*` binaries route their containment verdicts
-//! through the engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -113,7 +109,7 @@ pub use admission::{
 pub use bagcq_containment::{CheckRequest, CheckSpec, ContainmentChoice, Semantics, Verdict};
 pub use bagcq_homcount::{BackendChoice, CountError, CountRequest};
 pub use breaker::{BreakerConfig, FailFast};
-pub use engine::{CachedCounter, DrainReport, EngineConfig, EvalEngine};
+pub use engine::{DrainReport, EngineConfig, EvalEngine};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSchedule};
 pub use job::{Job, JobHandle, JobSpec, Outcome, ShedReason};
 pub use metrics::{Metrics, MetricsSnapshot};

@@ -199,10 +199,10 @@ fn transient_faults_are_retried_to_success() {
     assert!(engine.metrics().retries > 0, "retry path never exercised");
 }
 
-/// The fallible cached counter surfaces transient faults through retries
-/// and stays bit-identical to the direct count.
+/// A count run on the calling thread absorbs transient faults through
+/// retries and stays bit-identical to the direct count.
 #[test]
-fn cached_counter_try_count_retries_transients() {
+fn run_retries_transients() {
     let seed = 11;
     let (schema, d) = digraph(5, seed);
     let q = path_query(&schema, "E", 2);
@@ -213,9 +213,8 @@ fn cached_counter_try_count_retries_transients() {
         .with_rate_per_mille(400)
         .with_max_faults(2);
     let (engine, _injector) = chaos_engine(plan);
-    let counter = engine.cached_counter();
-    let got = counter.try_count(&q, &d).expect("retries absorb two transient faults");
-    assert_eq!(got, want);
+    let got = engine.run(Job::count(q, d));
+    assert_eq!(got.as_count(), Some(&want), "retries absorb two transient faults");
     assert!(engine.metrics().retries > 0);
 }
 

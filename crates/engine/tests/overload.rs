@@ -13,10 +13,10 @@
 //!    outcome and returns by its deadline, under fault injection too.
 
 use bagcq_engine::{
-    AdmissionConfig, AdmissionPolicy, BreakerConfig, CountError, EngineConfig, EngineHealth,
-    EvalEngine, FaultInjector, FaultKind, FaultPlan, Job, Outcome, ShedReason, SupervisorConfig,
+    AdmissionConfig, AdmissionPolicy, BreakerConfig, EngineConfig, EngineHealth, EvalEngine,
+    FaultInjector, FaultKind, FaultPlan, Job, Outcome, ShedReason, SupervisorConfig,
 };
-use bagcq_homcount::{BackendChoice, CancelReason, Cancelled};
+use bagcq_homcount::BackendChoice;
 use bagcq_query::{cycle_query, path_query, Query};
 use bagcq_structure::{Schema, Structure, StructureGen};
 use std::sync::Arc;
@@ -192,10 +192,10 @@ fn shed_expired_drops_stale_queued_jobs() {
 }
 
 /// Property 3: a starved byte budget fails the evaluation with the typed
-/// `MemoryBudgetExceeded` cancellation — through the synchronous
-/// [`bagcq_engine::CachedCounter`] as a [`CountError`], and through the
-/// pool as [`Outcome::Panicked`] after the fallback hop — and the denial
-/// shows up in the metrics.
+/// `MemoryBudgetExceeded` cancellation, which surfaces as
+/// [`Outcome::Panicked`] with a budget message after the fallback hop —
+/// on a caller of `run` and through the pool alike — and the denials show
+/// up in the metrics.
 #[test]
 fn starved_memory_budget_fails_typed() {
     let (schema, d) = digraph(5, 3);
@@ -208,23 +208,18 @@ fn starved_memory_budget_fails_typed() {
         breaker: BreakerConfig::disabled(),
         ..EngineConfig::default()
     });
-    let counter = engine.cached_counter();
-    assert_eq!(
-        counter.try_count(&q, &d),
-        Err(CountError::Cancelled(Cancelled(CancelReason::MemoryBudgetExceeded))),
-        "the counter must surface the typed budget refusal"
-    );
-
-    let out = engine.submit(Job::count(q.clone(), Arc::clone(&d))).wait();
-    match out {
-        Outcome::Panicked(msg) => {
-            assert!(msg.contains("memory budget"), "untyped failure message: {msg}")
+    let job = Job::count(q, d);
+    for out in [engine.run(job.clone()), engine.submit(job).wait()] {
+        match out {
+            Outcome::Panicked(msg) => {
+                assert!(msg.contains("memory budget"), "untyped failure message: {msg}")
+            }
+            other => panic!("expected a typed budget failure, got {other:?}"),
         }
-        other => panic!("expected a typed budget failure, got {other:?}"),
     }
     let m = engine.metrics();
     assert!(m.mem_denials > 0, "denials must be accounted: {m}");
-    assert_eq!(m.fallbacks_taken, 1, "the budget failure takes the naive fallback hop once");
+    assert_eq!(m.fallbacks_taken, 2, "each evaluation takes the naive fallback hop once");
 }
 
 /// A generous byte budget changes nothing about the answers, and every

@@ -57,7 +57,7 @@ pub mod stages {
     pub const SERVE_PARSE: &str = "serve.parse";
     /// Serving layer: tenant authentication + quota admission.
     pub const SERVE_ADMIT: &str = "serve.admit";
-    /// Serving layer: the engine hop (submit + wait).
+    /// Serving layer: the job's evaluation (`EvalEngine::run`).
     pub const SERVE_COUNT: &str = "serve.count";
     /// Serving layer: response serialization + socket write.
     pub const SERVE_RESPOND: &str = "serve.respond";

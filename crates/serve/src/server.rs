@@ -2,10 +2,13 @@
 //!
 //! [`Server::start`] binds a listener, spawns acceptor threads, and
 //! serves each connection on its own thread (keep-alive, bounded by
-//! [`ServerConfig::max_connections`]). Requests route through the
-//! existing [`EvalEngine`]; every `/v1/*` request runs the four traced
-//! stages `serve.parse → serve.admit → serve.count → serve.respond`
-//! (see [`bagcq_obs::stages`]).
+//! [`ServerConfig::max_connections`]). One connection thread reads,
+//! parses, evaluates and answers each request: a memo miss is evaluated
+//! on that thread through [`EvalEngine::run`], which bounds concurrent
+//! evaluations at the engine's worker count. Every `/v1/*` request runs
+//! the four traced stages
+//! `serve.parse → serve.admit → serve.count → serve.respond` (see
+//! [`bagcq_obs::stages`]).
 //!
 //! ## Endpoints
 //!
@@ -46,10 +49,10 @@
 //! aggressive client retries/hedging.
 //!
 //! `POST /admin/drain` is the SIGTERM-equivalent shutdown: it drains the
-//! engine (every in-flight job resolves; queued work is shed as
-//! [`ShedReason::Draining`]), flips the server into a draining state
-//! where `/v1/*` answers 503, and requests process shutdown — the
-//! `bagcq serve` run loop then exits cleanly.
+//! engine (every in-flight job resolves; a job still waiting for an
+//! evaluation slot is shed as [`ShedReason::Draining`]), flips the
+//! server into a draining state where `/v1/*` answers 503, and requests
+//! process shutdown — the `bagcq serve` run loop then exits cleanly.
 
 use crate::chaos::{Conn, NetFaultInjector, NetFaultPlan};
 use crate::http::{
@@ -181,7 +184,7 @@ const RESPONSE_CACHE_CAP: usize = 4096;
 /// Bodies past this size are not worth memoizing.
 const RESPONSE_CACHE_MAX_BODY: usize = 64 * 1024;
 /// Idempotency-cache entry cap, cleared when full (a cleared entry only
-/// costs a retried request one extra engine hop — answers stay
+/// costs a retried request one extra evaluation — answers stay
 /// bit-identical through the response memo).
 const IDEM_CACHE_CAP: usize = 65_536;
 
@@ -771,28 +774,26 @@ fn serve_job(request: &HttpRequest, shared: &Shared, kind: JobKind) -> (u16, &'s
     }
     let parsed = parsed.expect("memo miss always parses");
 
-    // Stage 3: count (the engine hop; the permit covers the whole hop so
-    // max-in-flight really bounds concurrent engine work per tenant).
+    // Stage 3: count (evaluated on this thread; the permit covers the
+    // whole evaluation so max-in-flight really bounds concurrent engine
+    // work per tenant).
     let count_span = bagcq_obs::span(stages::SERVE_COUNT, "engine");
     let (outcome, responder) = match parsed {
         Parsed::Count(job) => {
             let bag_total = job.bag.total_multiplicity();
             let support_atoms = job.support.total_atoms() as u64;
             let backend = job.backend;
-            let handle = shared.engine.submit(
-                Job::count_with(backend, job.query, Arc::clone(&job.support))
-                    .with_timeout(shared.job_timeout),
-            );
-            (handle.wait(), Responder::Count { backend, bag_total, support_atoms })
+            let job = Job::count_with(backend, job.query, Arc::clone(&job.support))
+                .with_timeout(shared.job_timeout);
+            (shared.engine.run(job), Responder::Count { backend, bag_total, support_atoms })
         }
         Parsed::Check(job) => {
             // Echo what the verdict will have come from: the requested
             // semantics and the *resolved* backend (never `auto`).
             let semantics = job.spec.semantics;
             let containment = job.spec.resolved_choice();
-            let handle =
-                shared.engine.submit(Job::check(job.spec).with_timeout(shared.job_timeout));
-            (handle.wait(), Responder::Check { semantics, containment })
+            let job = Job::check(job.spec).with_timeout(shared.job_timeout);
+            (shared.engine.run(job), Responder::Check { semantics, containment })
         }
     };
     drop(count_span);

@@ -108,6 +108,28 @@ fn overload_sheds_are_typed_and_nothing_else_breaks() {
     server.shutdown();
 }
 
+/// Each frame that misses the response memo is one engine job and each
+/// admitted frame one tenant admission, so tenant `admitted` minus
+/// engine `jobs_submitted` counts the memo's hits.
+#[test]
+fn engine_jobs_count_memo_misses_and_admissions_count_frames() {
+    let server = Server::start(ServerConfig { tenants: vec![open_tenant()], ..Default::default() })
+        .expect("server starts");
+    let addr = server.local_addr().to_string();
+    let frame = |i: u64| format!("query: ?- e(X, Y).\ndata: e(a, b)@{}.\n", i + 1);
+    let (unique, repeats) = (4, 3);
+    for i in (0..unique).chain(std::iter::repeat(0).take(repeats as usize)) {
+        let (status, text) = post(&addr, "/v1/count", "dev-key", &frame(i));
+        assert_eq!(status, 200, "{text}");
+    }
+    let snap = server.metrics();
+    let tenant = snap.tenants.iter().find(|t| t.name == "default").expect("tenant counters");
+    assert_eq!(snap.jobs_submitted, unique, "one engine job per memo miss");
+    assert_eq!(snap.jobs_completed, unique);
+    assert_eq!(tenant.admitted, unique + repeats, "one admission per frame");
+    server.shutdown();
+}
+
 #[test]
 fn drain_refuses_new_work_with_typed_sheds() {
     let server = Server::start(ServerConfig { tenants: vec![open_tenant()], ..Default::default() })
