@@ -16,9 +16,10 @@ fn main() {
     println!("## E-PERF1 — naive vs tree-decomposition #Hom");
     println!();
     println!("The engines trade places with density: backtracking costs ~one step");
-    println!("per homomorphism, so it wins while counts are small and loses badly");
-    println!("once counts explode; the DP costs ~#bags·n^(w+1) regardless of the");
-    println!("count. Sparse databases below, then the dense crossover regime.");
+    println!("per homomorphism, so it wins while counts are tiny and loses once");
+    println!("they grow; the DP takes each bag's candidates from index buckets, so");
+    println!("it pays per bag sweep, not per homomorphism. Sparse databases below,");
+    println!("then denser ones.");
     for (n, density) in [(10u32, 0.15), (20, 0.15), (12, 0.5), (14, 0.45)] {
         let d = random_digraph(&schema, n, density, 42);
         println!();
@@ -59,10 +60,11 @@ fn main() {
         }
     }
     println!();
-    println!("Shape: naive wins on sparse data (counts are tiny, enumeration is");
-    println!("cheap, DP table setup dominates); treewidth wins on dense data where");
-    println!("counts grow to millions+ — enumeration pays per homomorphism, the DP");
-    println!("does not. This is the classic #Hom output-sensitivity trade-off.");
+    println!("Shape: naive wins only on the sparsest data (counts below ten, where");
+    println!("decomposing and compiling the bags is the DP's whole cost); once");
+    println!("counts reach the hundreds the DP wins on every family — enumeration");
+    println!("pays per homomorphism, the DP does not. This is the classic #Hom");
+    println!("output-sensitivity trade-off.");
 
     println!();
     println!("## E-KERNEL — widening accumulators across the overflow boundaries");

@@ -17,7 +17,7 @@ use bagcq_engine::{
     FaultInjector, FaultKind, FaultPlan, Job, Outcome, ShedReason, SupervisorConfig,
 };
 use bagcq_homcount::BackendChoice;
-use bagcq_query::{cycle_query, path_query, Query};
+use bagcq_query::{cycle_query, grid_query, path_query, Query};
 use bagcq_structure::{Schema, Structure, StructureGen};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -242,6 +242,39 @@ fn generous_memory_budget_is_transparent_and_released() {
     assert!(m.mem_high_water_bytes > 0, "the budget was never charged: {m}");
     assert_eq!(m.mem_used_bytes, 0, "scopes must release what they charged: {m}");
     assert_eq!(m.mem_denials, 0);
+}
+
+/// The treewidth DP charges its tables to the byte budget as they grow,
+/// so a count whose tables outgrow a small budget takes the fallback hop
+/// to the backtracker, which holds no tables, and still answers exactly.
+#[test]
+fn dp_tables_are_charged_and_outgrowing_the_budget_falls_back() {
+    let mut sb = Schema::builder();
+    sb.relation("E", 2);
+    let schema = sb.build();
+    let gen = StructureGen {
+        extra_vertices: 16,
+        density: 0.2,
+        max_tuples_per_relation: 256,
+        diagonal_density: 0.1,
+    };
+    let d = Arc::new(gen.sample(&schema, 7));
+    let q = grid_query(&schema, "E", 3, 3);
+    let want = bagcq_homcount::CountRequest::new(&q, &d).backend(BackendChoice::Naive).count();
+
+    let engine = EvalEngine::new(EngineConfig {
+        workers: 1,
+        memory_budget_bytes: 16 << 10,
+        supervisor: quick_supervisor(),
+        breaker: BreakerConfig::disabled(),
+        ..EngineConfig::default()
+    });
+    let out = engine.run(Job::count_with(BackendChoice::Treewidth, q, d));
+    assert_eq!(out.as_count(), Some(&want), "the fallback must answer exactly");
+    let m = engine.metrics();
+    assert_eq!(m.fallbacks_taken, 1, "the DP's tables must outgrow the budget: {m}");
+    assert!(m.mem_denials > 0, "denials must be accounted: {m}");
+    assert_eq!(m.mem_used_bytes, 0, "scopes must release what they charged: {m}");
 }
 
 /// Property 4, clean half: drain resolves everything, meets its

@@ -137,8 +137,10 @@ impl BackendChoice {
     ///
     /// `Auto` chooses naive vs. treewidth by comparing, per connected
     /// component, a cheap count upper bound (the product of the matched relations' sizes, capped by
-    /// `n^{vars}` — which bounds the backtracking work) against the DP
-    /// cost `#bags · n^{w+1}` of the min-fill decomposition. The
+    /// `n^{vars}` — which bounds the backtracking work) against
+    /// `#bags · n^{w+1}` for the min-fill decomposition. That is `Auto`'s
+    /// estimate of the DP, not its cost: the DP takes most candidates from
+    /// index buckets and scans the domain only where no atom reaches. The
     /// `BAGCQ_BACKEND` environment variable overrides the outcome.
     pub fn resolve(self, q: &Query, d: &Structure) -> BackendChoice {
         if self != BackendChoice::Auto {
@@ -382,7 +384,7 @@ mod tests {
 
     #[test]
     fn auto_prefers_treewidth_on_long_low_width_queries() {
-        // A long path has width 1: the DP cost #bags·n² beats the
+        // A long path has width 1: Auto's DP estimate #bags·n² beats the
         // relation-product upper bound once the path is long and the
         // structure dense.
         let (s, d) = complete(8);

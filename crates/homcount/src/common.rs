@@ -72,35 +72,68 @@ pub(crate) fn free_var_factor(n: u64, k: u64, ctl: &EvalControl) -> Result<Nat, 
 }
 
 /// Inverted index over one relation of a structure: for a fixed argument
-/// position, maps a vertex to the tuple indexes having that vertex there.
+/// position, maps a vertex to the tuple indexes having that vertex there,
+/// ascending. Stored flat: vertex `v`'s ids are `ids[starts[v]..starts[v + 1]]`.
 pub(crate) struct PositionIndex {
-    by_value: HashMap<u32, Vec<u32>>,
+    starts: Vec<u32>,
+    ids: Vec<u32>,
 }
 
 impl PositionIndex {
     pub(crate) fn build(d: &Structure, rel: RelId, pos: usize) -> Self {
-        let mut by_value: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (i, t) in d.tuples(rel).enumerate() {
-            by_value.entry(t[pos]).or_default().push(i as u32);
+        let n = d.vertex_count() as usize;
+        let mut starts = vec![0u32; n + 1];
+        for t in d.tuples(rel) {
+            starts[t[pos] as usize + 1] += 1;
         }
-        PositionIndex { by_value }
+        for v in 0..n {
+            starts[v + 1] += starts[v];
+        }
+        let mut next = starts.clone();
+        let mut ids = vec![0u32; d.atom_count(rel)];
+        for (i, t) in d.tuples(rel).enumerate() {
+            let slot = &mut next[t[pos] as usize];
+            ids[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        PositionIndex { starts, ids }
     }
 
     pub(crate) fn get(&self, v: u32) -> &[u32] {
-        self.by_value.get(&v).map_or(&[], Vec::as_slice)
+        match self.starts.get(v as usize..v as usize + 2) {
+            Some(&[from, to]) => &self.ids[from as usize..to as usize],
+            _ => &[],
+        }
     }
 }
 
 /// Index cache: `(relation, position) → PositionIndex`, built lazily while
-/// a single count runs.
+/// a single count runs. Each index also has a dense id, so a compiled plan
+/// can hold on to it while the cache is borrowed immutably.
 #[derive(Default)]
 pub(crate) struct IndexCache {
-    indexes: HashMap<(u32, u32), PositionIndex>,
+    ids: HashMap<(u32, u32), usize>,
+    indexes: Vec<PositionIndex>,
 }
 
 impl IndexCache {
     pub(crate) fn get(&mut self, d: &Structure, rel: RelId, pos: usize) -> &PositionIndex {
-        self.indexes.entry((rel.0, pos as u32)).or_insert_with(|| PositionIndex::build(d, rel, pos))
+        let id = self.id(d, rel, pos);
+        &self.indexes[id]
+    }
+
+    /// The dense id of the `(rel, pos)` index, building it on first use.
+    pub(crate) fn id(&mut self, d: &Structure, rel: RelId, pos: usize) -> usize {
+        let indexes = &mut self.indexes;
+        *self.ids.entry((rel.0, pos as u32)).or_insert_with(|| {
+            indexes.push(PositionIndex::build(d, rel, pos));
+            indexes.len() - 1
+        })
+    }
+
+    /// The index with dense id `id`.
+    pub(crate) fn by_id(&self, id: usize) -> &PositionIndex {
+        &self.indexes[id]
     }
 }
 

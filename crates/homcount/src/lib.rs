@@ -11,8 +11,11 @@
 //!   factorization (the reference / baseline engine);
 //! * [`TreewidthCounter`] — the textbook `#Hom` dynamic program over a
 //!   min-fill tree decomposition of the query's primal graph
-//!   ([`TreeDecomposition`]), exponential in width instead of variable
-//!   count.
+//!   ([`TreeDecomposition`]). Each bag is compiled once per count; a bag
+//!   variable takes its candidates from the index bucket of an atom that
+//!   closes on it, and only variables no closing atom reaches scan the
+//!   domain. Its cost is `#bags` times the candidates the buckets yield,
+//!   exponential in width instead of variable count.
 //!
 //! Both accumulate in widening `u64 → u128 → Nat` words
 //! ([`bagcq_arith::Acc`]): machine-word speed while counts fit, checked

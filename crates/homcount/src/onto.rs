@@ -65,9 +65,11 @@ pub fn verify_onto_hom(big: &Query, small: &Query, h: &OntoHom) -> bool {
             Term::Const(c) => target.constant_vertex(*c).0,
         }
     };
+    let mut args: Vec<u32> = Vec::new();
     for a in big.atoms() {
-        let args: Vec<_> = a.args.iter().map(|t| bagcq_structure::Vertex(resolve(t))).collect();
-        if !target.contains_atom(a.rel, &args) {
+        args.clear();
+        args.extend(a.args.iter().map(resolve));
+        if !target.contains_tuple(a.rel, &args) {
             return false;
         }
     }

@@ -4,8 +4,10 @@
 //! decompose the query's primal graph (variables are nodes; variables
 //! co-occurring in an atom or inequality are adjacent), then run dynamic
 //! programming over the bags. This module builds decompositions from
-//! elimination orders produced by the **min-fill** heuristic and validates
-//! the three tree-decomposition properties (used by property tests).
+//! elimination orders produced by the **min-fill** heuristic, over bit-row
+//! adjacency so an elimination step allocates nothing but its bag, and
+//! validates the three tree-decomposition properties (used by property
+//! tests).
 
 use std::collections::HashSet;
 
@@ -83,72 +85,135 @@ impl TreeDecomposition {
     }
 }
 
+/// Symmetric adjacency over `0..n`: one bit row of `⌈n/64⌉` words per
+/// vertex, so min-fill scores and fills a neighbourhood with word
+/// operations instead of hash-set probes.
+pub(crate) struct BitGraph {
+    n: usize,
+    words: usize,
+    rows: Vec<u64>,
+}
+
+impl BitGraph {
+    /// The edgeless graph on `0..n`.
+    pub(crate) fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        BitGraph { n, words, rows: vec![0; n * words] }
+    }
+
+    /// Adds the edge `a — b` (self-loops are ignored).
+    pub(crate) fn connect(&mut self, a: u32, b: u32) {
+        if a != b {
+            self.rows[a as usize * self.words + b as usize / 64] |= 1 << (b % 64);
+            self.rows[b as usize * self.words + a as usize / 64] |= 1 << (a % 64);
+        }
+    }
+
+    fn row(&self, v: usize) -> &[u64] {
+        &self.rows[v * self.words..(v + 1) * self.words]
+    }
+}
+
+/// Calls `f` with each set bit of `set`, ascending.
+fn for_each_bit(set: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in set.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+}
+
 /// Builds a tree decomposition of the graph on `0..n` with the given
 /// adjacency sets, using min-fill elimination. Isolated vertices get
 /// singleton bags.
 pub fn decompose_min_fill(n: u32, adj: &[HashSet<u32>]) -> TreeDecomposition {
     assert_eq!(adj.len(), n as usize);
-    let mut work: Vec<HashSet<u32>> = adj.to_vec();
-    let mut eliminated = vec![false; n as usize];
-    let mut order: Vec<u32> = Vec::with_capacity(n as usize);
+    let mut graph = BitGraph::new(n as usize);
+    for (v, nbrs) in adj.iter().enumerate() {
+        for &u in nbrs {
+            graph.connect(v as u32, u);
+        }
+    }
+    min_fill(graph)
+}
+
+/// Min-fill elimination over a [`BitGraph`]: repeatedly eliminates the
+/// lowest-numbered vertex whose live neighbourhood needs the fewest fill
+/// edges, and turns each elimination into a bag.
+pub(crate) fn min_fill(mut graph: BitGraph) -> TreeDecomposition {
+    let (n, words) = (graph.n, graph.words);
+    let mut alive = vec![0u64; words];
+    for v in 0..n {
+        alive[v / 64] |= 1 << (v % 64);
+    }
+    let mut nbrs = vec![0u64; words];
+    let live_neighbours = |graph: &BitGraph, v: usize, alive: &[u64], nbrs: &mut [u64]| {
+        for ((slot, &row), &live) in nbrs.iter_mut().zip(graph.row(v)).zip(alive) {
+            *slot = row & live;
+        }
+    };
+    let mut order: Vec<u32> = Vec::with_capacity(n);
     // Bag contents decided at elimination time: v plus its not-yet-
     // eliminated neighbors in the (filled) working graph.
-    let mut bag_of: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+    let mut bag_of: Vec<Vec<u32>> = vec![Vec::new(); n];
 
     for _ in 0..n {
         // Min-fill: vertex whose neighborhood needs fewest fill edges.
-        let mut best: Option<(u32, usize)> = None;
+        // Each missing edge {u, w} is seen from both ends, and `u` itself
+        // is never in its own row.
+        let mut best: Option<(usize, u32)> = None;
         for v in 0..n {
-            if eliminated[v as usize] {
+            if alive[v / 64] & (1 << (v % 64)) == 0 {
                 continue;
             }
-            let nbrs: Vec<u32> =
-                work[v as usize].iter().copied().filter(|&u| !eliminated[u as usize]).collect();
-            let mut fill = 0usize;
-            for i in 0..nbrs.len() {
-                for j in (i + 1)..nbrs.len() {
-                    if !work[nbrs[i] as usize].contains(&nbrs[j]) {
-                        fill += 1;
-                    }
-                }
-            }
+            live_neighbours(&graph, v, &alive, &mut nbrs);
+            let mut missing = 0u32;
+            for_each_bit(&nbrs, |u| {
+                let row = graph.row(u);
+                missing += nbrs.iter().zip(row).map(|(&a, &r)| (a & !r).count_ones()).sum::<u32>();
+                missing -= 1;
+            });
+            let fill = missing / 2;
             if best.is_none_or(|(_, bf)| fill < bf) {
                 best = Some((v, fill));
             }
         }
         let (v, _) = best.expect("some vertex remains");
-        let nbrs: Vec<u32> =
-            work[v as usize].iter().copied().filter(|&u| !eliminated[u as usize]).collect();
+        live_neighbours(&graph, v, &alive, &mut nbrs);
         // Fill in the neighborhood.
-        for i in 0..nbrs.len() {
-            for j in (i + 1)..nbrs.len() {
-                work[nbrs[i] as usize].insert(nbrs[j]);
-                work[nbrs[j] as usize].insert(nbrs[i]);
+        let mut bag =
+            Vec::with_capacity(nbrs.iter().map(|w| w.count_ones() as usize).sum::<usize>() + 1);
+        for_each_bit(&nbrs, |u| {
+            for (slot, &add) in graph.rows[u * words..(u + 1) * words].iter_mut().zip(&nbrs) {
+                *slot |= add;
             }
-        }
-        let mut bag = nbrs;
-        bag.push(v);
-        bag.sort_unstable();
-        bag_of[v as usize] = bag;
-        eliminated[v as usize] = true;
-        order.push(v);
+            graph.rows[u * words + u / 64] &= !(1 << (u % 64));
+            bag.push(u as u32);
+        });
+        let at = bag.partition_point(|&u| u < v as u32);
+        bag.insert(at, v as u32);
+        bag_of[v] = bag;
+        alive[v / 64] &= !(1 << (v % 64));
+        order.push(v as u32);
     }
 
     // Build the tree: bag(v) attaches to bag(u) where u is the earliest-
     // eliminated vertex of bag(v)\{v}; if none, it becomes a root; multiple
     // roots are joined under a synthetic empty root to keep one tree.
     let pos: Vec<usize> = {
-        let mut p = vec![0usize; n as usize];
+        let mut p = vec![0usize; n];
         for (i, &v) in order.iter().enumerate() {
             p[v as usize] = i;
         }
         p
     };
-    let mut bags: Vec<Vec<u32>> = order.iter().map(|&v| bag_of[v as usize].clone()).collect();
+    let mut bags: Vec<Vec<u32>> =
+        order.iter().map(|&v| std::mem::take(&mut bag_of[v as usize])).collect();
     let mut parent: Vec<Option<usize>> = vec![None; bags.len()];
     for (i, &v) in order.iter().enumerate() {
-        let next =
-            bag_of[v as usize].iter().copied().filter(|&u| u != v).min_by_key(|&u| pos[u as usize]);
+        let next = bags[i].iter().copied().filter(|&u| u != v).min_by_key(|&u| pos[u as usize]);
         if let Some(u) = next {
             parent[i] = Some(pos[u as usize]);
         }

@@ -1,21 +1,34 @@
 //! The optimized counting engine: `#Hom` by dynamic programming over a
 //! tree decomposition of the query's primal graph.
 //!
-//! For a query of treewidth `w` over a structure with `n` vertices, the DP
-//! runs in roughly `O(#bags · n^{w+1})` — exponential in the *width*, not
-//! in the number of variables, which is what separates it from
-//! [`crate::NaiveCounter`] on low-width query families (paths, cycles,
-//! stars, grids; experiment E-PERF1).
+//! Each connected component is decomposed by min-fill, and each bag is
+//! compiled once per count into a `BagPlan`: an enumeration order for
+//! its variables (connectivity first) and, per position, the atoms,
+//! inequalities and child tables that become fully bound there, resolved
+//! to bag slots and constant vertices. A position with a closing atom that
+//! holds the new variable exactly once takes its candidates from that
+//! atom's index bucket on a bound position, keeping only the tuples that
+//! agree with every bound position — so each vertex comes out at most
+//! once. Only positions no closing atom reaches scan the whole domain.
+//!
+//! A bag's table maps the assignment of the variables it shares with its
+//! parent, packed base `n` into one `u128`, to the number of extensions
+//! below. A child's table is dropped once its parent is built, and the
+//! memory gauge is charged for the peak of the live tables. The work is
+//! `#bags` times the candidates the buckets yield, with an `n^k` scan only
+//! for the `k` variables of a bag that no closing atom reaches. That is
+//! exponential in the *width*, not in the number of variables, which is
+//! what separates the DP from [`crate::NaiveCounter`] on low-width query
+//! families (paths, cycles, stars, grids; experiment E-PERF1).
 
-use crate::cancel::{Cancelled, EvalControl, Ticker};
-use crate::common::{
-    components, free_var_factor, ground_facts_hold, inequality_ok, resolve, UNASSIGNED,
-};
-use crate::treedec::{decompose_min_fill, TreeDecomposition};
+use crate::cancel::{CancelReason, Cancelled, EvalControl, Ticker};
+use crate::common::{components, free_var_factor, ground_facts_hold, IndexCache, UNASSIGNED};
+use crate::treedec::{min_fill, BitGraph, TreeDecomposition};
 use bagcq_arith::{Accumulator, Nat};
 use bagcq_query::{Query, Term};
-use bagcq_structure::Structure;
-use std::collections::{HashMap, HashSet};
+use bagcq_structure::{RelId, Structure};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// Tree-decomposition dynamic-programming counting engine.
 #[derive(Default, Clone, Copy, Debug)]
@@ -50,9 +63,13 @@ pub(crate) fn try_count_generic<A: Accumulator>(
     }
     let comps = components(q);
     let mut ticker = ctl.ticker();
+    let mut access = Access::default();
+    let mut gauge = TableGauge::default();
     let mut total = A::one();
     for (atom_idx, ineq_idx, vars) in &comps.comps {
-        let c = count_component::<A>(q, d, atom_idx, ineq_idx, vars, &mut ticker)?;
+        let (td, local) = decompose_component(q, atom_idx, ineq_idx, vars);
+        let component = Component { q, d, atom_idx, ineq_idx, td: &td, local: &local };
+        let c = component.count::<A>(&mut access, &mut gauge, ctl, &mut ticker)?;
         if c.is_zero() {
             return Ok(Nat::zero());
         }
@@ -69,197 +86,484 @@ pub(crate) fn try_count_generic<A: Accumulator>(
     Ok(total.into_nat())
 }
 
+/// The local variables (indexes into the component's variable list) of a
+/// term list.
+fn local_vars<'a>(terms: impl IntoIterator<Item = &'a Term>, local: &'a [u32]) -> Vec<u32> {
+    terms
+        .into_iter()
+        .filter_map(|t| match t {
+            Term::Var(v) => Some(local[v.0 as usize]),
+            Term::Const(_) => None,
+        })
+        .collect()
+}
+
 /// Builds the local primal graph and its decomposition for one component.
 /// Returns the TD (over *local* variable indexes) and the local index of
-/// each global variable.
+/// each global variable (`UNASSIGNED` outside the component).
 pub(crate) fn decompose_component(
     q: &Query,
     atom_idx: &[usize],
     ineq_idx: &[usize],
     vars: &[u32],
-) -> (TreeDecomposition, HashMap<u32, u32>) {
+) -> (TreeDecomposition, Vec<u32>) {
     let _span = bagcq_obs::span("homcount.treedec", "min-fill");
-    let local: HashMap<u32, u32> = vars.iter().enumerate().map(|(i, &v)| (v, i as u32)).collect();
-    let n = vars.len() as u32;
-    let mut adj: Vec<HashSet<u32>> = vec![HashSet::new(); n as usize];
-    let connect_all = |vs: &[u32], adj: &mut Vec<HashSet<u32>>| {
-        for i in 0..vs.len() {
-            for j in (i + 1)..vs.len() {
-                if vs[i] != vs[j] {
-                    adj[vs[i] as usize].insert(vs[j]);
-                    adj[vs[j] as usize].insert(vs[i]);
-                }
+    let mut local = vec![UNASSIGNED; q.var_count() as usize];
+    for (i, &v) in vars.iter().enumerate() {
+        local[v as usize] = i as u32;
+    }
+    let mut graph = BitGraph::new(vars.len());
+    let mut connect_all = |vs: &[u32]| {
+        for (i, &a) in vs.iter().enumerate() {
+            for &b in &vs[i + 1..] {
+                graph.connect(a, b);
             }
         }
     };
     for &ai in atom_idx {
-        let vs: Vec<u32> = q.atoms()[ai]
-            .args
-            .iter()
-            .filter_map(|t| match t {
-                Term::Var(v) => Some(local[&v.0]),
-                Term::Const(_) => None,
-            })
-            .collect();
-        connect_all(&vs, &mut adj);
+        connect_all(&local_vars(&q.atoms()[ai].args, &local));
     }
     for &ii in ineq_idx {
         let ineq = &q.inequalities()[ii];
-        let mut vs = Vec::new();
-        if let Term::Var(v) = ineq.lhs {
-            vs.push(local[&v.0]);
-        }
-        if let Term::Var(v) = ineq.rhs {
-            vs.push(local[&v.0]);
-        }
-        connect_all(&vs, &mut adj);
+        connect_all(&local_vars([&ineq.lhs, &ineq.rhs], &local));
     }
-    (decompose_min_fill(n, &adj), local)
+    (min_fill(graph), local)
 }
 
-fn count_component<A: Accumulator>(
-    q: &Query,
-    d: &Structure,
-    atom_idx: &[usize],
-    ineq_idx: &[usize],
-    vars: &[u32],
-    ticker: &mut Ticker<'_>,
-) -> Result<A, Cancelled> {
-    let _span = bagcq_obs::span("homcount.bagsweep", "dp");
-    let (td, local) = decompose_component(q, atom_idx, ineq_idx, vars);
-    let global: Vec<u32> = vars.to_vec(); // local index -> global var id
+/// Access paths shared by every component of one count: the position
+/// indexes the candidate buckets come from and, per relation id, the
+/// relation's tuples by id (filled for the relations that source
+/// candidates).
+#[derive(Default)]
+struct Access<'d> {
+    indexes: IndexCache,
+    rows: Vec<Vec<&'d [u32]>>,
+}
 
-    // Assign constraints to bags: every bag checks all constraints whose
-    // variables are fully inside it (checking is idempotent — constraints
-    // are filters, so multiple checks are harmless and coverage is
-    // guaranteed by the clique-containment property of tree
-    // decompositions).
-    let bag_has = |bag: &[u32], lv: u32| bag.binary_search(&lv).is_ok();
-    let atom_vars: Vec<Vec<u32>> = atom_idx
-        .iter()
-        .map(|&ai| {
-            q.atoms()[ai]
-                .args
-                .iter()
-                .filter_map(|t| match t {
-                    Term::Var(v) => Some(local[&v.0]),
-                    Term::Const(_) => None,
-                })
-                .collect()
-        })
-        .collect();
-    let ineq_vars: Vec<Vec<u32>> = ineq_idx
-        .iter()
-        .map(|&ii| {
-            let ineq = &q.inequalities()[ii];
-            let mut vs = Vec::new();
-            if let Term::Var(v) = ineq.lhs {
-                vs.push(local[&v.0]);
-            }
-            if let Term::Var(v) = ineq.rhs {
-                vs.push(local[&v.0]);
-            }
-            vs
-        })
-        .collect();
+/// One connected component of the query, with the structure it is
+/// counted over and the component's decomposition.
+struct Component<'a, 't> {
+    q: &'a Query,
+    d: &'a Structure,
+    atom_idx: &'a [usize],
+    ineq_idx: &'a [usize],
+    td: &'t TreeDecomposition,
+    /// The local index of each global variable.
+    local: &'t [u32],
+}
 
-    let bag_atoms: Vec<Vec<usize>> = td
-        .bags
-        .iter()
-        .map(|bag| {
-            (0..atom_idx.len())
-                .filter(|&k| atom_vars[k].iter().all(|&lv| bag_has(bag, lv)))
-                .collect()
-        })
-        .collect();
-    let bag_ineqs: Vec<Vec<usize>> = td
-        .bags
-        .iter()
-        .map(|bag| {
-            (0..ineq_idx.len())
-                .filter(|&k| ineq_vars[k].iter().all(|&lv| bag_has(bag, lv)))
-                .collect()
-        })
-        .collect();
+/// An argument of a compiled constraint: a bag slot (a position in the
+/// bag's enumeration order) or a fixed vertex.
+#[derive(Clone, Copy)]
+enum Arg {
+    Slot(usize),
+    Vertex(u32),
+}
 
-    // Sanity (debug builds): every constraint covered by some bag.
-    debug_assert!(
-        (0..atom_idx.len()).all(|k| (0..td.bags.len()).any(|b| bag_atoms[b].contains(&k)))
-    );
-    debug_assert!(
-        (0..ineq_idx.len()).all(|k| (0..td.bags.len()).any(|b| bag_ineqs[b].contains(&k)))
-    );
+/// An atom that becomes fully bound at a position, resolved to slots.
+struct Closing {
+    rel: RelId,
+    args: Vec<Arg>,
+}
 
-    // Bottom-up DP in post-order.
-    let order = postorder(&td);
-    // table[bag]: assignment of bag variables (in bag order) -> count of
-    // extensions over the subtree below.
-    let mut tables: Vec<Option<HashMap<Vec<u32>, A>>> = vec![None; td.bags.len()];
+/// A candidate source for a position: closing atom `atom` holds the new
+/// variable exactly once, at argument `new_pos`, and the index with id
+/// `index` on its bound argument `probe` yields the candidate tuples.
+struct Source {
+    atom: usize,
+    new_pos: usize,
+    probe: usize,
+    index: usize,
+}
 
-    for &b in &order {
-        let bag = &td.bags[b];
-        // Child aggregates keyed by the separator assignment.
-        type ChildAgg<A> = (Vec<u32>, HashMap<Vec<u32>, A>);
-        let child_aggs: Vec<ChildAgg<A>> = td.children[b]
+/// A child table that becomes fully keyed at a position: `slots` hold the
+/// separator's variables in the child's key order.
+struct ChildLookup {
+    bag: usize,
+    slots: Vec<usize>,
+}
+
+/// What binding one bag variable checks, and where its candidates come
+/// from (the smallest bucket among `sources`, else the whole domain).
+#[derive(Default)]
+struct Step {
+    atoms: Vec<Closing>,
+    sources: Vec<Source>,
+    ineqs: Vec<(Arg, Arg)>,
+    children: Vec<ChildLookup>,
+}
+
+/// One bag compiled for the sweep: a step per variable, in enumeration
+/// order, and the slots of the variables its table is keyed by (those it
+/// shares with its parent, ascending by local id).
+struct BagPlan {
+    steps: Vec<Step>,
+    key: Vec<usize>,
+}
+
+/// Table growth is charged to the memory gauge this many entries at a
+/// time (and the remainder when a bag is finished).
+const CHARGE_CHUNK: u64 = 1024;
+
+/// The DP's table entries over one count: how many are live, and the most
+/// ever charged to the memory gauge. Only growth past that high-water mark
+/// is charged, so the gauge holds the tables' peak, not their sum.
+#[derive(Default)]
+struct TableGauge {
+    live: u64,
+    charged: u64,
+}
+
+impl TableGauge {
+    /// Records a new entry; charges once a chunk has grown past the mark.
+    fn grow<A>(&mut self, ctl: &EvalControl) -> Result<(), Cancelled> {
+        self.live += 1;
+        if self.live >= self.charged + CHARGE_CHUNK {
+            self.settle::<A>(ctl)?;
+        }
+        Ok(())
+    }
+
+    /// Charges the growth past the high-water mark not yet charged.
+    fn settle<A>(&mut self, ctl: &EvalControl) -> Result<(), Cancelled> {
+        if self.live > self.charged {
+            let entry_bytes = std::mem::size_of::<(u128, A)>() as u64 + 1;
+            ctl.charge((self.live - self.charged) * entry_bytes)?;
+            self.charged = self.live;
+        }
+        Ok(())
+    }
+
+    /// Records that a table of `entries` entries was dropped.
+    fn release(&mut self, entries: usize) {
+        self.live -= entries as u64;
+    }
+}
+
+/// The constraints (indexes into `vars`) whose variables all lie in `bag`.
+fn within(bag: &[u32], vars: &[Vec<u32>]) -> Vec<usize> {
+    (0..vars.len()).filter(|&k| vars[k].iter().all(|lv| bag.binary_search(lv).is_ok())).collect()
+}
+
+impl<'a> Component<'a, '_> {
+    /// `#Hom` of this component: compiles every bag, then sweeps them
+    /// bottom-up, each into a table keyed by its parent separator.
+    fn count<A: Accumulator>(
+        &self,
+        access: &mut Access<'a>,
+        gauge: &mut TableGauge,
+        ctl: &EvalControl,
+        ticker: &mut Ticker<'_>,
+    ) -> Result<A, Cancelled> {
+        let _span = bagcq_obs::span("homcount.bagsweep", "dp");
+        let (td, local) = (self.td, self.local);
+        let atom_vars: Vec<Vec<u32>> =
+            self.atom_idx.iter().map(|&ai| local_vars(&self.q.atoms()[ai].args, local)).collect();
+        let ineq_vars: Vec<Vec<u32>> = self
+            .ineq_idx
             .iter()
-            .map(|&c| {
-                let sep: Vec<u32> =
-                    td.bags[c].iter().copied().filter(|&lv| bag_has(bag, lv)).collect();
-                let mut agg: HashMap<Vec<u32>, A> = HashMap::new();
-                let child_bag = &td.bags[c];
-                let sep_pos: Vec<usize> =
-                    sep.iter().map(|lv| child_bag.binary_search(lv).unwrap()).collect();
-                for (a, cnt) in tables[c].take().expect("child computed") {
-                    let key: Vec<u32> = sep_pos.iter().map(|&i| a[i]).collect();
-                    agg.entry(key).and_modify(|acc| acc.add_assign_acc(&cnt)).or_insert(cnt);
-                }
-                (sep, agg)
+            .map(|&ii| {
+                let ineq = &self.q.inequalities()[ii];
+                local_vars([&ineq.lhs, &ineq.rhs], local)
             })
             .collect();
+        // Sanity (debug builds): every constraint is checked in some bag.
+        debug_assert!([&atom_vars, &ineq_vars].iter().all(|vars| {
+            (0..vars.len()).all(|k| td.bags.iter().any(|bag| within(bag, vars).contains(&k)))
+        }));
+        let order = postorder(td);
+        let plans = order
+            .iter()
+            .map(|&b| self.compile(b, &atom_vars, &ineq_vars, access))
+            .collect::<Result<Vec<BagPlan>, _>>()?;
 
-        // Enumerate satisfying assignments of the bag.
-        let mut table: HashMap<Vec<u32>, A> = HashMap::new();
-        let mut assign_global: Vec<u32> = vec![UNASSIGNED; q.var_count() as usize];
-        let mut current: Vec<u32> = vec![0; bag.len()];
-        enumerate_bag(
-            q,
-            d,
-            bag,
-            &global,
-            0,
-            &bag_atoms[b],
-            &bag_ineqs[b],
-            atom_idx,
-            ineq_idx,
-            &mut assign_global,
-            &mut current,
-            ticker,
-            &mut |bag_assign: &[u32]| {
-                // Multiply in child aggregates.
-                let mut weight = A::one();
-                for (sep, agg) in &child_aggs {
-                    let key: Vec<u32> =
-                        sep.iter().map(|lv| bag_assign[bag.binary_search(lv).unwrap()]).collect();
-                    match agg.get(&key) {
-                        Some(w) => weight.mul_assign_acc(w),
-                        None => return, // no extension below
-                    }
+        let mut tables: Vec<HashMap<u128, A>> =
+            (0..td.bags.len()).map(|_| HashMap::new()).collect();
+        for (&b, plan) in order.iter().zip(&plans) {
+            let mut sweep = Sweep {
+                d: self.d,
+                n: self.d.vertex_count(),
+                plan,
+                indexes: &access.indexes,
+                rows: &access.rows,
+                tables: &tables,
+                vals: vec![0; plan.steps.len()],
+                weights: vec![A::one(); plan.steps.len() + 1],
+                buf: Vec::new(),
+                ticker: &mut *ticker,
+                ctl,
+                gauge: &mut *gauge,
+                out: HashMap::new(),
+                unkeyed: A::zero(),
+            };
+            sweep.step(0)?;
+            let out = sweep.finish()?;
+            for &c in &td.children[b] {
+                gauge.release(std::mem::take(&mut tables[c]).len());
+            }
+            tables[b] = out;
+        }
+        let root = std::mem::take(&mut tables[td.root]);
+        gauge.release(root.len());
+        let mut total = A::zero();
+        for w in root.values() {
+            total.add_assign_acc(w);
+        }
+        Ok(total)
+    }
+
+    /// Compiles bag `b`: orders its variables, assigns every constraint
+    /// and child table to the position where it becomes fully bound, and
+    /// lists the candidate sources. Fails with `MemoryBudgetExceeded` when
+    /// the bag's table key cannot be packed into a `u128`.
+    fn compile(
+        &self,
+        b: usize,
+        atom_vars: &[Vec<u32>],
+        ineq_vars: &[Vec<u32>],
+        access: &mut Access<'a>,
+    ) -> Result<BagPlan, Cancelled> {
+        let (q, d, td, local) = (self.q, self.d, self.td, self.local);
+        let bag = &td.bags[b];
+        let in_bag = |lv: &u32| bag.binary_search(lv).is_ok();
+        let (atoms, ineqs) = (within(bag, atom_vars), within(bag, ineq_vars));
+        let seps: Vec<Vec<u32>> = td.children[b]
+            .iter()
+            .map(|&c| td.bags[c].iter().copied().filter(in_bag).collect())
+            .collect();
+        let key_vars: Vec<u32> = match td.parent[b] {
+            Some(p) => {
+                bag.iter().copied().filter(|lv| td.bags[p].binary_search(lv).is_ok()).collect()
+            }
+            None => Vec::new(),
+        };
+        if u128::from(d.vertex_count()).checked_pow(key_vars.len() as u32).is_none() {
+            return Err(Cancelled(CancelReason::MemoryBudgetExceeded));
+        }
+
+        // Enumeration order: repeatedly take a variable that a closing atom
+        // can hand candidates to, then the one the most constraints close
+        // on; ties go to the lowest local id.
+        let mut order: Vec<u32> = Vec::with_capacity(bag.len());
+        let closes = |order: &[u32], vs: &[u32], v: u32| {
+            vs.contains(&v) && vs.iter().all(|lv| *lv == v || order.contains(lv))
+        };
+        let sources_on = |order: &[u32], k: usize, v: u32| {
+            q.atoms()[self.atom_idx[k]].args.len() > 1
+                && closes(order, &atom_vars[k], v)
+                && atom_vars[k].iter().filter(|&&lv| lv == v).count() == 1
+        };
+        while order.len() < bag.len() {
+            let mut best: Option<(u32, (bool, usize))> = None;
+            for &v in bag.iter().filter(|v| !order.contains(v)) {
+                let source = atoms.iter().any(|&k| sources_on(&order, k, v));
+                let closing = atoms
+                    .iter()
+                    .map(|&k| &atom_vars[k])
+                    .chain(ineqs.iter().map(|&k| &ineq_vars[k]))
+                    .chain(&seps)
+                    .filter(|vs| closes(&order, vs, v))
+                    .count();
+                if best.is_none_or(|(_, score)| (source, closing) > score) {
+                    best = Some((v, (source, closing)));
                 }
-                table
-                    .entry(bag_assign.to_vec())
-                    .and_modify(|acc| acc.add_assign_acc(&weight))
-                    .or_insert(weight);
-            },
-        )?;
-        tables[b] = Some(table);
+            }
+            order.push(best.expect("an unplaced bag variable").0);
+        }
+
+        let slot = |lv: u32| order.iter().position(|&v| v == lv).expect("a bag variable");
+        let closing_step = |vs: &[u32]| vs.iter().map(|&lv| slot(lv)).max();
+        let arg = |t: &Term| match t {
+            Term::Var(v) => Arg::Slot(slot(local[v.0 as usize])),
+            Term::Const(c) => Arg::Vertex(d.constant_vertex(*c).0),
+        };
+        let mut steps: Vec<Step> = order.iter().map(|_| Step::default()).collect();
+        for &k in &atoms {
+            let i = closing_step(&atom_vars[k]).expect("component atoms have variables");
+            let atom = &q.atoms()[self.atom_idx[k]];
+            let step = &mut steps[i];
+            if sources_on(&order[..i], k, order[i]) {
+                let new_pos =
+                    atom.args.iter().position(|t| matches!(arg(t), Arg::Slot(s) if s == i));
+                let new_pos = new_pos.expect("the source atom holds the new variable");
+                for probe in (0..atom.args.len()).filter(|&p| p != new_pos) {
+                    let index = access.indexes.id(d, atom.rel, probe);
+                    step.sources.push(Source { atom: step.atoms.len(), new_pos, probe, index });
+                }
+                let r = atom.rel.0 as usize;
+                if access.rows.len() <= r {
+                    access.rows.resize_with(r + 1, Vec::new);
+                }
+                if access.rows[r].is_empty() {
+                    access.rows[r] = d.tuples(atom.rel).collect();
+                }
+            }
+            step.atoms.push(Closing { rel: atom.rel, args: atom.args.iter().map(arg).collect() });
+        }
+        for &k in &ineqs {
+            let i = closing_step(&ineq_vars[k]).expect("component inequalities have variables");
+            let ineq = &q.inequalities()[self.ineq_idx[k]];
+            steps[i].ineqs.push((arg(&ineq.lhs), arg(&ineq.rhs)));
+        }
+        for (&c, sep) in td.children[b].iter().zip(&seps) {
+            let i = closing_step(sep).expect("a connected component's separators are nonempty");
+            steps[i]
+                .children
+                .push(ChildLookup { bag: c, slots: sep.iter().map(|&lv| slot(lv)).collect() });
+        }
+        let key = key_vars.iter().map(|&lv| slot(lv)).collect();
+        Ok(BagPlan { steps, key })
+    }
+}
+
+/// The enumeration of one bag: binds its variables step by step and adds
+/// each satisfying assignment's weight (the product of its child-table
+/// entries) to the bag's table.
+struct Sweep<'s, 't, A> {
+    d: &'s Structure,
+    n: u32,
+    plan: &'s BagPlan,
+    indexes: &'s IndexCache,
+    rows: &'s [Vec<&'s [u32]>],
+    tables: &'s [HashMap<u128, A>],
+    /// The vertex bound to each slot so far.
+    vals: Vec<u32>,
+    /// `weights[i]`: the product of the child entries closed before step `i`.
+    weights: Vec<A>,
+    /// Reused tuple buffer for membership tests.
+    buf: Vec<u32>,
+    ticker: &'s mut Ticker<'t>,
+    ctl: &'s EvalControl,
+    gauge: &'s mut TableGauge,
+    out: HashMap<u128, A>,
+    /// The root's total (its table has no key).
+    unkeyed: A,
+}
+
+impl<A: Accumulator> Sweep<'_, '_, A> {
+    #[inline]
+    fn value(&self, a: Arg) -> u32 {
+        match a {
+            Arg::Slot(s) => self.vals[s],
+            Arg::Vertex(u) => u,
+        }
     }
 
-    let root_table = tables[td.root].take().expect("root computed");
-    let mut total = A::zero();
-    for (_, w) in root_table {
-        total.add_assign_acc(&w);
+    /// The vertices of `slots`, packed base `n`.
+    #[inline]
+    fn pack(&self, slots: &[usize]) -> u128 {
+        let n = u128::from(self.n);
+        slots.iter().fold(0, |key, &s| key * n + u128::from(self.vals[s]))
     }
-    Ok(total)
+
+    /// Tries every candidate for step `i`: the tuples of the smallest
+    /// source bucket that agree with every bound argument, or else the
+    /// whole domain. One tick per candidate.
+    fn step(&mut self, i: usize) -> Result<(), Cancelled> {
+        let (plan, indexes, rows) = (self.plan, self.indexes, self.rows);
+        let Some(step) = plan.steps.get(i) else {
+            return self.emit();
+        };
+        if step.children.is_empty() {
+            self.weights[i + 1] = self.weights[i].clone();
+        }
+        let mut best: Option<(&Source, &[u32])> = None;
+        for src in &step.sources {
+            let ids =
+                indexes.by_id(src.index).get(self.value(step.atoms[src.atom].args[src.probe]));
+            if best.is_none_or(|(_, fewest)| ids.len() < fewest.len()) {
+                best = Some((src, ids));
+            }
+        }
+        match best {
+            Some((src, ids)) => {
+                let atom = &step.atoms[src.atom];
+                let tuples = &rows[atom.rel.0 as usize];
+                'tuples: for &t in ids {
+                    self.ticker.tick()?;
+                    let tuple = tuples[t as usize];
+                    for (p, &a) in atom.args.iter().enumerate() {
+                        if p != src.new_pos && tuple[p] != self.value(a) {
+                            continue 'tuples;
+                        }
+                    }
+                    self.bind(i, tuple[src.new_pos], Some(src.atom))?;
+                }
+            }
+            None => {
+                for u in 0..self.n {
+                    self.ticker.tick()?;
+                    self.bind(i, u, None)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Binds step `i`'s variable to `u` and checks what closes there (the
+    /// atom the candidate came from holds already), then recurses.
+    fn bind(&mut self, i: usize, u: u32, source: Option<usize>) -> Result<(), Cancelled> {
+        let step = &self.plan.steps[i];
+        self.vals[i] = u;
+        if step.ineqs.iter().any(|&(l, r)| self.value(l) == self.value(r)) {
+            return Ok(());
+        }
+        for (j, atom) in step.atoms.iter().enumerate() {
+            if Some(j) != source && !self.holds(atom) {
+                return Ok(());
+            }
+        }
+        if !step.children.is_empty() {
+            let mut w = self.weights[i].clone();
+            for child in &step.children {
+                match self.tables[child.bag].get(&self.pack(&child.slots)) {
+                    Some(c) => w.mul_assign_acc(c),
+                    None => return Ok(()),
+                }
+            }
+            self.weights[i + 1] = w;
+        }
+        self.step(i + 1)
+    }
+
+    fn holds(&mut self, atom: &Closing) -> bool {
+        self.buf.clear();
+        for &a in &atom.args {
+            let v = self.value(a);
+            self.buf.push(v);
+        }
+        self.d.contains_tuple(atom.rel, &self.buf)
+    }
+
+    /// Adds a complete bag assignment's weight under its table key.
+    fn emit(&mut self) -> Result<(), Cancelled> {
+        let plan = self.plan;
+        if plan.key.is_empty() {
+            self.unkeyed.add_assign_acc(&self.weights[plan.steps.len()]);
+            return Ok(());
+        }
+        let key = self.pack(&plan.key);
+        let w = &self.weights[plan.steps.len()];
+        match self.out.entry(key) {
+            Entry::Occupied(mut e) => e.get_mut().add_assign_acc(w),
+            Entry::Vacant(e) => {
+                e.insert(w.clone());
+                self.gauge.grow::<A>(self.ctl)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The finished table, its growth charged.
+    fn finish(mut self) -> Result<HashMap<u128, A>, Cancelled> {
+        if !self.unkeyed.is_zero() {
+            let total = std::mem::replace(&mut self.unkeyed, A::zero());
+            self.out.insert(0, total);
+            self.gauge.grow::<A>(self.ctl)?;
+        }
+        self.gauge.settle::<A>(self.ctl)?;
+        Ok(self.out)
+    }
 }
 
 fn postorder(td: &TreeDecomposition) -> Vec<usize> {
@@ -276,85 +580,6 @@ fn postorder(td: &TreeDecomposition) -> Vec<usize> {
         }
     }
     out
-}
-
-/// Recursively assigns the bag's variables (in bag order), pruning with any
-/// bag constraint that has become fully bound, and calls `emit` for every
-/// satisfying bag assignment.
-#[allow(clippy::too_many_arguments)]
-fn enumerate_bag(
-    q: &Query,
-    d: &Structure,
-    bag: &[u32],
-    global: &[u32],
-    i: usize,
-    bag_atoms: &[usize],
-    bag_ineqs: &[usize],
-    atom_idx: &[usize],
-    ineq_idx: &[usize],
-    assign_global: &mut Vec<u32>,
-    current: &mut Vec<u32>,
-    ticker: &mut Ticker<'_>,
-    emit: &mut impl FnMut(&[u32]),
-) -> Result<(), Cancelled> {
-    if i == bag.len() {
-        emit(current);
-        return Ok(());
-    }
-    let gvar = global[bag[i] as usize];
-    for u in 0..d.vertex_count() {
-        ticker.tick()?;
-        assign_global[gvar as usize] = u;
-        current[i] = u;
-        // Check bag constraints that are fully bound among bag[0..=i].
-        let bound_ok = {
-            let is_bound = |lv: u32| bag[..=i].contains(&lv);
-            bag_atoms.iter().all(|&k| {
-                let a = &q.atoms()[atom_idx[k]];
-                let fully = a.args.iter().all(|t| match t {
-                    Term::Var(v) => {
-                        // Global var -> local index within component.
-                        // Bag constraints only contain bag vars.
-                        bag.iter()
-                            .position(|&lv| global[lv as usize] == v.0)
-                            .map(|p| is_bound(bag[p]))
-                            .unwrap_or(false)
-                    }
-                    Term::Const(_) => true,
-                });
-                if !fully {
-                    return true;
-                }
-                let args: Vec<_> = a
-                    .args
-                    .iter()
-                    .map(|t| bagcq_structure::Vertex(resolve(t, assign_global, d)))
-                    .collect();
-                d.contains_atom(a.rel, &args)
-            }) && bag_ineqs
-                .iter()
-                .all(|&k| inequality_ok(&q.inequalities()[ineq_idx[k]], assign_global, d))
-        };
-        if bound_ok {
-            enumerate_bag(
-                q,
-                d,
-                bag,
-                global,
-                i + 1,
-                bag_atoms,
-                bag_ineqs,
-                atom_idx,
-                ineq_idx,
-                assign_global,
-                current,
-                ticker,
-                emit,
-            )?;
-        }
-    }
-    assign_global[gvar as usize] = UNASSIGNED;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -477,6 +702,38 @@ mod tests {
         assert_eq!(tw_try_count(&q, &d, &tiny), Err(Cancelled(CancelReason::BudgetExhausted)));
         let roomy = EvalControl::new(500_000_000, None);
         assert_eq!(tw_try_count(&q, &d, &roomy), Ok(tw_count(&q, &d)));
+    }
+
+    /// Width-1 queries pay at most `n` ticks for the first variable of a
+    /// bag and `m` for the second, so `#vars·(n + m)` steps suffice: a
+    /// noise-free guard against scanning the domain for every bag
+    /// variable.
+    #[test]
+    fn width_one_counts_fit_the_candidate_bound() {
+        let s = digraph();
+        let e = s.relation_by_name("E").unwrap();
+        let sparse = cycle_struct(&s, 16);
+        let mut denser = sparse.clone();
+        for i in 0..16 {
+            denser.add_atom(e, &[Vertex(i), Vertex((i + 3) % 16)]);
+            denser.add_atom(e, &[Vertex(i), Vertex((i + 7) % 16)]);
+        }
+        for i in 0..8 {
+            denser.add_atom(e, &[Vertex(i), Vertex((i + 11) % 16)]);
+        }
+        assert_eq!((sparse.atom_count(e), denser.atom_count(e)), (16, 56));
+        for d in [&sparse, &denser] {
+            let (n, m) = (d.vertex_count() as u64, d.atom_count(e) as u64);
+            for q in [path_query(&s, "E", 8), star_query(&s, "E", 6)] {
+                let budget = q.var_count() as u64 * (n + m);
+                let ctl = EvalControl::new(budget, None);
+                assert_eq!(
+                    tw_try_count(&q, d, &ctl),
+                    Ok(naive_count(&q, d)),
+                    "{q} over n = {n}, m = {m} within {budget} steps"
+                );
+            }
+        }
     }
 
     #[test]

@@ -286,3 +286,215 @@ mod overflow_boundaries {
         assert!(promoted >= 2, "chain must pass through u128 into Nat, saw {promoted}");
     }
 }
+
+/// Differential traps for the tree-decomposition DP: query shapes where
+/// taking a variable's candidates from an index bucket, or checking a
+/// constraint as soon as it is bound, could go wrong. Every case compares
+/// the pinned DP with the pinned backtracker.
+mod dp_traps {
+    use super::*;
+    use bagcq_query::{cycle_query, grid_query, parse_query, star_query};
+    use bagcq_structure::{MARS, VENUS};
+
+    fn assert_dp_agrees(q: &Query, d: &Structure) {
+        let naive = CountRequest::new(q, d).backend(BackendChoice::Naive).count();
+        let dp = CountRequest::new(q, d).backend(BackendChoice::Treewidth).count();
+        assert_eq!(dp, naive, "DP and backtracker disagree on {q}");
+    }
+
+    fn trap_schema() -> Arc<Schema> {
+        let mut b = SchemaBuilder::default();
+        b.relation("E", 2);
+        b.relation("R", 3);
+        b.constant("a");
+        b.constant("b");
+        b.build()
+    }
+
+    /// Constants `a = 0`, `b = 1`, vertices `2..8`. The `R(a, u, ·)`
+    /// tuples share their first two positions: a bucket on position 0
+    /// filtered on `a` alone yields `u` once per tuple.
+    fn trap_structure(schema: &Arc<Schema>) -> Structure {
+        let e = schema.relation_by_name("E").unwrap();
+        let r = schema.relation_by_name("R").unwrap();
+        let mut d = Structure::new(Arc::clone(schema));
+        d.add_vertices(6);
+        for t in [[0, 2, 3], [0, 2, 4], [0, 2, 5], [0, 5, 3], [0, 3, 2], [0, 2, 2], [1, 2, 3]] {
+            d.add_atom(r, &t.map(Vertex));
+        }
+        for t in [[2, 2, 2], [3, 2, 3], [4, 4, 4], [2, 3, 0]] {
+            d.add_atom(r, &t.map(Vertex));
+        }
+        for t in [[3, 4], [4, 3], [2, 2], [5, 2], [3, 3], [0, 2], [2, 5]] {
+            d.add_atom(e, &t.map(Vertex));
+        }
+        d
+    }
+
+    fn check_all(queries: &[&str]) {
+        let schema = trap_schema();
+        let mut structures = vec![trap_structure(&schema)];
+        let gen = StructureGen {
+            extra_vertices: 4,
+            density: 0.45,
+            max_tuples_per_relation: 120,
+            diagonal_density: 0.5,
+        };
+        structures.extend((0..12).map(|seed| gen.sample(&schema, seed)));
+        for text in queries {
+            let q = parse_query(&schema, text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            for d in &structures {
+                assert_dp_agrees(&q, d);
+            }
+        }
+    }
+
+    /// A ternary atom with a constant and a bound variable closes on the
+    /// new variable: its candidates must agree with every bound position.
+    #[test]
+    fn bucket_on_a_constant_does_not_duplicate_candidates() {
+        check_all(&[
+            "R('a', x, y)",
+            "R('a', x, y), E(y, z)",
+            "R('a', x, y), E(x, y)",
+            "R('a', x, y), E(y, y)",
+            "R('a', x, y), R('a', y, x)",
+            "R('a', x, y), R(y, x, z)",
+            "E(y, w), R('a', x, y), E(x, v)",
+            "R(x, y, z), R('a', x, z)",
+            "R('b', x, y), R('a', x, y)",
+        ]);
+    }
+
+    /// Atoms that repeat a variable cannot hand out that variable's
+    /// candidates; they are checked instead.
+    #[test]
+    fn repeated_variable_atoms() {
+        check_all(&[
+            "E(x, x)",
+            "E(x, x), E(x, y)",
+            "R(x, y, x)",
+            "R(x, y, x), E(y, z)",
+            "R(x, x, x)",
+            "R(x, y, x), R(y, x, y)",
+            "E(x, y), E(y, y), R(y, x, y)",
+        ]);
+    }
+
+    /// A variable occurring only in an inequality has no atom to draw
+    /// candidates from.
+    #[test]
+    fn variable_only_in_an_inequality() {
+        check_all(&[
+            "E(x, y), y != z",
+            "E(x, y), x != z, z != y",
+            "E(x, y), E(y, w), w != z, z != 'a'",
+            "R('a', x, y), x != z",
+        ]);
+    }
+
+    /// Inequalities between variables of one bag prune inside the bag.
+    #[test]
+    fn inequalities_inside_a_bag() {
+        check_all(&[
+            "E(x, y), E(y, z), E(z, x), x != y",
+            "E(x, y), E(y, z), E(z, w), E(w, x), x != z, y != w",
+            "E(x, y), E(y, z), x != z",
+            "R(x, y, z), x != y, y != z, x != z",
+            "E(x, y), x != 'a'",
+            "E(x, y), x != x",
+        ]);
+    }
+
+    /// The seven E-PERF1 families over seeded digraphs from the
+    /// `count-cold` generator range (10–16 vertices, density 0.20–0.45).
+    /// Draws whose expected homomorphism count would make the backtracker
+    /// crawl in a debug build are skipped; every family keeps at least
+    /// four digraphs.
+    #[test]
+    fn eperf1_families_on_count_cold_digraphs() {
+        let mut b = SchemaBuilder::default();
+        b.relation("e", 2);
+        let schema = b.build();
+        let families: [(&str, Query, u32); 7] = [
+            ("path-4", path_query(&schema, "e", 4), 4),
+            ("path-8", path_query(&schema, "e", 8), 8),
+            ("cycle-4", cycle_query(&schema, "e", 4), 4),
+            ("cycle-6", cycle_query(&schema, "e", 6), 6),
+            ("star-6", star_query(&schema, "e", 6), 6),
+            ("grid-3x2", grid_query(&schema, "e", 3, 2), 7),
+            ("grid-3x3", grid_query(&schema, "e", 3, 3), 12),
+        ];
+        for (name, q, edges) in &families {
+            let mut checked = 0;
+            for seed in 0..24u64 {
+                let n = 10 + (seed % 7) as u32;
+                let density = 0.20 + 0.25 * ((seed * 37 % 24) as f64 / 23.0);
+                let expected = (n as f64).powi(q.var_count() as i32) * density.powi(*edges as i32);
+                if expected > 2e5 {
+                    continue;
+                }
+                let d = StructureGen {
+                    extra_vertices: n,
+                    density,
+                    max_tuples_per_relation: ((n * n) as f64 * density) as usize,
+                    diagonal_density: 0.1,
+                }
+                .sample(&schema, seed);
+                assert_dp_agrees(q, &d);
+                checked += 1;
+            }
+            assert!(checked >= 4, "{name}: only {checked} digraphs checked");
+        }
+    }
+
+    /// `β` at p = 3 (Lemma 5): two `CYCLIQ` triples over the ternary `R`,
+    /// the ground cycliques of `♂`/`♀` on the small side and `x₁ ≠ y₁`
+    /// on the big side.
+    #[test]
+    fn beta_cyclique_gadget_at_p3() {
+        let mut b = SchemaBuilder::default();
+        let r = b.relation("R", 3);
+        b.constant(MARS);
+        b.constant(VENUS);
+        let schema = b.build();
+        let cycliq = |args: [&str; 3]| -> String {
+            (0..3)
+                .map(|s| format!("R({}, {}, {})", args[s], args[(s + 1) % 3], args[(s + 2) % 3]))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let (m, v) = (format!("'{MARS}'"), format!("'{VENUS}'"));
+        let beta_s = [
+            cycliq(["x1", "x2", "x3"]),
+            cycliq(["y1", "y2", "y3"]),
+            cycliq([&m, &v, &v]),
+            cycliq([&v, &v, &v]),
+        ]
+        .join(", ");
+        let beta_b =
+            format!("{}, {}, x1 != y1", cycliq(["x1", "x2", "x3"]), cycliq(["y1", "y2", "y3"]));
+
+        let mut witness = Structure::new(Arc::clone(&schema));
+        let mars = witness.constant_vertex(schema.constant_by_name(MARS).unwrap());
+        let venus = witness.constant_vertex(schema.constant_by_name(VENUS).unwrap());
+        for t in [[mars, venus, venus], [venus, mars, venus], [venus, venus, mars]] {
+            witness.add_atom(r, &t);
+        }
+        witness.add_atom(r, &[venus; 3]);
+        let mut structures = vec![witness.blowup(2), witness];
+        let gen = StructureGen {
+            extra_vertices: 3,
+            density: 0.6,
+            max_tuples_per_relation: 80,
+            diagonal_density: 0.7,
+        };
+        structures.extend((0..16).map(|seed| gen.sample(&schema, seed)));
+        for text in [&beta_s, &beta_b] {
+            let q = parse_query(&schema, text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            for d in &structures {
+                assert_dp_agrees(&q, d);
+            }
+        }
+    }
+}

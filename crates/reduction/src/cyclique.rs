@@ -42,12 +42,12 @@ pub fn cycliq_query(
 pub fn is_cyclique(d: &Structure, rel: RelId, tuple: &[u32]) -> bool {
     let p = tuple.len();
     assert_eq!(p, d.schema().arity(rel));
-    let mut shifted = vec![bagcq_structure::Vertex(0); p];
+    let mut shifted = vec![0; p];
     for s in 0..p {
         for i in 0..p {
-            shifted[i] = bagcq_structure::Vertex(tuple[(s + i) % p]);
+            shifted[i] = tuple[(s + i) % p];
         }
-        if !d.contains_atom(rel, &shifted) {
+        if !d.contains_tuple(rel, &shifted) {
             return false;
         }
     }

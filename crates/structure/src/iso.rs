@@ -9,7 +9,7 @@
 //! isomorphism package.
 
 use crate::schema::Schema;
-use crate::structure::{Structure, Vertex};
+use crate::structure::Structure;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -146,7 +146,7 @@ fn partial_consistent(
     map: &[Option<u32>],
     last: usize,
 ) -> bool {
-    let mut buf: Vec<Vertex> = Vec::new();
+    let mut buf: Vec<u32> = Vec::new();
     for r in schema.relations() {
         for t in a.tuples(r) {
             if !t.iter().any(|&v| v as usize == last) {
@@ -156,14 +156,14 @@ fn partial_consistent(
             let mut all_mapped = true;
             for &v in t {
                 match map[v as usize] {
-                    Some(w) => buf.push(Vertex(w)),
+                    Some(w) => buf.push(w),
                     None => {
                         all_mapped = false;
                         break;
                     }
                 }
             }
-            if all_mapped && !b.contains_atom(r, &buf) {
+            if all_mapped && !b.contains_tuple(r, &buf) {
                 return false;
             }
         }
@@ -174,12 +174,12 @@ fn partial_consistent(
 /// Full verification: the bijection preserves atoms in both directions
 /// (atom counts are equal, so forward preservation suffices).
 fn check_full(a: &Structure, b: &Structure, schema: &Arc<Schema>, map: &[Option<u32>]) -> bool {
-    let mut buf: Vec<Vertex> = Vec::new();
+    let mut buf: Vec<u32> = Vec::new();
     for r in schema.relations() {
         for t in a.tuples(r) {
             buf.clear();
-            buf.extend(t.iter().map(|&v| Vertex(map[v as usize].expect("total"))));
-            if !b.contains_atom(r, &buf) {
+            buf.extend(t.iter().map(|&v| map[v as usize].expect("total")));
+            if !b.contains_tuple(r, &buf) {
                 return false;
             }
         }
@@ -191,6 +191,7 @@ fn check_full(a: &Structure, b: &Structure, schema: &Arc<Schema>, map: &[Option<
 mod tests {
     use super::*;
     use crate::schema::SchemaBuilder;
+    use crate::structure::Vertex;
 
     fn digraph() -> Arc<Schema> {
         let mut b = SchemaBuilder::default();

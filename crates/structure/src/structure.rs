@@ -144,12 +144,20 @@ impl Structure {
         }
     }
 
-    /// Membership test for an atom.
+    /// Membership test for an atom. Copies the ids out of `args`; loops
+    /// that test many tuples keep a `u32` buffer and call
+    /// [`Structure::contains_tuple`].
     pub fn contains_atom(&self, rel: RelId, args: &[Vertex]) -> bool {
-        let data = &self.rels[rel.0 as usize];
-        assert_eq!(args.len(), data.arity, "arity mismatch in contains_atom");
         let key: Vec<u32> = args.iter().map(|v| v.0).collect();
-        data.set.contains(key.as_slice())
+        self.contains_tuple(rel, &key)
+    }
+
+    /// Membership test for a tuple of raw vertex ids. Hashes the borrowed
+    /// slice as it is: no copy, no allocation.
+    pub fn contains_tuple(&self, rel: RelId, tuple: &[u32]) -> bool {
+        let data = &self.rels[rel.0 as usize];
+        assert_eq!(tuple.len(), data.arity, "arity mismatch in contains_tuple");
+        data.set.contains(tuple)
     }
 
     /// Number of tuples in a relation. The anti-cheating query `ζ_b`

@@ -103,9 +103,10 @@ fn alpha_fine_tuning_identity() {
 #[test]
 fn alpha_multiplies_by_natural_constant() {
     // All-backend recounts stop at c = 3: the composed gadget's treewidth
-    // grows like 2c, so the DP's n^(w+1) table is ~30 s at c = 4 and
-    // hopeless beyond — larger c fall back to the (output-sensitive)
-    // naive kernel, which stays instant because the witness counts do.
+    // grows like 2c (7 at c = 4), and the DP's bags grow with it — seconds
+    // per count at c = 4 in a release build, out of reach beyond — so
+    // larger c fall back to the (output-sensitive) naive kernel, which
+    // stays instant because the witness counts do.
     for c in 2u64..=5 {
         let g = alpha_gadget(c, "");
         assert_eq!(g.ratio, Rat::from_u64s(c, 1), "α ratio at c = {c}");
