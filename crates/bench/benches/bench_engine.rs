@@ -133,48 +133,10 @@ fn bench_backend_comparison(c: &mut Criterion) {
     group.finish();
 }
 
-/// E-OVERLOAD companion: the serving layer's cost under burst load. An
-/// unbounded queue absorbs the whole burst (baseline); a bounded queue
-/// under RejectNewest sheds most of it at admission. Shedding should be
-/// *much* cheaper per job than serving — constant-time refusal vs a full
-/// evaluation — so the bounded round's wall clock is dominated by the few
-/// admitted jobs.
-fn bench_overload_admission(c: &mut Criterion) {
-    let schema = digraph_schema();
-    let d = Arc::new(random_digraph(&schema, 12, 0.3, 11));
-    let q = path_query(&schema, "E", 3);
-    const BURST: usize = 64;
-
-    let mut group = c.benchmark_group("engine_overload");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_millis(900));
-    group.warm_up_time(std::time::Duration::from_millis(200));
-    group.throughput(Throughput::Elements(BURST as u64));
-    for (label, capacity) in [("unbounded", 0usize), ("bounded_8", 8)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let engine = EvalEngine::new(EngineConfig {
-                    workers: 2,
-                    admission: AdmissionConfig { capacity, policy: AdmissionPolicy::RejectNewest },
-                    ..EngineConfig::default()
-                });
-                let handles: Vec<_> = (0..BURST)
-                    .map(|_| engine.submit(Job::count(q.clone(), Arc::clone(&d))))
-                    .collect();
-                for h in handles {
-                    criterion::black_box(h.wait());
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_batch_throughput,
     bench_cross_validation_overhead,
-    bench_backend_comparison,
-    bench_overload_admission
+    bench_backend_comparison
 );
 criterion_main!(benches);

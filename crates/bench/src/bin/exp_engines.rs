@@ -203,18 +203,18 @@ fn main() {
     print!("{}", m.render());
 
     println!();
-    println!("## E-OVERLOAD — the serving layer under a 10x-capacity burst");
+    println!("## E-OVERLOAD — a burst, then a drain");
     println!();
-    println!("One worker, a bounded queue of 4 under RejectNewest, and a burst of 40");
-    println!("jobs while the worker is stalled: the excess is shed with typed");
-    println!("outcomes (never hangs, never grows the queue), every admitted job's");
-    println!("count matches the direct evaluation, and a graceful drain resolves");
-    println!("everything by its deadline.");
-    const CAPACITY: usize = 4;
-    // A plan whose only fault is one 60ms stall at the first checkpoint:
-    // it pins the worker so the burst actually overloads the queue.
+    println!("One worker, stalled by one latency fault, and a burst of 40 jobs:");
+    println!("the first 20 queue behind the stall, then a drain closes the queue");
+    println!("and the last 20 arrive while it runs. Every job resolves exactly");
+    println!("once: queued jobs are served with the direct count, later ones are");
+    println!("shed as draining, and the drain loses nothing and meets its deadline.");
+    const BURST: usize = 40;
+    // A plan whose only fault is one 200ms stall at the first checkpoint:
+    // it holds the worker while the burst queues and the drain begins.
     let stall = FaultInjector::new(FaultPlan {
-        latency: std::time::Duration::from_millis(60),
+        latency: std::time::Duration::from_millis(200),
         ..FaultPlan::seeded(0)
             .with_kinds(&[FaultKind::Latency])
             .with_rate_per_mille(1000)
@@ -222,33 +222,41 @@ fn main() {
     });
     let serving = EvalEngine::new(EngineConfig {
         workers: 1,
-        admission: AdmissionConfig { capacity: CAPACITY, policy: AdmissionPolicy::RejectNewest },
         memory_budget_bytes: 1 << 20,
         fault: Some(stall),
         ..EngineConfig::default()
     });
     let q = path_query(&schema, "E", 2);
     let want = CountRequest::new(&q, &d).count();
-    let burst: Vec<_> =
-        (0..10 * CAPACITY).map(|_| serving.submit(Job::count(q.clone(), Arc::clone(&d)))).collect();
+    let submit = || serving.submit(Job::count(q.clone(), Arc::clone(&d)));
+    let mut burst: Vec<_> = (0..BURST / 2).map(|_| submit()).collect();
+    let report = std::thread::scope(|s| {
+        let drain = s.spawn(|| serving.drain(std::time::Duration::from_secs(5)));
+        // Health reads Draining only once the queue is closed.
+        while serving.health() != EngineHealth::Draining {
+            std::thread::yield_now();
+        }
+        burst.extend((0..BURST / 2).map(|_| submit()));
+        drain.join().expect("drain returns")
+    });
     let (mut served, mut shed) = (0u64, 0u64);
     for handle in &burst {
         match handle.wait() {
             Outcome::Count(n) => {
-                assert_eq!(n, want, "overload corrupted an admitted count");
+                assert_eq!(n, want, "the burst corrupted a served count");
                 served += 1;
             }
             Outcome::Shed(reason) => {
-                assert_eq!(reason, ShedReason::QueueFull);
+                assert_eq!(reason, ShedReason::Draining);
                 shed += 1;
             }
-            other => panic!("unexpected outcome under burst: {other:?}"),
+            other => panic!("unexpected outcome in the burst: {other:?}"),
         }
     }
-    println!();
-    println!("burst of {}: served={served} shed={shed} (typed, accounted)", 10 * CAPACITY);
-    let report = serving.drain(std::time::Duration::from_secs(5));
+    assert_eq!(served + shed, BURST as u64, "every job resolves exactly once");
     assert!(report.met_deadline && report.stragglers == 0, "drain must not lose jobs: {report:?}");
+    println!();
+    println!("burst of {BURST}: served={served} shed={shed} (typed, accounted)");
     println!(
         "drain: completed={} shed={} stragglers={} met_deadline={} in {:.2?}",
         report.completed, report.shed, report.stragglers, report.met_deadline, report.elapsed

@@ -19,9 +19,9 @@
 //!   cache, deadlines, continuous dual-engine cross-validation, and a
 //!   resilience layer (deterministic fault injection, retry/backoff,
 //!   engine fallback, circuit breakers), a crash-safe persistent memo
-//!   store that long sweeps resume from, and an overload-safe serving
-//!   layer (bounded admission, typed load shedding, worker supervision,
-//!   memory budgeting, graceful drain) ([`engine`]).
+//!   store that long sweeps resume from, and a serving layer (tenant
+//!   admission, typed load shedding, bounded evaluation slots, memory
+//!   budgeting, graceful drain) ([`engine`]).
 //!
 //! ## Quickstart
 //!
@@ -72,10 +72,10 @@ pub mod prelude {
         SearchBudget, Semantics, TryCountFn, Unsupported, Verdict,
     };
     pub use bagcq_engine::{
-        AdmissionConfig, AdmissionPolicy, BreakerConfig, CountError, DrainReport, EngineConfig,
-        EngineHealth, EvalEngine, FailFast, FaultInjector, FaultKind, FaultPlan, Job, JobHandle,
-        JobSpec, MemoStore, MetricsSnapshot, Outcome, RecoveryReport, RetryPolicy, ShedReason,
-        StoreError, StoreOptions, StoreStats, SupervisorConfig, TraceReport, TraceSession,
+        BreakerConfig, CountError, DrainReport, EngineConfig, EngineHealth, EvalEngine, FailFast,
+        FaultInjector, FaultKind, FaultPlan, Job, JobHandle, JobSpec, MemoStore, MetricsSnapshot,
+        Outcome, RecoveryReport, RetryPolicy, ShedReason, StoreError, StoreOptions, StoreStats,
+        TraceReport, TraceSession,
     };
     pub use bagcq_hilbert::{by_name as hilbert_instance, library as hilbert_library, reduce};
     pub use bagcq_homcount::{

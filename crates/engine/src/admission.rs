@@ -1,34 +1,10 @@
-//! Admission control: a bounded job queue with a pluggable overload
-//! policy.
+//! Tenant admission: API keys, per-tenant quotas and the permits that
+//! hold them.
 //!
-//! PR 2's resilience ladder handles *per-job* failure; this module is the
-//! engine-level half of the overload story. Submissions pass through a
-//! [`BoundedQueue`] whose capacity caps the engine's queued-work memory,
-//! and an [`AdmissionPolicy`] decides what happens when the queue is
-//! full:
-//!
-//! * [`AdmissionPolicy::Block`] — the submitting thread waits (bounded by
-//!   `max_wait`) for a slot: classic backpressure, pushing the overload
-//!   back into the caller.
-//! * [`AdmissionPolicy::RejectNewest`] — the new job is refused
-//!   immediately with [`ShedReason::QueueFull`]: load shedding with
-//!   constant-time submission.
-//! * [`AdmissionPolicy::ShedExpired`] — admission behaves like
-//!   `RejectNewest`, and *additionally* workers drop jobs whose deadline
-//!   already passed while they sat queued
-//!   ([`ShedReason::ExpiredAtDequeue`]) instead of burning a worker on
-//!   work nobody can use anymore.
-//!
-//! A refused job is never silently dropped: the engine publishes a typed
-//! [`crate::Outcome::Shed`] on its handle, so every submitted job still
-//! resolves to exactly one outcome.
-//!
-//! ## Tenants
-//!
-//! The serving layer (`bagcq-serve`) composes a second admission stage in
-//! *front* of the queue: a [`TenantGate`] maps per-request API keys to
-//! [`TenantSpec`]s and enforces each tenant's [`TenantQuota`] — a
-//! token-bucket rate limit plus a max-in-flight concurrency cap. An
+//! The serving layer (`bagcq-serve`) admits every request through a
+//! [`TenantGate`] before the engine sees it: the gate maps per-request
+//! API keys to [`TenantSpec`]s and enforces each tenant's [`TenantQuota`]
+//! — a token-bucket rate limit plus a max-in-flight concurrency cap. An
 //! admitted request holds a [`TenantPermit`] (RAII: dropping it releases
 //! the in-flight slot); a refused one becomes a typed
 //! [`ShedReason::QuotaExceeded`] / [`ShedReason::InFlightLimit`] shed
@@ -36,201 +12,10 @@
 //! failure ([`TenantRefusal::UnknownKey`], HTTP 401), not a shed.
 
 use crate::job::ShedReason;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
-
-/// What happens when a job arrives and the bounded queue is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Wait up to `max_wait` for a slot (backpressure); refuse with
-    /// [`ShedReason::AdmissionTimeout`] if none frees up in time.
-    Block {
-        /// Longest a submission may wait for a queue slot.
-        max_wait: Duration,
-    },
-    /// Refuse the new job immediately with [`ShedReason::QueueFull`].
-    RejectNewest,
-    /// Like [`AdmissionPolicy::RejectNewest`] at admission; additionally,
-    /// workers shed queued jobs whose deadline already passed at dequeue
-    /// ([`ShedReason::ExpiredAtDequeue`]).
-    ShedExpired,
-}
-
-/// Admission-control configuration for an engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// Queue capacity. `0` means unbounded (the pre-overload-layer
-    /// behavior): jobs are always admitted and the policy is moot.
-    pub capacity: usize,
-    /// Policy applied when the queue is full.
-    pub policy: AdmissionPolicy,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig { capacity: 0, policy: AdmissionPolicy::RejectNewest }
-    }
-}
-
-/// A push the queue refused; carries the item back so the caller can
-/// publish a typed outcome on it.
-#[derive(Debug)]
-pub(crate) struct Refused<T> {
-    /// The item that was not admitted.
-    pub item: T,
-    /// Why.
-    pub reason: ShedReason,
-}
-
-struct Inner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-    high_water: usize,
-}
-
-/// A closable MPMC queue with an optional capacity bound and
-/// policy-driven admission, built from a `Mutex` + two `Condvar`s.
-///
-/// Lock poisoning is deliberately ignored (`into_inner` on a poisoned
-/// guard): a worker that panics while *holding* the queue lock does not
-/// exist by construction (pushes/pops never run user code), and the
-/// supervision layer must keep serving through worker deaths.
-pub(crate) struct BoundedQueue<T> {
-    capacity: usize,
-    inner: Mutex<Inner<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue admitting at most `capacity` items (`0` = unbounded).
-    pub fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            capacity,
-            inner: Mutex::new(Inner { items: VecDeque::new(), closed: false, high_water: 0 }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn has_room(&self, inner: &Inner<T>) -> bool {
-        self.capacity == 0 || inner.items.len() < self.capacity
-    }
-
-    fn enqueue(&self, inner: &mut Inner<T>, item: T) {
-        inner.items.push_back(item);
-        inner.high_water = inner.high_water.max(inner.items.len());
-        self.not_empty.notify_one();
-    }
-
-    /// Admits `item` under `policy`. `Ok(waited)` reports whether the
-    /// caller blocked for a slot (so the engine can count backpressure
-    /// events); `Err` returns the item with the refusal reason.
-    pub fn push(&self, item: T, policy: &AdmissionPolicy) -> Result<bool, Refused<T>> {
-        let mut inner = self.lock();
-        if inner.closed {
-            return Err(Refused { item, reason: ShedReason::Draining });
-        }
-        if self.has_room(&inner) {
-            self.enqueue(&mut inner, item);
-            return Ok(false);
-        }
-        match *policy {
-            AdmissionPolicy::RejectNewest | AdmissionPolicy::ShedExpired => {
-                Err(Refused { item, reason: ShedReason::QueueFull })
-            }
-            AdmissionPolicy::Block { max_wait } => {
-                let deadline = Instant::now() + max_wait;
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(Refused { item, reason: ShedReason::AdmissionTimeout });
-                    }
-                    let (guard, _) = self
-                        .not_full
-                        .wait_timeout(inner, deadline - now)
-                        .unwrap_or_else(|p| p.into_inner());
-                    inner = guard;
-                    if inner.closed {
-                        return Err(Refused { item, reason: ShedReason::Draining });
-                    }
-                    if self.has_room(&inner) {
-                        self.enqueue(&mut inner, item);
-                        return Ok(true);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Enqueues past the capacity bound (but never past `close`). Used to
-    /// requeue a job recovered from a dying worker: the job was already
-    /// admitted once, so bouncing it on capacity would turn supervision
-    /// into job loss.
-    pub fn force_push(&self, item: T) -> Result<(), T> {
-        let mut inner = self.lock();
-        if inner.closed {
-            return Err(item);
-        }
-        self.enqueue(&mut inner, item);
-        Ok(())
-    }
-
-    /// Blocks for the next item; `None` once the queue is closed *and*
-    /// empty (workers drain remaining items before exiting).
-    pub fn pop(&self) -> Option<T> {
-        let mut inner = self.lock();
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Closes admission and wakes every blocked pusher/popper. Idempotent.
-    pub fn close(&self) {
-        let mut inner = self.lock();
-        inner.closed = true;
-        drop(inner);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Removes and returns everything currently queued (the drain
-    /// deadline's shed step).
-    pub fn drain_now(&self) -> Vec<T> {
-        let mut inner = self.lock();
-        let items = std::mem::take(&mut inner.items);
-        drop(inner);
-        self.not_full.notify_all();
-        items.into()
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// The deepest the queue has ever been.
-    pub fn high_water(&self) -> usize {
-        self.lock().high_water
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tenants
-// ---------------------------------------------------------------------------
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Per-tenant admission limits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -396,9 +181,9 @@ struct TenantState {
 }
 
 /// The tenant admission stage: API key → tenant lookup, then quota
-/// enforcement. Sits in front of the engine's bounded admission queue,
-/// so a request must pass *both* its tenant's limits and the engine-wide
-/// admission policy before a worker sees it.
+/// enforcement. Sits in front of the engine, so a request must pass its
+/// tenant's limits before it takes one of the engine's evaluation
+/// slots.
 pub struct TenantGate {
     by_key: HashMap<String, Arc<TenantState>>,
     order: Vec<Arc<TenantState>>,
@@ -620,101 +405,7 @@ impl Drop for TenantConnection {
 mod tests {
     use super::*;
     use std::thread;
-
-    #[test]
-    fn unbounded_always_admits() {
-        let q = BoundedQueue::new(0);
-        for i in 0..1000 {
-            assert!(q.push(i, &AdmissionPolicy::RejectNewest).is_ok());
-        }
-        assert_eq!(q.len(), 1000);
-        assert_eq!(q.high_water(), 1000);
-    }
-
-    #[test]
-    fn reject_newest_refuses_at_capacity() {
-        let q = BoundedQueue::new(2);
-        assert!(q.push(1, &AdmissionPolicy::RejectNewest).is_ok());
-        assert!(q.push(2, &AdmissionPolicy::RejectNewest).is_ok());
-        let refused = q.push(3, &AdmissionPolicy::RejectNewest).unwrap_err();
-        assert_eq!(refused.item, 3);
-        assert_eq!(refused.reason, ShedReason::QueueFull);
-        // Popping frees a slot.
-        assert_eq!(q.pop(), Some(1));
-        assert!(q.push(3, &AdmissionPolicy::RejectNewest).is_ok());
-    }
-
-    #[test]
-    fn block_times_out_then_succeeds_after_pop() {
-        let q = Arc::new(BoundedQueue::new(1));
-        assert!(q.push(1, &AdmissionPolicy::RejectNewest).is_ok());
-        let policy = AdmissionPolicy::Block { max_wait: Duration::from_millis(20) };
-        let refused = q.push(2, &policy).unwrap_err();
-        assert_eq!(refused.reason, ShedReason::AdmissionTimeout);
-
-        // A concurrent pop frees the slot while a pusher waits.
-        let popper = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || {
-                thread::sleep(Duration::from_millis(10));
-                q.pop()
-            })
-        };
-        let waited = q
-            .push(2, &AdmissionPolicy::Block { max_wait: Duration::from_secs(5) })
-            .expect("slot frees up");
-        assert!(waited, "the pusher must have blocked");
-        assert_eq!(popper.join().unwrap(), Some(1));
-    }
-
-    #[test]
-    fn close_refuses_pushes_and_drains_pops() {
-        let q = BoundedQueue::new(0);
-        assert!(q.push(1, &AdmissionPolicy::RejectNewest).is_ok());
-        q.close();
-        q.close(); // idempotent
-        let refused = q.push(2, &AdmissionPolicy::RejectNewest).unwrap_err();
-        assert_eq!(refused.reason, ShedReason::Draining);
-        assert!(q.force_push(3).is_err(), "force_push respects close");
-        // Queued items still drain before pop reports closure.
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn close_wakes_blocked_popper() {
-        let q = Arc::new(BoundedQueue::<u32>::new(0));
-        let popper = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.pop())
-        };
-        thread::sleep(Duration::from_millis(5));
-        q.close();
-        assert_eq!(popper.join().unwrap(), None);
-    }
-
-    #[test]
-    fn force_push_ignores_capacity() {
-        let q = BoundedQueue::new(1);
-        assert!(q.push(1, &AdmissionPolicy::RejectNewest).is_ok());
-        assert!(q.force_push(2).is_ok());
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.high_water(), 2);
-    }
-
-    #[test]
-    fn drain_now_empties_the_queue() {
-        let q = BoundedQueue::new(0);
-        for i in 0..5 {
-            assert!(q.push(i, &AdmissionPolicy::RejectNewest).is_ok());
-        }
-        assert_eq!(q.drain_now(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.len(), 0);
-        q.close();
-        assert_eq!(q.pop(), None);
-    }
-
-    // --- tenants -----------------------------------------------------------
+    use std::time::Duration;
 
     fn gate(quota: TenantQuota) -> TenantGate {
         TenantGate::new([TenantSpec::new("acme", "k-acme").with_quota(quota)])

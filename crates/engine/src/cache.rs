@@ -79,8 +79,9 @@ impl Flight {
         self.cond.notify_all();
     }
 
-    /// Publishes only if nothing was published yet (so a dying worker
-    /// never overwrites a real outcome — and never leaves waiters hung);
+    /// Publishes only if nothing was published yet (so a drain's shed or
+    /// a pool worker's panic net never overwrites a real outcome — and
+    /// never leaves waiters hung);
     /// returns whether this call published. `accounting` runs while still
     /// holding the cell's lock: metric updates that belong to the
     /// publication (shed/completed counters) go there, because a waiter
@@ -139,8 +140,8 @@ pub(crate) struct LeadToken {
 /// The poison outcome a dropped (unredeemed) [`LeadToken`] publishes to
 /// its joiners. Joiners match on this exact message and retry the lookup
 /// instead of surfacing it: the slot was evicted, so one of them becomes
-/// the new leader — a dead worker must not fail the jobs that merely
-/// shared its flight.
+/// the new leader — a leader that unwound must not fail the jobs that
+/// merely shared its flight.
 pub(crate) const LEAD_DIED: &str = "cache leader died before completing";
 
 impl Drop for LeadToken {

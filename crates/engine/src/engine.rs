@@ -3,14 +3,12 @@
 //!
 //! [`EvalEngine::run`] takes a job through its whole life on the calling
 //! thread. [`EvalEngine::submit`] queues it instead for a fixed pool of
-//! named worker threads, kept alive by a supervisor thread, which run the
+//! named worker threads, started by the first submission, which run the
 //! same private evaluation and publish the outcome to a [`JobHandle`].
 //! Each evaluation:
 //!
 //! 1. resolves a job whose deadline already passed (while it sat queued
-//!    or waited for a slot) as [`Outcome::TimedOut`] without evaluating —
-//!    under [`AdmissionPolicy::ShedExpired`] a pool worker sheds it at
-//!    dequeue instead ([`Outcome::Shed`]);
+//!    or waited for a slot) as [`Outcome::TimedOut`] without evaluating;
 //! 2. asks the job kind's circuit breaker for admission (an open breaker
 //!    fails fast with [`Outcome::FailedFast`] instead of burning a thread
 //!    on a kind that keeps failing);
@@ -20,27 +18,23 @@
 //! 4. otherwise leads: runs the evaluation through the **resilience
 //!    ladder** below and publishes the outcome — failures
 //!    ([`Outcome::TimedOut`], [`Outcome::Panicked`],
-//!    [`Outcome::FailedFast`], [`Outcome::Shed`]) reach current waiters
-//!    but are never cached; a panicking evaluation neither poisons the
-//!    pool nor unwinds into a caller of [`EvalEngine::run`].
+//!    [`Outcome::FailedFast`]) reach current waiters but are never
+//!    cached; a panicking evaluation neither kills a pool worker nor
+//!    unwinds into a caller of [`EvalEngine::run`].
 //!
 //! # The serving layer
 //!
 //! At most [`EngineConfig::workers`] callers of [`EvalEngine::run`]
-//! evaluate at once; the rest wait for a slot. Submission passes through
-//! a [`BoundedQueue`] governed by [`EngineConfig::admission`]; a refused
-//! job resolves to [`Outcome::Shed`] with a typed [`ShedReason`] rather
-//! than blocking the engine or vanishing. A supervisor thread polls
-//! worker liveness and — within [`SupervisorConfig::restart_budget`] —
-//! restarts dead workers with exponential backoff, requeueing the job the
-//! dead worker was holding (once) so a killed worker costs latency, not
-//! answers. Big integer evaluation state is debited against
+//! evaluate at once; the rest wait for a slot. Submission pushes onto an
+//! unbounded queue; a pool worker handles every fault exactly as a caller
+//! of `run` does, so no worker dies and the pool never shrinks. Big
+//! integer evaluation state is debited against
 //! [`EngineConfig::memory_budget_bytes`] through `homcount`'s
 //! [`MemoryGauge`](bagcq_homcount::MemoryGauge) hook, so an evaluation
 //! that would dwarf memory fails with a typed error instead of taking the
-//! process down. [`EvalEngine::drain`] closes admission and the slots and
+//! process down. [`EvalEngine::drain`] closes the queue and the slots and
 //! winds the engine down by a caller-supplied deadline, shedding what
-//! cannot finish.
+//! cannot finish as [`Outcome::Shed`]`(`[`ShedReason::Draining`]`)`.
 //!
 //! # The resilience ladder
 //!
@@ -68,15 +62,13 @@
 //! same cache under the same key a direct [`JobSpec::Count`] job would
 //! use, so mixed workloads share work across job kinds.
 
-use crate::admission::{AdmissionConfig, AdmissionPolicy, BoundedQueue};
 use crate::breaker::{Admit, Breaker, BreakerConfig, Signal};
 use crate::budget::MemoryBudget;
 use crate::cache::{Flight, Lookup, MemoCache};
-use crate::fault::{FaultInjector, WorkerKillMarker};
+use crate::fault::FaultInjector;
 use crate::job::{count_fingerprint, Job, JobHandle, JobSpec, Outcome, ShedReason};
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{EngineHealth, Metrics, MetricsSnapshot};
 use crate::retry::RetryPolicy;
-use crate::supervisor::{EngineHealth, SupervisorConfig};
 use crate::trace::{fp_bits, outcome_label};
 use bagcq_arith::{Magnitude, Nat};
 use bagcq_containment::CheckError;
@@ -88,17 +80,12 @@ use bagcq_obs as obs;
 use bagcq_query::Query;
 use bagcq_structure::Structure;
 use std::any::Any;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// How many times a job may be recovered from a dying worker before it
-/// fails fast with the poison [`Outcome::Panicked`]. A job that kills
-/// every worker it touches must not chew through the whole restart
-/// budget.
-const MAX_JOB_DEATHS: u32 = 2;
 
 /// Memo-cache shards (lock granularity).
 const CACHE_SHARDS: usize = 16;
@@ -127,12 +114,6 @@ pub struct EngineConfig {
     /// Deterministic fault injector threaded through every evaluation
     /// (chaos testing). `None` in production.
     pub fault: Option<Arc<FaultInjector>>,
-    /// Admission control: queue capacity and overload policy. The default
-    /// (unbounded queue) preserves the pre-serving-layer behavior.
-    pub admission: AdmissionConfig,
-    /// Worker supervision: liveness polling, restart budget/backoff, and
-    /// whether jobs recovered from dead workers are requeued.
-    pub supervisor: SupervisorConfig,
     /// Byte budget for big-integer evaluation state, shared by every
     /// worker (`0` = no budget). Charged through `homcount`'s
     /// [`MemoryGauge`](bagcq_homcount::MemoryGauge) hook; an evaluation
@@ -156,8 +137,6 @@ impl Default for EngineConfig {
             fallback_enabled: true,
             breaker: BreakerConfig::default(),
             fault: None,
-            admission: AdmissionConfig::default(),
-            supervisor: SupervisorConfig::default(),
             memory_budget_bytes: 0,
             store: None,
         }
@@ -191,13 +170,13 @@ impl CheckpointHook for EngineHook {
     }
 }
 
-/// State shared by the public handle, every worker, and the supervisor.
+/// State shared by the public handle and every pool worker.
 pub(crate) struct Shared {
     cache: MemoCache,
     metrics: Arc<Metrics>,
     config: EngineConfig,
     breakers: BreakerSet,
-    queue: BoundedQueue<(WorkItem, Arc<Flight>)>,
+    queue: JobQueue<(WorkItem, Arc<Flight>)>,
     budget: Option<Arc<MemoryBudget>>,
     drain_stop: Arc<AtomicBool>,
     hook: Arc<EngineHook>,
@@ -395,15 +374,10 @@ impl Shared {
     }
 
     /// Runs one attempt with panic isolation and classifies the result.
-    /// On a pool worker (`pooled`) a [`WorkerKillMarker`] panic is
-    /// deliberately re-raised: it simulates a worker-thread death, which
-    /// the supervision layer (not the resilience ladder) must absorb. On a
-    /// caller of [`EvalEngine::run`] it is a panic like any other.
     fn execute_once(
         &self,
         item: &WorkItem,
         backend_override: Option<BackendChoice>,
-        pooled: bool,
     ) -> Result<Outcome, JobFailure> {
         let ctl = self.controls(item.deadline, item.step_budget);
         let run = || self.run_spec(&item.spec, &ctl, item.deadline, backend_override);
@@ -412,12 +386,7 @@ impl Shared {
             Ok(Err(CountError::Cancelled(Cancelled(reason)))) => Err(JobFailure::Cancelled(reason)),
             Ok(Err(CountError::Transient(msg))) => Err(JobFailure::Transient(msg)),
             Ok(Err(CountError::Mismatch(msg))) => Err(JobFailure::Mismatch(msg)),
-            Err(payload) => {
-                if pooled && payload.is::<WorkerKillMarker>() {
-                    std::panic::resume_unwind(payload);
-                }
-                Err(JobFailure::Panic(panic_message(payload)))
-            }
+            Err(payload) => Err(JobFailure::Panic(panic_message(payload))),
         }
     }
 
@@ -461,9 +430,8 @@ impl Shared {
 
     /// Runs a spec through the full resilience ladder (classification →
     /// retry with backoff → engine fallback → terminal outcome). Always
-    /// returns an outcome; never panics outward — except a pool worker's
-    /// [`WorkerKillMarker`], which is for the supervisor.
-    fn execute_resilient(&self, item: &WorkItem, pooled: bool) -> Outcome {
+    /// returns an outcome; never panics outward.
+    fn execute_resilient(&self, item: &WorkItem) -> Outcome {
         let fp = item.spec.fingerprint();
         let _span = obs::span_fp("engine.execute", item.spec.kind(), fp_bits(&fp));
         let salt = fp.hi ^ fp.lo;
@@ -473,7 +441,7 @@ impl Shared {
             if item.deadline.is_some_and(|d| Instant::now() >= d) {
                 return Outcome::TimedOut;
             }
-            let failure = match self.execute_once(item, backend_override, pooled) {
+            let failure = match self.execute_once(item, backend_override) {
                 Ok(outcome) => return outcome,
                 Err(f) => f,
             };
@@ -578,8 +546,6 @@ struct WorkItem {
     deadline: Option<Instant>,
     step_budget: u64,
     submitted: Instant,
-    /// How many workers have already died holding this job.
-    deaths: u32,
 }
 
 impl WorkItem {
@@ -590,7 +556,6 @@ impl WorkItem {
             step_budget: job.step_budget,
             spec: job.spec,
             submitted,
-            deaths: 0,
         }
     }
 }
@@ -619,62 +584,10 @@ fn publish_shed(shared: &Shared, flight: &Flight, reason: ShedReason) {
     });
 }
 
-/// Keeps a job from vanishing if the worker dies between picking it up
-/// and publishing its result. On an unwinding worker this either requeues
-/// the job for another worker (bounded by [`MAX_JOB_DEATHS`] and
-/// [`SupervisorConfig::requeue_on_death`], never during a drain) or
-/// publishes a poison outcome so `JobHandle::wait()` never hangs on a
-/// dead worker. Disarmed by the normal publish path.
-struct PublishGuard<'a> {
-    shared: &'a Shared,
-    item: &'a WorkItem,
-    flight: &'a Arc<Flight>,
-}
-
-impl PublishGuard<'_> {
-    fn publish(self, outcome: Outcome) {
-        self.flight.publish(outcome);
-        std::mem::forget(self);
-    }
-}
-
-impl Drop for PublishGuard<'_> {
-    fn drop(&mut self) {
-        let draining = self.shared.metrics.health() == EngineHealth::Draining
-            || self.shared.drain_stop.load(Ordering::Relaxed);
-        if self.shared.config.supervisor.requeue_on_death
-            && self.item.deaths < MAX_JOB_DEATHS
-            && !draining
-        {
-            let requeued = WorkItem {
-                spec: self.item.spec.clone(),
-                deadline: self.item.deadline,
-                step_budget: self.item.step_budget,
-                submitted: self.item.submitted,
-                deaths: self.item.deaths + 1,
-            };
-            // Past the capacity bound on purpose: the job was admitted
-            // once already, so bouncing it here would turn a worker death
-            // into job loss.
-            if self.shared.queue.force_push((requeued, Arc::clone(self.flight))).is_ok() {
-                self.shared.metrics.job_requeued();
-                return;
-            }
-        }
-        self.flight.publish_if_pending_with(
-            Outcome::Panicked("worker died before publishing an outcome".to_string()),
-            || {
-                self.shared.metrics.job_panicked();
-                self.shared.metrics.job_completed();
-            },
-        );
-    }
-}
-
-/// The one evaluation every job gets, on a pool worker (`pooled`) or on a
-/// caller of [`EvalEngine::run`]: deadline, breaker, single-flight memo,
-/// the resilience ladder, and the job's accounting.
-fn evaluate(shared: &Shared, item: &WorkItem, pooled: bool) -> Outcome {
+/// The one evaluation every job gets, on a pool worker or on a caller of
+/// [`EvalEngine::run`]: deadline, breaker, single-flight memo, the
+/// resilience ladder, and the job's accounting.
+fn evaluate(shared: &Shared, item: &WorkItem) -> Outcome {
     // The start → count → publish span; on a pool worker, enqueue time is
     // the gap between the `engine.enqueue` instant with the same
     // fingerprint and this.
@@ -696,11 +609,11 @@ fn evaluate(shared: &Shared, item: &WorkItem, pooled: bool) -> Outcome {
                 Outcome::FailedFast(ff)
             }
             Admit::Allowed => {
-                // Looped for one reason: a joiner whose leader's worker
-                // died wakes with the `LEAD_DIED` poison after the slot
-                // was evicted — it retries the lookup (becoming the new
-                // leader, or joining one) instead of failing a job that
-                // merely shared the dead worker's flight.
+                // Looped for one reason: a joiner whose leader unwound
+                // before completing wakes with the `LEAD_DIED` poison after
+                // the slot was evicted — it retries the lookup (becoming
+                // the new leader, or joining one) instead of failing a job
+                // that merely shared the dead leader's flight.
                 let outcome = loop {
                     match shared.cache.begin(item.spec.fingerprint()) {
                         Lookup::Hit(outcome) => break outcome,
@@ -712,7 +625,7 @@ fn evaluate(shared: &Shared, item: &WorkItem, pooled: bool) -> Outcome {
                             Some(outcome) => break outcome,
                         },
                         Lookup::Lead(token) => {
-                            let outcome = shared.execute_resilient(item, pooled);
+                            let outcome = shared.execute_resilient(item);
                             shared.cache.complete(token, outcome.clone());
                             break outcome;
                         }
@@ -747,88 +660,101 @@ fn evaluate(shared: &Shared, item: &WorkItem, pooled: bool) -> Outcome {
     outcome
 }
 
-/// One worker thread's life: drain the queue until it is closed *and*
-/// empty. Under [`AdmissionPolicy::ShedExpired`], jobs whose deadline
-/// passed while queued are shed at dequeue instead of evaluated.
+/// One pool worker's life: evaluate queued jobs until the queue is closed
+/// *and* empty. A panic that escapes the evaluation (nothing inside it
+/// runs caller code, so none is expected) resolves its job as
+/// [`Outcome::Panicked`] and the worker lives on: a waiter never hangs
+/// and the pool never shrinks.
 fn worker_loop(shared: &Shared) {
     while let Some((item, flight)) = shared.queue.pop() {
-        if matches!(shared.config.admission.policy, AdmissionPolicy::ShedExpired)
-            && item.deadline.is_some_and(|d| Instant::now() >= d)
-        {
-            publish_shed(shared, &flight, ShedReason::ExpiredAtDequeue);
-            continue;
+        match catch_unwind(AssertUnwindSafe(|| evaluate(shared, &item))) {
+            Ok(outcome) => flight.publish(outcome),
+            Err(payload) => {
+                flight.publish_if_pending_with(Outcome::Panicked(panic_message(payload)), || {
+                    shared.metrics.job_panicked();
+                    shared.metrics.job_completed();
+                });
+            }
         }
-        let guard = PublishGuard { shared, item: &item, flight: &flight };
-        guard.publish(evaluate(shared, &item, true));
     }
 }
 
-type WorkerSlots = Arc<Mutex<Vec<Option<thread::JoinHandle<()>>>>>;
-
-fn lock_slots(slots: &WorkerSlots) -> MutexGuard<'_, Vec<Option<thread::JoinHandle<()>>>> {
-    slots.lock().unwrap_or_else(|p| p.into_inner())
+/// A closable FIFO for the pool: one `Mutex<VecDeque>` and one `Condvar`.
+///
+/// Lock poisoning is ignored (`into_inner` on a poisoned guard): no code
+/// that can panic runs while the lock is held, and every update leaves
+/// the queue valid.
+struct JobQueue<T> {
+    inner: Mutex<QueueState<T>>,
+    not_empty: Condvar,
 }
 
-fn spawn_worker(shared: &Arc<Shared>, name: String) -> thread::JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    thread::Builder::new()
-        .name(name)
-        .spawn(move || worker_loop(&shared))
-        .expect("failed to spawn engine worker")
+struct QueueState<T> {
+    items: VecDeque<T>,
+    closed: bool,
+    high_water: usize,
 }
 
-/// The supervisor thread: polls worker liveness, reaps dead workers, and
-/// restarts them within the restart budget. Worker exits during a drain
-/// are normal shutdown, not deaths.
-fn supervisor_loop(shared: Arc<Shared>, slots: WorkerSlots, stop: Arc<AtomicBool>) {
-    let cfg = shared.config.supervisor;
-    let mut restarts_used: u32 = 0;
-    let mut consecutive: u32 = 0;
-    let mut generation: u64 = 0;
-    while !stop.load(Ordering::Relaxed) {
-        let draining = shared.metrics.health() == EngineHealth::Draining;
-        let mut dead: Vec<usize> = Vec::new();
-        {
-            let mut guard = lock_slots(&slots);
-            for (i, slot) in guard.iter_mut().enumerate() {
-                if slot.as_ref().is_some_and(|h| h.is_finished()) {
-                    let _ = slot.take().expect("checked is_some").join();
-                    dead.push(i);
-                }
-            }
+impl<T> JobQueue<T> {
+    fn new() -> Self {
+        JobQueue {
+            inner: Mutex::new(QueueState { items: VecDeque::new(), closed: false, high_water: 0 }),
+            not_empty: Condvar::new(),
         }
-        if dead.is_empty() {
-            consecutive = 0;
-            if !draining && shared.metrics.health() == EngineHealth::Degraded {
-                // Recovery: the full complement is back.
-                let all_alive = lock_slots(&slots).iter().all(Option::is_some);
-                if all_alive {
-                    shared.metrics.set_health(EngineHealth::Healthy);
-                }
-            }
-        } else if !draining {
-            for &i in &dead {
-                shared.metrics.worker_death();
-                shared.metrics.set_health(EngineHealth::Degraded);
-                if restarts_used >= cfg.restart_budget {
-                    // Budget exhausted: the pool stays short (and the
-                    // engine stays Degraded) rather than spawn-storming a
-                    // crash loop.
-                    continue;
-                }
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                thread::sleep(cfg.backoff(consecutive));
-                consecutive = consecutive.saturating_add(1);
-                generation += 1;
-                let handle = spawn_worker(&shared, format!("bagcq-engine-{i}.{generation}"));
-                lock_slots(&slots)[i] = Some(handle);
-                restarts_used += 1;
-                shared.metrics.worker_restart();
-            }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Enqueues `item`, or hands it back once the queue is closed (the
+    /// caller sheds it as [`ShedReason::Draining`]).
+    fn push(&self, item: T) -> Result<(), T> {
+        let mut inner = self.lock();
+        if inner.closed {
+            return Err(item);
         }
-        thread::sleep(cfg.poll_interval);
+        inner.items.push_back(item);
+        inner.high_water = inner.high_water.max(inner.items.len());
+        self.not_empty.notify_one();
+        Ok(())
+    }
+
+    /// Blocks for the next item; `None` once the queue is closed *and*
+    /// empty (workers finish what was queued before exiting).
+    fn pop(&self) -> Option<T> {
+        let mut inner = self.lock();
+        loop {
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
+            }
+            if inner.closed {
+                return None;
+            }
+            inner = self.not_empty.wait(inner).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+
+    /// Refuses further pushes and wakes every blocked popper. Idempotent.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.not_empty.notify_all();
+    }
+
+    /// Removes and returns everything currently queued (the drain
+    /// deadline's shed step).
+    fn drain_now(&self) -> Vec<T> {
+        std::mem::take(&mut self.lock().items).into()
+    }
+
+    /// Items currently queued.
+    fn len(&self) -> usize {
+        self.lock().items.len()
+    }
+
+    /// The deepest the queue has ever been.
+    fn high_water(&self) -> usize {
+        self.lock().high_water
     }
 }
 
@@ -837,9 +763,9 @@ fn supervisor_loop(shared: Arc<Shared>, slots: WorkerSlots, stop: Arc<AtomicBool
 pub struct DrainReport {
     /// Jobs that resolved (any outcome) during the drain window.
     pub completed: u64,
-    /// Jobs the drain shed (queued work flushed, and callers of
-    /// [`EvalEngine::run`] refused, with [`ShedReason::Draining`], plus
-    /// dequeue-time sheds in the window).
+    /// Jobs the drain shed with [`ShedReason::Draining`]: queued work
+    /// flushed, and submissions and callers of [`EvalEngine::run`]
+    /// refused, in the window.
     pub shed: u64,
     /// Jobs still unresolved when the drain returned — `0` unless an
     /// evaluation ignored the cooperative hard stop past the deadline.
@@ -878,15 +804,15 @@ pub struct DrainReport {
 /// ```
 pub struct EvalEngine {
     shared: Arc<Shared>,
-    slots: WorkerSlots,
-    supervisor_stop: Arc<AtomicBool>,
-    supervisor: Option<thread::JoinHandle<()>>,
+    /// The pool, spawned by the first [`EvalEngine::submit`].
+    pool: OnceLock<Vec<thread::JoinHandle<()>>>,
     worker_target: usize,
 }
 
 impl EvalEngine {
-    /// Builds an engine with the given configuration and starts its
-    /// worker threads and supervisor.
+    /// Builds an engine with the given configuration. It spawns no
+    /// thread: the worker pool starts with the first
+    /// [`EvalEngine::submit`].
     pub fn new(config: EngineConfig) -> Self {
         let worker_count = if config.workers == 0 {
             thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8)
@@ -902,42 +828,20 @@ impl EvalEngine {
         });
         let budget =
             (config.memory_budget_bytes > 0).then(|| MemoryBudget::new(config.memory_budget_bytes));
-        let queue = BoundedQueue::new(config.admission.capacity);
         let shared = Arc::new(Shared {
             cache: MemoCache::new(CACHE_SHARDS, Arc::clone(&metrics))
                 .with_store(config.store.clone()),
             metrics,
             config,
             breakers,
-            queue,
+            queue: JobQueue::new(),
             budget,
             drain_stop,
             hook,
             free_slots: Mutex::new(Some(worker_count)),
             slot_freed: Condvar::new(),
         });
-        let slots: WorkerSlots = Arc::new(Mutex::new(
-            (0..worker_count)
-                .map(|i| Some(spawn_worker(&shared, format!("bagcq-engine-{i}"))))
-                .collect(),
-        ));
-        let supervisor_stop = Arc::new(AtomicBool::new(false));
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            let slots = Arc::clone(&slots);
-            let stop = Arc::clone(&supervisor_stop);
-            thread::Builder::new()
-                .name("bagcq-engine-supervisor".to_string())
-                .spawn(move || supervisor_loop(shared, slots, stop))
-                .expect("failed to spawn engine supervisor")
-        };
-        EvalEngine {
-            shared,
-            slots,
-            supervisor_stop,
-            supervisor: Some(supervisor),
-            worker_target: worker_count,
-        }
+        EvalEngine { shared, pool: OnceLock::new(), worker_target: worker_count }
     }
 
     /// An engine with `n` workers and default everything else.
@@ -945,18 +849,17 @@ impl EvalEngine {
         EvalEngine::new(EngineConfig { workers: n, ..EngineConfig::default() })
     }
 
-    /// Number of worker threads the engine targets (the supervisor keeps
-    /// the pool at this size within its restart budget).
+    /// Size of the worker pool, and the number of evaluation slots for
+    /// callers of [`EvalEngine::run`].
     pub fn worker_count(&self) -> usize {
         self.worker_target
     }
 
-    /// Worker threads currently alive.
+    /// Pool worker threads currently alive: `0` until the first
+    /// [`EvalEngine::submit`], then [`EvalEngine::worker_count`] until a
+    /// drain closes the queue and the workers finish what it held.
     pub fn live_workers(&self) -> usize {
-        lock_slots(&self.slots)
-            .iter()
-            .filter(|s| s.as_ref().is_some_and(|h| !h.is_finished()))
-            .count()
+        self.pool.get().map_or(0, |pool| pool.iter().filter(|h| !h.is_finished()).count())
     }
 
     /// The engine's current health state.
@@ -964,10 +867,10 @@ impl EvalEngine {
         self.shared.metrics.health()
     }
 
-    /// Submits one job; returns immediately (or, under
-    /// [`AdmissionPolicy::Block`], after at most `max_wait`) with a
-    /// waitable handle. A job the admission layer refuses still resolves:
-    /// its handle yields [`Outcome::Shed`] with the typed reason.
+    /// Submits one job to the worker pool, starting the pool on first
+    /// use, and returns a waitable handle at once. Once a drain has
+    /// begun, the handle yields
+    /// [`Outcome::Shed`]`(`[`ShedReason::Draining`]`)`.
     pub fn submit(&self, job: Job) -> JobHandle {
         let flight = Arc::new(Flight::default());
         let item = WorkItem::new(job);
@@ -975,11 +878,21 @@ impl EvalEngine {
         if obs::enabled() {
             obs::instant_fp("engine.enqueue", item.spec.kind(), fp_bits(&item.spec.fingerprint()));
         }
-        let policy = &self.shared.config.admission.policy;
-        match self.shared.queue.push((item, Arc::clone(&flight)), policy) {
-            Ok(true) => self.shared.metrics.admission_wait(),
-            Ok(false) => {}
-            Err(refused) => publish_shed(&self.shared, &refused.item.1, refused.reason),
+        match self.shared.queue.push((item, Arc::clone(&flight))) {
+            Ok(()) => {
+                self.pool.get_or_init(|| {
+                    (0..self.worker_target)
+                        .map(|i| {
+                            let shared = Arc::clone(&self.shared);
+                            thread::Builder::new()
+                                .name(format!("bagcq-engine-{i}"))
+                                .spawn(move || worker_loop(&shared))
+                                .expect("failed to spawn engine worker")
+                        })
+                        .collect()
+                });
+            }
+            Err(_) => publish_shed(&self.shared, &flight, ShedReason::Draining),
         }
         JobHandle { flight }
     }
@@ -996,8 +909,7 @@ impl EvalEngine {
     /// their own (a job whose deadline passes meanwhile resolves as
     /// [`Outcome::TimedOut`]). Once a drain has begun, the job resolves as
     /// [`Outcome::Shed`]`(`[`ShedReason::Draining`]`)` without evaluating.
-    /// [`EngineConfig::admission`] does not apply, and no evaluation
-    /// panic unwinds into the caller.
+    /// No evaluation panic unwinds into the caller.
     pub fn run(&self, job: Job) -> Outcome {
         let item = WorkItem::new(job);
         self.shared.metrics.job_submitted();
@@ -1006,7 +918,7 @@ impl EvalEngine {
             self.shared.metrics.job_completed();
             return Outcome::Shed(ShedReason::Draining);
         };
-        evaluate(&self.shared, &item, false)
+        evaluate(&self.shared, &item)
     }
 
     /// Jobs submitted but not yet resolved.
@@ -1016,10 +928,10 @@ impl EvalEngine {
 
     /// Gracefully winds the engine down, returning by `timeout`:
     ///
-    /// 1. health → [`EngineHealth::Draining`] (terminal); admission and
-    ///    the evaluation slots close — new submissions, and callers of
-    ///    [`EvalEngine::run`] without a slot, resolve as
-    ///    [`Outcome::Shed`]`(`[`ShedReason::Draining`]`)`;
+    /// 1. the queue and the evaluation slots close — new submissions, and
+    ///    callers of [`EvalEngine::run`] without a slot, resolve as
+    ///    [`Outcome::Shed`]`(`[`ShedReason::Draining`]`)` — and only then
+    ///    health → [`EngineHealth::Draining`] (terminal);
     /// 2. in-flight and queued work gets most of the timeout to finish
     ///    normally;
     /// 3. whatever is still queued near the deadline is flushed and shed;
@@ -1038,10 +950,10 @@ impl EvalEngine {
         obs::instant("engine.drain", "begin");
         let completed_before = self.shared.metrics.completed_count();
         let shed_before = self.shared.metrics.shed_count();
-        self.shared.metrics.set_health(EngineHealth::Draining);
         self.shared.queue.close();
         *self.shared.free_slots.lock().unwrap_or_else(|p| p.into_inner()) = None;
         self.shared.slot_freed.notify_all();
+        self.shared.metrics.begin_draining();
         // Most of the timeout goes to letting work finish; a margin is
         // reserved for the shed + hard-stop + flush steps.
         let margin = (timeout / 10)
@@ -1103,18 +1015,64 @@ impl EvalEngine {
 
 impl Drop for EvalEngine {
     fn drop(&mut self) {
-        // Stop the supervisor first, so workers exiting normally on queue
-        // close are not miscounted as deaths (and not restarted).
-        self.supervisor_stop.store(true, Ordering::Relaxed);
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
-        // Closing the queue lets workers drain what is left and exit.
+        // Closing the queue lets workers finish what is left and exit.
         self.shared.queue.close();
-        for slot in lock_slots(&self.slots).iter_mut() {
-            if let Some(handle) = slot.take() {
-                let _ = handle.join();
-            }
+        for handle in self.pool.take().into_iter().flatten() {
+            let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::JobQueue;
+    use std::sync::Arc;
+    use std::thread;
+    use std::time::Duration;
+
+    #[test]
+    fn unbounded_always_admits() {
+        let q = JobQueue::new();
+        for i in 0..1000 {
+            assert!(q.push(i).is_ok());
+        }
+        assert_eq!(q.len(), 1000);
+        assert_eq!(q.high_water(), 1000);
+    }
+
+    #[test]
+    fn close_refuses_pushes_and_drains_pops() {
+        let q = JobQueue::new();
+        assert!(q.push(1).is_ok());
+        q.close();
+        q.close(); // idempotent
+        assert_eq!(q.push(2), Err(2), "a closed queue hands the item back");
+        // Queued items still drain before pop reports closure.
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn close_wakes_blocked_popper() {
+        let q = Arc::new(JobQueue::<u32>::new());
+        let popper = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || q.pop())
+        };
+        thread::sleep(Duration::from_millis(5));
+        q.close();
+        assert_eq!(popper.join().unwrap(), None);
+    }
+
+    #[test]
+    fn drain_now_empties_the_queue() {
+        let q = JobQueue::new();
+        for i in 0..5 {
+            assert!(q.push(i).is_ok());
+        }
+        assert_eq!(q.drain_now(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(q.len(), 0);
+        q.close();
+        assert_eq!(q.pop(), None);
     }
 }

@@ -19,17 +19,12 @@
 //!
 //! Four fault kinds, mirroring what long sweeps actually hit:
 //!
-//! * [`FaultKind::Panic`] — a worker crash (`panic!` at the checkpoint);
+//! * [`FaultKind::Panic`] — a crashing evaluation (`panic!` at the checkpoint);
 //! * [`FaultKind::Latency`] — a slow disk/NUMA stall (bounded sleep);
 //! * [`FaultKind::SpuriousCancel`] — a cancellation nobody requested;
 //! * [`FaultKind::TransientError`] — a counter that fails once and then
 //!   recovers (only fires at engine count sites; at loop checkpoints it
 //!   degrades to a spurious cancel, the closest typed signal available).
-//!
-//! A fifth, opt-in kind targets the supervision layer rather than the
-//! per-job ladder: [`FaultKind::WorkerKill`] kills the worker *thread*
-//! itself (its marker panic is deliberately re-raised past the engine's
-//! `catch_unwind`), forcing the supervisor to reap and restart it.
 
 use bagcq_homcount::CountError;
 use bagcq_homcount::{CancelReason, Cancelled, CheckpointHook};
@@ -41,7 +36,7 @@ use std::time::Duration;
 /// The kinds of fault an injector can fire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Panic at the checkpoint (simulated worker crash).
+    /// Panic at the checkpoint (simulated crash of the evaluation).
     Panic,
     /// Sleep briefly at the checkpoint (simulated stall).
     Latency,
@@ -49,23 +44,10 @@ pub enum FaultKind {
     SpuriousCancel,
     /// Fail a count with a typed transient error.
     TransientError,
-    /// Kill the whole worker *thread*, not just the attempt: the panic
-    /// carries a `WorkerKillMarker` payload that the engine's
-    /// `catch_unwind` deliberately re-raises, so the thread dies and the
-    /// supervision layer has to notice, recover the job, and restart the
-    /// worker. Not in [`FaultPlan::seeded`]'s default mix (it exercises
-    /// supervision, not the per-job resilience ladder); opt in with
-    /// [`FaultPlan::with_kinds`].
-    WorkerKill,
 }
 
 const ALL_KINDS: [FaultKind; 4] =
     [FaultKind::Panic, FaultKind::Latency, FaultKind::SpuriousCancel, FaultKind::TransientError];
-
-/// The panic payload of a [`FaultKind::WorkerKill`] fault. The engine's
-/// panic isolation checks for this exact type and resumes the unwind
-/// instead of converting it to [`crate::Outcome::Panicked`].
-pub(crate) struct WorkerKillMarker;
 
 /// A seeded, declarative fault schedule.
 #[derive(Clone, Debug)]
@@ -253,7 +235,6 @@ impl FaultInjector {
             Some(FaultKind::TransientError) => {
                 Err(CountError::Transient(format!("fault injection: transient error at {site}")))
             }
-            Some(FaultKind::WorkerKill) => std::panic::panic_any(WorkerKillMarker),
         }
     }
 }
@@ -284,7 +265,6 @@ mod tests {
                 Some(FaultKind::Latency) => 'L',
                 Some(FaultKind::SpuriousCancel) => 'C',
                 Some(FaultKind::TransientError) => 'T',
-                Some(FaultKind::WorkerKill) => 'K',
             };
             out.push(format!("{n}:{letter}"));
         }

@@ -252,28 +252,17 @@ pub enum Outcome {
     /// without evaluating, to stop a failing kind from burning workers.
     /// Never cached.
     FailedFast(FailFast),
-    /// The job was shed by the serving layer without evaluating: refused
-    /// at admission (queue full, admission wait timed out, or the engine
-    /// was draining) or dropped at dequeue because its deadline had
-    /// already passed. Never cached.
+    /// The job was shed without evaluating: the engine was draining, or
+    /// the serving layer's tenant gate refused it. Never cached.
     Shed(ShedReason),
 }
 
 /// Why the serving layer shed a job (see [`Outcome::Shed`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The bounded queue was full under a rejecting admission policy.
-    QueueFull,
-    /// [`crate::AdmissionPolicy::Block`] waited `max_wait` without a slot
-    /// freeing up.
-    AdmissionTimeout,
-    /// The job's deadline passed while it sat queued; a
-    /// [`crate::AdmissionPolicy::ShedExpired`] worker dropped it at
-    /// dequeue instead of evaluating work nobody can use.
-    ExpiredAtDequeue,
-    /// Admission was closed: the engine is draining (or already drained)
-    /// and this job was either refused at submit or flushed out of the
-    /// queue by the drain deadline.
+    /// The engine is draining (or already drained): the job was refused
+    /// at submission or for want of an evaluation slot, or flushed out
+    /// of the queue by the drain deadline.
     Draining,
     /// The tenant's token-bucket quota was exhausted
     /// ([`crate::TenantGate`]); the serving layer maps this to HTTP 429.
@@ -291,9 +280,6 @@ impl ShedReason {
     /// Stable lowercase label (metrics rendering, trace instants).
     pub fn label(self) -> &'static str {
         match self {
-            ShedReason::QueueFull => "queue_full",
-            ShedReason::AdmissionTimeout => "admission_timeout",
-            ShedReason::ExpiredAtDequeue => "expired_at_dequeue",
             ShedReason::Draining => "draining",
             ShedReason::QuotaExceeded => "quota_exceeded",
             ShedReason::InFlightLimit => "in_flight_limit",
@@ -496,14 +482,11 @@ mod tests {
 
     #[test]
     fn shed_is_a_failure_with_a_stable_label() {
-        let out = Outcome::Shed(ShedReason::QueueFull);
+        let out = Outcome::Shed(ShedReason::Draining);
         assert!(out.is_failure());
-        assert_eq!(out.as_shed(), Some(ShedReason::QueueFull));
+        assert_eq!(out.as_shed(), Some(ShedReason::Draining));
         assert_eq!(out.as_count(), None);
-        assert_eq!(ShedReason::QueueFull.to_string(), "queue_full");
-        assert_eq!(ShedReason::AdmissionTimeout.label(), "admission_timeout");
-        assert_eq!(ShedReason::ExpiredAtDequeue.label(), "expired_at_dequeue");
-        assert_eq!(ShedReason::Draining.label(), "draining");
+        assert_eq!(ShedReason::Draining.to_string(), "draining");
         assert_eq!(ShedReason::QuotaExceeded.label(), "quota_exceeded");
         assert_eq!(ShedReason::InFlightLimit.label(), "in_flight_limit");
     }

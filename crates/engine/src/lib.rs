@@ -10,10 +10,11 @@
 //!
 //! * **One execution path**: [`EvalEngine::run`] evaluates a [`Job`] on
 //!   the calling thread and returns its [`Outcome`] — that is how
-//!   `bagcq-serve` answers each request; the fixed worker pool
-//!   (`std::thread`, no external dependencies) runs the same evaluation
-//!   for submitted jobs and batches, which return [`JobHandle`]s to
-//!   `wait()` on.
+//!   `bagcq-serve` answers each request; a fixed worker pool
+//!   (`std::thread`, no external dependencies, started by the first
+//!   submission) runs the same evaluation for submitted jobs and batches,
+//!   which return [`JobHandle`]s to `wait()` on. A pool worker handles
+//!   every fault as a caller of `run` does, so it never dies.
 //! * **Single-flight memo cache**, sharded and keyed by stable 128-bit
 //!   content fingerprints of queries and structures
 //!   ([`bagcq_structure::Fingerprint`]): structurally equal jobs are
@@ -43,25 +44,21 @@
 //!   driving the chaos test suite's core property — under any fault
 //!   schedule, completed outcomes are bit-identical to a clean run and
 //!   the cache never stores a faulty result.
-//! * **Overload-safe serving** ([`AdmissionConfig`]): submission passes
-//!   through a bounded queue with a pluggable [`AdmissionPolicy`]
-//!   (blocking backpressure, reject-newest, shed-expired-at-dequeue); a
-//!   refused job resolves to a typed [`Outcome::Shed`] instead of
-//!   hanging, vanishing, or growing the queue without bound.
-//! * **Worker supervision** ([`SupervisorConfig`]): a supervisor thread
-//!   reaps dead worker threads and restarts them within a capped,
-//!   backoff-governed budget, requeueing the job a dead worker was
-//!   holding; pool state is exposed as an [`EngineHealth`] machine
-//!   (`Healthy → Degraded → Draining`).
+//! * **Serving guards**: a [`TenantGate`] admits each request under its
+//!   tenant's [`TenantQuota`] before the engine sees it; at most
+//!   [`EngineConfig::workers`] callers of [`EvalEngine::run`] evaluate at
+//!   once; a refused request resolves to a typed [`Outcome::Shed`]
+//!   instead of hanging or vanishing. [`EngineHealth`] reads `Healthy`
+//!   until a drain, then `Draining`.
 //! * **Memory budgeting** ([`EngineConfig::memory_budget_bytes`]): the
 //!   `Nat`-heavy counting loops debit an engine-wide byte account through
 //!   `homcount`'s [`bagcq_homcount::MemoryGauge`] hook; an evaluation
 //!   that would dwarf memory fails with a typed error instead of taking
 //!   the process down.
-//! * **Graceful drain** ([`EvalEngine::drain`]): stops admission,
-//!   finishes or sheds in-flight work, flushes the persistent store, and
-//!   returns by a caller-supplied deadline with a [`DrainReport`] —
-//!   every job resolves to exactly one outcome.
+//! * **Graceful drain** ([`EvalEngine::drain`]): closes the queue and
+//!   the evaluation slots, finishes or sheds in-flight work, flushes the
+//!   persistent store, and returns by a caller-supplied deadline with a
+//!   [`DrainReport`] — every job resolves to exactly one outcome.
 //! * **Persistent memo store** ([`MemoStore`],
 //!   [`EngineConfig::store`]): completed counts are appended to
 //!   disk-backed, CRC-framed segment files keyed by the same 128-bit
@@ -88,7 +85,6 @@ mod job;
 mod metrics;
 mod retry;
 mod store;
-mod supervisor;
 pub mod trace;
 
 /// The process-global tracer this engine is instrumented with
@@ -97,8 +93,8 @@ pub mod trace;
 pub use bagcq_obs as obs;
 
 pub use admission::{
-    AdmissionConfig, AdmissionPolicy, TenantConnection, TenantCounters, TenantGate, TenantPermit,
-    TenantQuota, TenantRefusal, TenantSpec,
+    TenantConnection, TenantCounters, TenantGate, TenantPermit, TenantQuota, TenantRefusal,
+    TenantSpec,
 };
 /// The unified counting surface, re-exported from `bagcq-homcount` so
 /// engine users name backends and counting errors without a separate
@@ -112,8 +108,7 @@ pub use breaker::{BreakerConfig, FailFast};
 pub use engine::{DrainReport, EngineConfig, EvalEngine};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSchedule};
 pub use job::{Job, JobHandle, JobSpec, Outcome, ShedReason};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::{EngineHealth, Metrics, MetricsSnapshot};
 pub use retry::RetryPolicy;
 pub use store::{MemoStore, RecoveryReport, StoreError, StoreOptions, StoreStats};
-pub use supervisor::{EngineHealth, SupervisorConfig};
 pub use trace::{TraceReport, TraceSession};

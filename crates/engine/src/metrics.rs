@@ -12,11 +12,31 @@
 use crate::admission::TenantCounters;
 use crate::job::ShedReason;
 use crate::store::StoreStats;
-use crate::supervisor::{EngineHealth, HealthCell};
 use bagcq_obs::{Log2Histogram, StageStats};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
+
+/// The engine's health: healthy until [`crate::EvalEngine::drain`] is
+/// called, then draining for good.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EngineHealth {
+    /// Accepting work.
+    Healthy,
+    /// `drain()` was called: the queue and the evaluation slots are
+    /// closed and the engine is winding down. Terminal.
+    Draining,
+}
+
+impl EngineHealth {
+    /// Stable lowercase label (metrics rendering, trace instants).
+    pub fn label(self) -> &'static str {
+        match self {
+            EngineHealth::Healthy => "healthy",
+            EngineHealth::Draining => "draining",
+        }
+    }
+}
 
 /// Shared atomic counters for one engine instance.
 #[derive(Debug, Default)]
@@ -36,11 +56,7 @@ pub struct Metrics {
     breaker_transitions: AtomicU64,
     breaker_rejections: AtomicU64,
     jobs_shed: AtomicU64,
-    jobs_requeued: AtomicU64,
-    admission_waits: AtomicU64,
-    worker_deaths: AtomicU64,
-    worker_restarts: AtomicU64,
-    health: HealthCell,
+    draining: AtomicBool,
     latency_us: Log2Histogram,
 }
 
@@ -118,28 +134,22 @@ impl Metrics {
         bagcq_obs::instant("engine.admission", reason.label());
     }
 
-    pub(crate) fn job_requeued(&self) {
-        self.jobs_requeued.fetch_add(1, Ordering::Relaxed);
-        bagcq_obs::instant("engine.supervisor", "requeue");
-    }
-
-    pub(crate) fn admission_wait(&self) {
-        self.admission_waits.fetch_add(1, Ordering::Relaxed);
-        bagcq_obs::instant("engine.admission", "wait");
-    }
-
-    pub(crate) fn worker_death(&self) {
-        self.worker_deaths.fetch_add(1, Ordering::Relaxed);
-        bagcq_obs::instant("engine.supervisor", "worker_death");
-    }
-
-    pub(crate) fn worker_restart(&self) {
-        self.worker_restarts.fetch_add(1, Ordering::Relaxed);
-        bagcq_obs::instant("engine.supervisor", "worker_restart");
-    }
-
     pub(crate) fn health(&self) -> EngineHealth {
-        self.health.get()
+        // Acquire pairs with `begin_draining`'s release: a reader that
+        // sees `Draining` also sees what the drain closed before it.
+        if self.draining.load(Ordering::Acquire) {
+            EngineHealth::Draining
+        } else {
+            EngineHealth::Healthy
+        }
+    }
+
+    /// Moves health to [`EngineHealth::Draining`] for good, with an
+    /// `engine.health` trace instant on the one transition.
+    pub(crate) fn begin_draining(&self) {
+        if !self.draining.swap(true, Ordering::AcqRel) {
+            bagcq_obs::instant("engine.health", EngineHealth::Draining.label());
+        }
     }
 
     /// Raw counter reads for the drain loop — polling with full
@@ -155,10 +165,6 @@ impl Metrics {
 
     pub(crate) fn shed_count(&self) -> u64 {
         self.jobs_shed.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn set_health(&self, next: EngineHealth) -> bool {
-        self.health.set(next)
     }
 
     pub(crate) fn observe_latency(&self, elapsed: Duration) {
@@ -183,11 +189,7 @@ impl Metrics {
             breaker_transitions: self.breaker_transitions.load(Ordering::Relaxed),
             breaker_rejections: self.breaker_rejections.load(Ordering::Relaxed),
             jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
-            jobs_requeued: self.jobs_requeued.load(Ordering::Relaxed),
-            admission_waits: self.admission_waits.load(Ordering::Relaxed),
-            worker_deaths: self.worker_deaths.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            health: self.health.get(),
+            health: self.health(),
             // The queue and memory gauges live outside the registry; the
             // engine fills them in (`EvalEngine::metrics`).
             queue_depth: 0,
@@ -210,7 +212,8 @@ impl Metrics {
 /// A plain-data copy of a [`Metrics`] registry at one instant.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Jobs handed to [`crate::EvalEngine::submit`].
+    /// Jobs handed to [`crate::EvalEngine::submit`] or
+    /// [`crate::EvalEngine::run`].
     pub jobs_submitted: u64,
     /// Jobs whose outcome has been published (any outcome, including
     /// failures).
@@ -243,18 +246,10 @@ pub struct MetricsSnapshot {
     pub breaker_transitions: u64,
     /// Jobs rejected by an open breaker before evaluation.
     pub breaker_rejections: u64,
-    /// Jobs shed by the serving layer ([`crate::Outcome::Shed`]): refused
-    /// at admission, expired at dequeue, or flushed by a drain.
+    /// Jobs shed by a drain ([`crate::Outcome::Shed`]): refused at
+    /// submission or for want of an evaluation slot, or flushed from the
+    /// queue.
     pub jobs_shed: u64,
-    /// Jobs recovered from a dying worker and requeued for another run.
-    pub jobs_requeued: u64,
-    /// Submissions that blocked for a queue slot under
-    /// [`crate::AdmissionPolicy::Block`] (backpressure events).
-    pub admission_waits: u64,
-    /// Worker threads the supervisor found dead.
-    pub worker_deaths: u64,
-    /// Worker threads the supervisor restarted.
-    pub worker_restarts: u64,
     /// The engine health state at snapshot time.
     pub health: EngineHealth,
     /// Jobs queued at snapshot time.
@@ -340,15 +335,12 @@ impl fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "  serving  health={} shed={} requeued={} admission_waits={} queue_depth={} queue_high_water={}",
+            "  serving  health={} shed={} queue_depth={} queue_high_water={}",
             self.health.label(),
             self.jobs_shed,
-            self.jobs_requeued,
-            self.admission_waits,
             self.queue_depth,
             self.queue_high_water
         )?;
-        writeln!(f, "  workers  deaths={} restarts={}", self.worker_deaths, self.worker_restarts)?;
         if let Some(store) = &self.store {
             writeln!(
                 f,
@@ -456,28 +448,34 @@ mod tests {
     #[test]
     fn serving_counters_render() {
         let m = Metrics::new();
-        m.job_shed(ShedReason::QueueFull);
+        m.job_shed(ShedReason::InFlightLimit);
         m.job_shed(ShedReason::Draining);
-        m.job_requeued();
-        m.admission_wait();
-        m.worker_death();
-        m.worker_restart();
-        assert!(m.set_health(EngineHealth::Degraded));
+        m.begin_draining();
         let mut s = m.snapshot();
         assert_eq!(s.jobs_shed, 2);
-        assert_eq!(s.jobs_requeued, 1);
-        assert_eq!(s.admission_waits, 1);
-        assert_eq!(s.worker_deaths, 1);
-        assert_eq!(s.worker_restarts, 1);
-        assert_eq!(s.health, EngineHealth::Degraded);
+        assert_eq!(s.health, EngineHealth::Draining);
         s.queue_depth = 3;
         s.mem_denials = 2;
         let text = s.render();
-        assert!(text.contains("health=degraded"), "{text}");
+        assert!(text.contains("health=draining"), "{text}");
         assert!(text.contains("shed=2"), "{text}");
         assert!(text.contains("queue_depth=3"), "{text}");
-        assert!(text.contains("deaths=1 restarts=1"), "{text}");
         assert!(text.contains("denials=2"), "{text}");
+    }
+
+    #[test]
+    fn draining_is_terminal() {
+        let m = Metrics::new();
+        assert_eq!(m.health(), EngineHealth::Healthy);
+        m.begin_draining();
+        m.begin_draining();
+        assert_eq!(m.health(), EngineHealth::Draining, "draining is terminal");
+    }
+
+    #[test]
+    fn labels_are_stable() {
+        assert_eq!(EngineHealth::Healthy.label(), "healthy");
+        assert_eq!(EngineHealth::Draining.label(), "draining");
     }
 
     #[test]

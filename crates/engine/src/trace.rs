@@ -130,7 +130,7 @@ mod tests {
     fn outcome_labels_are_stable() {
         assert_eq!(outcome_label(&Outcome::TimedOut), "timed_out");
         assert_eq!(outcome_label(&Outcome::Panicked("x".into())), "panicked");
-        assert_eq!(outcome_label(&Outcome::Shed(crate::job::ShedReason::QueueFull)), "shed");
+        assert_eq!(outcome_label(&Outcome::Shed(crate::job::ShedReason::Draining)), "shed");
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! 2. at most `workers` callers evaluate at once;
 //! 3. a drain sheds callers without a slot and waits for callers with
 //!    one;
-//! 4. an evaluation panic, a worker kill included, is retried on the
-//!    caller and never unwinds into it.
+//! 4. an evaluation panic is retried, on a caller and on a pool worker
+//!    alike: it never unwinds into the caller and never kills the worker;
+//! 5. the worker pool starts with the first submission, so an engine that
+//!    only runs jobs on its callers spawns no thread.
 
 use bagcq_arith::Nat;
 use bagcq_containment::{CheckRequest, Semantics, Verdict};
@@ -153,17 +155,34 @@ fn panics_on_a_caller_are_retried_and_never_unwind_into_it() {
     let (schema, d) = digraph(5, 3);
     let q = path_query(&schema, "E", 2);
     let want = CountRequest::new(&q, &d).count();
-    for kind in [FaultKind::WorkerKill, FaultKind::Panic] {
-        let injector = plan(kind, 1, Duration::ZERO);
+    for pooled in [false, true] {
+        let injector = plan(FaultKind::Panic, 1, Duration::ZERO);
         let engine = engine_with(1, Some(Arc::clone(&injector)));
         let job = Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(&d));
-        let out = std::thread::scope(|s| s.spawn(|| engine.run(job)).join())
-            .expect("the calling thread returns");
-        assert_eq!(out.as_count(), Some(&want), "{kind:?}");
+        let out = if pooled {
+            engine.submit(job).wait()
+        } else {
+            std::thread::scope(|s| s.spawn(|| engine.run(job)).join())
+                .expect("the calling thread returns")
+        };
+        assert_eq!(out.as_count(), Some(&want), "pooled={pooled}");
         assert_eq!(injector.injected(), 1);
         let m = engine.metrics();
-        assert!(m.retries >= 1, "{kind:?}: {m}");
-        assert_eq!(m.worker_deaths, 0, "{kind:?}: {m}");
-        assert_eq!(m.jobs_panicked, 0, "{kind:?}: {m}");
+        assert!(m.retries >= 1, "pooled={pooled}: {m}");
+        assert_eq!(m.jobs_panicked, 0, "pooled={pooled}: {m}");
+        if pooled {
+            assert_eq!(engine.live_workers(), engine.worker_count(), "a worker died");
+        }
     }
+}
+
+#[test]
+fn the_pool_starts_with_the_first_submission() {
+    let (schema, d) = digraph(5, 11);
+    let engine = engine_with(2, None);
+    let job = Job::count(path_query(&schema, "E", 2), d);
+    assert!(!engine.run(job.clone()).is_failure());
+    assert_eq!(engine.live_workers(), 0, "run needs no pool thread");
+    assert!(!engine.submit(job).wait().is_failure());
+    assert_eq!(engine.live_workers(), engine.worker_count());
 }

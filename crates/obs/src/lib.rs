@@ -43,14 +43,13 @@ pub use hist::Log2Histogram;
 /// inline at their call sites; these constants cover the engine
 /// lifecycle instants that tests and dashboards filter on.
 pub mod stages {
-    /// Engine health transitions (`healthy` / `degraded` / `draining`).
+    /// Engine health transitions (`draining`, once, when a drain begins).
     pub const ENGINE_HEALTH: &str = "engine.health";
-    /// Admission events: shed reasons and blocking-admission waits.
+    /// Sheds, labelled by reason: `draining` and the tenant gate's
+    /// refusals.
     pub const ENGINE_ADMISSION: &str = "engine.admission";
     /// Drain lifecycle: `begin`, `hard_stop`, `end`.
     pub const ENGINE_DRAIN: &str = "engine.drain";
-    /// Supervisor events: `worker_death`, `worker_restart`, `requeue`.
-    pub const ENGINE_SUPERVISOR: &str = "engine.supervisor";
     /// Memory-budget events: `denial`.
     pub const ENGINE_BUDGET: &str = "engine.budget";
     /// Serving layer: request parsing (wire frame → query/instance).

@@ -5,8 +5,8 @@
 //! [`ServerConfig::max_connections`]). One connection thread reads,
 //! parses, evaluates and answers each request: a memo miss is evaluated
 //! on that thread through [`EvalEngine::run`], which bounds concurrent
-//! evaluations at the engine's worker count. Every `/v1/*` request runs
-//! the four traced stages
+//! evaluations at the engine's worker count, so the engine's worker pool
+//! is never started. Every `/v1/*` request runs the four traced stages
 //! `serve.parse → serve.admit → serve.count → serve.respond` (see
 //! [`bagcq_obs::stages`]).
 //!
@@ -17,7 +17,7 @@
 //! | `POST /v1/count` | count frame            | 200 count frame; 400/401/429/5xx typed errors |
 //! | `POST /v1/check` | check frame            | 200 check frame; same errors |
 //! | `GET /metrics`   | —                      | 200 engine metrics text (with per-tenant counters) |
-//! | `GET /healthz`   | —                      | 200 `ok: healthy` / `ok: degraded` / `ok: draining` (live engine state) |
+//! | `GET /healthz`   | —                      | 200 `ok: healthy` / `ok: draining` (live engine state) |
 //! | `POST /admin/drain` | —                   | 200 drain report (requires the admin key) |
 //!
 //! ## Status mapping
@@ -25,9 +25,8 @@
 //! Every engine outcome maps to exactly one status: counts/verdicts →
 //! 200; [`ShedReason::QuotaExceeded`]/[`ShedReason::InFlightLimit`]/
 //! [`ShedReason::ConnectionLimit`] → 429;
-//! [`ShedReason::QueueFull`]/[`ShedReason::AdmissionTimeout`]/
 //! [`ShedReason::Draining`] and [`Outcome::FailedFast`] → 503;
-//! [`ShedReason::ExpiredAtDequeue`] and [`Outcome::TimedOut`] → 504;
+//! [`Outcome::TimedOut`] → 504;
 //! [`Outcome::Panicked`] → 500. Parse/frame errors → 400 with the caret
 //! snippet verbatim; a `semantics`/`containment` combination no backend
 //! supports → typed 400 `unsupported_semantics` (rejected at the parse
@@ -87,7 +86,8 @@ pub struct ServerConfig {
     /// Admin API key for `POST /admin/drain`. `None` disables the
     /// endpoint (404).
     pub admin_key: Option<String>,
-    /// Engine configuration (worker pool, admission, cache, …).
+    /// Engine configuration: evaluation slots, byte budget, memo store,
+    /// fault injection, …
     pub engine: EngineConfig,
     /// HTTP frame limits.
     pub limits: HttpLimits,
@@ -551,9 +551,9 @@ fn route(
 ) -> Reply {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
-            // Live health: the engine's supervisor state machine, with
-            // the server-level drain flag overriding (an HTTP drain can
-            // outrun the engine's own transition).
+            // Live health: the engine's, with the server-level drain flag
+            // overriding (an HTTP drain can outrun the engine's own
+            // transition).
             let label = if shared.draining.load(Ordering::Relaxed) {
                 "draining"
             } else {
@@ -845,10 +845,7 @@ fn shed_response(reason: ShedReason) -> (u16, &'static str, String) {
         ShedReason::QuotaExceeded | ShedReason::InFlightLimit | ShedReason::ConnectionLimit => {
             (429, "Too Many Requests")
         }
-        ShedReason::QueueFull | ShedReason::AdmissionTimeout | ShedReason::Draining => {
-            (503, "Service Unavailable")
-        }
-        ShedReason::ExpiredAtDequeue => (504, "Gateway Timeout"),
+        ShedReason::Draining => (503, "Service Unavailable"),
     };
     let body =
         WireResponse::error_with_reason("shed", reason.label(), format!("job shed: {reason}"))
