@@ -17,11 +17,11 @@
 //!   ([`containment`]);
 //! * a concurrent batched evaluation service with a single-flight memo
 //!   cache, deadlines, continuous dual-engine cross-validation, and a
-//!   resilience layer (deterministic fault injection, retry/backoff,
-//!   engine fallback, circuit breakers), a crash-safe persistent memo
-//!   store that long sweeps resume from, and a serving layer (tenant
-//!   admission, typed load shedding, bounded evaluation slots, memory
-//!   budgeting, graceful drain) ([`engine`]).
+//!   resilience layer (deterministic fault injection, one hop to the
+//!   naive engine), a crash-safe persistent memo store that long sweeps
+//!   resume from, and a serving layer (tenant admission, typed load
+//!   shedding, bounded evaluation slots, memory budgeting, graceful
+//!   drain) ([`engine`]).
 //!
 //! ## Quickstart
 //!
@@ -72,10 +72,9 @@ pub mod prelude {
         SearchBudget, Semantics, TryCountFn, Unsupported, Verdict,
     };
     pub use bagcq_engine::{
-        BreakerConfig, CountError, DrainReport, EngineConfig, EngineHealth, EvalEngine, FailFast,
-        FaultInjector, FaultKind, FaultPlan, Job, JobHandle, JobSpec, MemoStore, MetricsSnapshot,
-        Outcome, RecoveryReport, RetryPolicy, ShedReason, StoreError, StoreOptions, StoreStats,
-        TraceReport, TraceSession,
+        CountError, DrainReport, EngineConfig, EngineHealth, EvalEngine, FaultInjector, FaultKind,
+        FaultPlan, Job, JobHandle, JobSpec, MemoStore, MetricsSnapshot, Outcome, RecoveryReport,
+        ShedReason, StoreError, StoreOptions, StoreStats, TraceReport, TraceSession,
     };
     pub use bagcq_hilbert::{by_name as hilbert_instance, library as hilbert_library, reduce};
     pub use bagcq_homcount::{

@@ -9,18 +9,14 @@
 //!
 //! 1. resolves a job whose deadline already passed (while it sat queued
 //!    or waited for a slot) as [`Outcome::TimedOut`] without evaluating;
-//! 2. asks the job kind's circuit breaker for admission (an open breaker
-//!    fails fast with [`Outcome::FailedFast`] instead of burning a thread
-//!    on a kind that keeps failing);
-//! 3. consults the sharded single-flight [`MemoCache`] under the job's
+//! 2. consults the sharded single-flight [`MemoCache`] under the job's
 //!    content fingerprint (hit → answer immediately; in-flight → join the
 //!    existing computation, bounded by this job's *own* deadline);
-//! 4. otherwise leads: runs the evaluation through the **resilience
+//! 3. otherwise leads: runs the evaluation through the **resilience
 //!    ladder** below and publishes the outcome — failures
-//!    ([`Outcome::TimedOut`], [`Outcome::Panicked`],
-//!    [`Outcome::FailedFast`]) reach current waiters but are never
-//!    cached; a panicking evaluation neither kills a pool worker nor
-//!    unwinds into a caller of [`EvalEngine::run`].
+//!    ([`Outcome::TimedOut`], [`Outcome::Panicked`]) reach current
+//!    waiters but are never cached; a panicking evaluation neither kills
+//!    a pool worker nor unwinds into a caller of [`EvalEngine::run`].
 //!
 //! # The serving layer
 //!
@@ -38,37 +34,32 @@
 //!
 //! # The resilience ladder
 //!
-//! Every attempt is classified into the failure taxonomy:
+//! For a fixed kernel and input an evaluation fails every time or never,
+//! so the ladder makes one attempt per rung, never sleeps, and keeps no
+//! state between jobs. Each attempt's failure is one of two kinds:
 //!
 //! * **terminal** — the job's own wall-clock deadline tripped, a
-//!   dual-engine cross-validation mismatch was detected (deterministic;
-//!   retrying reproduces it), or the engine is hard-stopping a drain.
-//!   Deadline/drain → [`Outcome::TimedOut`], mismatch →
-//!   [`Outcome::Panicked`].
-//! * **exhaustion** — the cooperative step budget ran out, or the memory
-//!   budget refused a reservation. Retrying the same engine against the
-//!   same budget is futile, but the *other* engine may fit (the naive
-//!   engine holds less intermediate state than the treewidth DP), so the
-//!   worker takes the fallback chain (treewidth → naive) once, then gives
-//!   up — step exhaustion as [`Outcome::TimedOut`], memory exhaustion as
-//!   [`Outcome::Panicked`] with a budget message.
-//! * **transient** — a spurious cancellation (one no token requested), a
-//!   typed transient counter error, or a panic. The worker retries under
-//!   [`RetryPolicy`] with exponential backoff and deterministic jitter
-//!   (sleeps are capped by the job's deadline), then falls back, then
-//!   gives up with [`Outcome::Panicked`].
+//!   dual-engine cross-validation mismatch was detected, or the engine is
+//!   hard-stopping a drain. Deadline/drain → [`Outcome::TimedOut`],
+//!   mismatch → [`Outcome::Panicked`].
+//! * **hop-eligible** — the evaluation panicked, the cooperative step
+//!   budget ran out, or the memory budget refused a reservation. Another
+//!   attempt on the same kernel would fail the same way, but the naive
+//!   backtracker may not (it holds less intermediate state than the
+//!   treewidth DP), so a job not pinned to it hops there once, then gives
+//!   up — a panic as [`Outcome::Panicked`], step exhaustion as
+//!   [`Outcome::TimedOut`], memory exhaustion as [`Outcome::Panicked`]
+//!   with a budget message.
 //!
 //! Counts performed *inside* a containment check are routed through the
 //! same cache under the same key a direct [`JobSpec::Count`] job would
 //! use, so mixed workloads share work across job kinds.
 
-use crate::breaker::{Admit, Breaker, BreakerConfig, Signal};
 use crate::budget::MemoryBudget;
 use crate::cache::{Flight, Lookup, MemoCache};
 use crate::fault::FaultInjector;
 use crate::job::{count_fingerprint, Job, JobHandle, JobSpec, Outcome, ShedReason};
 use crate::metrics::{EngineHealth, Metrics, MetricsSnapshot};
-use crate::retry::RetryPolicy;
 use crate::trace::{fp_bits, outcome_label};
 use bagcq_arith::{Magnitude, Nat};
 use bagcq_containment::CheckError;
@@ -90,8 +81,10 @@ use std::time::{Duration, Instant};
 /// Memo-cache shards (lock granularity).
 const CACHE_SHARDS: usize = 16;
 
-/// Configuration for an [`EvalEngine`].
-#[derive(Clone, Debug)]
+/// Configuration for an [`EvalEngine`]. The default picks one worker per
+/// core (at most 8) and has no cross-validation, fault injector, byte
+/// budget or store.
+#[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
     /// Worker threads. `0` picks `available_parallelism` (capped at 8).
     /// The same number bounds how many callers of [`EvalEngine::run`]
@@ -103,14 +96,6 @@ pub struct EngineConfig {
     /// [`Outcome::Panicked`] instead of silently returning a wrong
     /// number.
     pub cross_validate: bool,
-    /// Retry policy for transient failures (spurious cancellations,
-    /// transient counter errors, panics).
-    pub retry: RetryPolicy,
-    /// When `true`, a treewidth evaluation that panics past its retries
-    /// or exhausts its step budget is re-run once on the naive engine.
-    pub fallback_enabled: bool,
-    /// Per-job-kind circuit breakers.
-    pub breaker: BreakerConfig,
     /// Deterministic fault injector threaded through every evaluation
     /// (chaos testing). `None` in production.
     pub fault: Option<Arc<FaultInjector>>,
@@ -128,25 +113,9 @@ pub struct EngineConfig {
     pub store: Option<Arc<crate::MemoStore>>,
 }
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            workers: 0,
-            cross_validate: false,
-            retry: RetryPolicy::default(),
-            fallback_enabled: true,
-            breaker: BreakerConfig::default(),
-            fault: None,
-            memory_budget_bytes: 0,
-            store: None,
-        }
-    }
-}
-
 /// One attempt's failure, classified for the resilience ladder.
 enum JobFailure {
     Cancelled(CancelReason),
-    Transient(String),
     Mismatch(String),
     Panic(String),
 }
@@ -163,10 +132,10 @@ impl CheckpointHook for EngineHook {
         if self.drain_stop.load(Ordering::Relaxed) {
             return Err(Cancelled(CancelReason::ShuttingDown));
         }
-        match &self.fault {
-            Some(injector) => injector.checkpoint(site),
-            None => Ok(()),
+        if let Some(injector) = &self.fault {
+            injector.fire(site);
         }
+        Ok(())
     }
 }
 
@@ -175,7 +144,6 @@ pub(crate) struct Shared {
     cache: MemoCache,
     metrics: Arc<Metrics>,
     config: EngineConfig,
-    breakers: BreakerSet,
     queue: JobQueue<(WorkItem, Arc<Flight>)>,
     budget: Option<Arc<MemoryBudget>>,
     drain_stop: Arc<AtomicBool>,
@@ -184,31 +152,6 @@ pub(crate) struct Shared {
     /// once a drain has closed them.
     free_slots: Mutex<Option<usize>>,
     slot_freed: Condvar,
-}
-
-/// One breaker per job kind (see [`JobSpec::kind`]).
-struct BreakerSet {
-    count: Breaker,
-    eval_power: Breaker,
-    containment: Breaker,
-}
-
-impl BreakerSet {
-    fn new(config: &BreakerConfig) -> Self {
-        BreakerSet {
-            count: Breaker::new(config.clone()),
-            eval_power: Breaker::new(config.clone()),
-            containment: Breaker::new(config.clone()),
-        }
-    }
-
-    fn for_kind(&self, kind: &str) -> &Breaker {
-        match kind {
-            "count" => &self.count,
-            "eval_power" => &self.eval_power,
-            _ => &self.containment,
-        }
-    }
 }
 
 impl Shared {
@@ -230,17 +173,6 @@ impl Shared {
         }
     }
 
-    /// The engine-level fault checkpoint: fires before every raw count.
-    fn count_checkpoint(&self, site: &'static str) -> Result<(), CountError> {
-        if self.drain_stop.load(Ordering::Relaxed) {
-            return Err(CountError::Cancelled(Cancelled(CancelReason::ShuttingDown)));
-        }
-        match &self.config.fault {
-            Some(injector) => injector.intercept_count(site),
-            None => Ok(()),
-        }
-    }
-
     /// A raw count with optional cross-family validation.
     fn count_direct(
         &self,
@@ -249,7 +181,8 @@ impl Shared {
         d: &Structure,
         ctl: &EvalControl,
     ) -> Result<Nat, CountError> {
-        self.count_checkpoint("engine/count")?;
+        // The engine-level checkpoint: fires before every raw count.
+        self.hook.checkpoint("engine/count")?;
         let resolved = backend.resolve(q, d);
         let _span = obs::span("engine.count", resolved.label());
         let n = CountRequest::new(q, d).backend(resolved).control(ctl.clone()).run()?;
@@ -310,7 +243,7 @@ impl Shared {
     /// Evaluates a spec once; `Err` carries the typed failure. Counts the
     /// spec does not pin (power-query factors, containment-internal
     /// counts) use [`BackendChoice::Auto`]; `backend_override` is the
-    /// fallback chain's backend substitution.
+    /// ladder's backend substitution for its one hop.
     fn run_spec(
         &self,
         spec: &JobSpec,
@@ -346,8 +279,8 @@ impl Shared {
                     Ok(verdict) => Ok(Outcome::Verdict(Arc::new(verdict))),
                     Err(CheckError::Counter(e)) => Err(e),
                     // A spec outside the resolved backend's fragment is a
-                    // request error, deterministic on retry: publish it
-                    // terminally instead of entering the retry ladder.
+                    // request error that no kernel hop cures: publish it
+                    // terminally instead of entering the ladder.
                     // (The serve layer pre-validates and turns this into
                     // a typed 400 before a job is ever submitted.)
                     Err(CheckError::Unsupported(u)) => {
@@ -384,59 +317,18 @@ impl Shared {
         match catch_unwind(AssertUnwindSafe(run)) {
             Ok(Ok(outcome)) => Ok(outcome),
             Ok(Err(CountError::Cancelled(Cancelled(reason)))) => Err(JobFailure::Cancelled(reason)),
-            Ok(Err(CountError::Transient(msg))) => Err(JobFailure::Transient(msg)),
             Ok(Err(CountError::Mismatch(msg))) => Err(JobFailure::Mismatch(msg)),
             Err(payload) => Err(JobFailure::Panic(panic_message(payload))),
         }
     }
 
-    /// The fallback backend for this job, or `None` when the chain is
-    /// exhausted (fallback disabled, already taken, or the job is pinned
-    /// to naive). The chain is one hop to the backtracker, which holds
-    /// less intermediate state than the treewidth DP: treewidth → naive,
-    /// auto → naive (in case `Auto`'s pick is what keeps failing).
-    fn fallback_for(
-        &self,
-        item: &WorkItem,
-        current: Option<BackendChoice>,
-    ) -> Option<BackendChoice> {
-        if !self.config.fallback_enabled || current.is_some() {
-            return None;
-        }
-        let pinned = match &item.spec {
-            JobSpec::Count { backend, .. } => *backend,
-            _ => BackendChoice::Auto,
-        };
-        match pinned {
-            BackendChoice::Treewidth | BackendChoice::Auto => Some(BackendChoice::Naive),
-            BackendChoice::Naive => None,
-        }
-    }
-
-    /// Sleeps the backoff for `attempt`, capped by the job's deadline.
-    fn backoff_sleep(&self, attempt: u32, salt: u64, deadline: Option<Instant>) {
-        let mut delay = self.config.retry.backoff(attempt, salt);
-        if let Some(d) = deadline {
-            let now = Instant::now();
-            if now >= d {
-                return;
-            }
-            delay = delay.min(d - now);
-        }
-        if !delay.is_zero() {
-            thread::sleep(delay);
-        }
-    }
-
-    /// Runs a spec through the full resilience ladder (classification →
-    /// retry with backoff → engine fallback → terminal outcome). Always
-    /// returns an outcome; never panics outward.
+    /// Runs a spec through the resilience ladder: deadline check, one
+    /// attempt, at most one hop to the backtracker, typed terminal
+    /// outcome. Never sleeps and never panics outward.
     fn execute_resilient(&self, item: &WorkItem) -> Outcome {
         let fp = item.spec.fingerprint();
         let _span = obs::span_fp("engine.execute", item.spec.kind(), fp_bits(&fp));
-        let salt = fp.hi ^ fp.lo;
         let mut backend_override: Option<BackendChoice> = None;
-        let mut attempt: u32 = 0;
         loop {
             if item.deadline.is_some_and(|d| Instant::now() >= d) {
                 return Outcome::TimedOut;
@@ -445,86 +337,34 @@ impl Shared {
                 Ok(outcome) => return outcome,
                 Err(f) => f,
             };
-            // The token latches its deadline into the plain-cancel flag, so
-            // a `Cancelled` reason after the deadline passed is really a
-            // deadline trip — classify by the clock, not the latch.
-            let deadline_expired = item.deadline.is_some_and(|d| Instant::now() >= d);
-            match failure {
-                JobFailure::Cancelled(CancelReason::DeadlineExceeded) => return Outcome::TimedOut,
-                JobFailure::Cancelled(_) if deadline_expired => return Outcome::TimedOut,
-                // A drain hard stop: the job cannot finish and must not
-                // retry — the engine is going away.
-                JobFailure::Cancelled(CancelReason::ShuttingDown) => return Outcome::TimedOut,
+            // What a hop-eligible failure resolves as when no hop is left.
+            let terminal = match failure {
+                // Nothing cancels a token but its own deadline, which the
+                // token latches as a plain `Cancelled`; a drain hard stop
+                // means the engine is going away.
+                JobFailure::Cancelled(
+                    CancelReason::DeadlineExceeded
+                    | CancelReason::Cancelled
+                    | CancelReason::ShuttingDown,
+                ) => return Outcome::TimedOut,
                 JobFailure::Mismatch(msg) => {
-                    // Deterministic: both engines would disagree again.
+                    // Both kernels would disagree again.
                     return Outcome::Panicked(format!("cross-validation mismatch: {msg}"));
                 }
-                JobFailure::Cancelled(CancelReason::BudgetExhausted) => {
-                    // Deterministic for a fixed engine; the fallback engine
-                    // may fit the budget.
-                    match self.fallback_for(item, backend_override) {
-                        Some(backend) => {
-                            backend_override = Some(backend);
-                            attempt = 0;
-                            self.metrics.fallback_taken();
-                        }
-                        None => return Outcome::TimedOut,
-                    }
+                JobFailure::Panic(msg) => Outcome::Panicked(msg),
+                JobFailure::Cancelled(CancelReason::BudgetExhausted) => Outcome::TimedOut,
+                JobFailure::Cancelled(CancelReason::MemoryBudgetExceeded) => Outcome::Panicked(
+                    "memory budget exceeded: the evaluation's big-integer state does not fit \
+                     the engine's byte budget"
+                        .to_string(),
+                ),
+            };
+            match item.fallback_for(backend_override) {
+                Some(backend) => {
+                    backend_override = Some(backend);
+                    self.metrics.fallback_taken();
                 }
-                JobFailure::Cancelled(CancelReason::MemoryBudgetExceeded) => {
-                    // Deterministic for a fixed engine, like step-budget
-                    // exhaustion — but the naive engine holds less
-                    // intermediate state than the treewidth DP, so the
-                    // fallback hop is worth one try.
-                    match self.fallback_for(item, backend_override) {
-                        Some(backend) => {
-                            backend_override = Some(backend);
-                            attempt = 0;
-                            self.metrics.fallback_taken();
-                        }
-                        None => {
-                            return Outcome::Panicked(
-                                "memory budget exceeded: the evaluation's big-integer state \
-                                 does not fit the engine's byte budget"
-                                    .to_string(),
-                            )
-                        }
-                    }
-                }
-                f @ (JobFailure::Cancelled(CancelReason::Cancelled) | JobFailure::Transient(_)) => {
-                    // Spurious cancellation or typed transient error.
-                    if attempt < self.config.retry.max_retries {
-                        self.backoff_sleep(attempt, salt, item.deadline);
-                        attempt += 1;
-                        self.metrics.retry();
-                    } else if let Some(backend) = self.fallback_for(item, backend_override) {
-                        backend_override = Some(backend);
-                        attempt = 0;
-                        self.metrics.fallback_taken();
-                    } else {
-                        return Outcome::Panicked(match f {
-                            JobFailure::Transient(msg) => {
-                                format!("transient failure persisted past the retry budget: {msg}")
-                            }
-                            _ => {
-                                "spurious cancellation persisted past the retry budget".to_string()
-                            }
-                        });
-                    }
-                }
-                JobFailure::Panic(msg) => {
-                    if attempt < self.config.retry.max_retries {
-                        self.backoff_sleep(attempt, salt, item.deadline);
-                        attempt += 1;
-                        self.metrics.retry();
-                    } else if let Some(backend) = self.fallback_for(item, backend_override) {
-                        backend_override = Some(backend);
-                        attempt = 0;
-                        self.metrics.fallback_taken();
-                    } else {
-                        return Outcome::Panicked(msg);
-                    }
-                }
+                None => return terminal,
             }
         }
     }
@@ -558,6 +398,24 @@ impl WorkItem {
             submitted,
         }
     }
+
+    /// The backend of this job's one hop, or `None` when it already
+    /// hopped or is pinned to naive. The hop goes to the backtracker, which holds
+    /// less intermediate state than the treewidth DP: treewidth → naive,
+    /// auto → naive (in case `Auto`'s pick is what fails).
+    fn fallback_for(&self, current: Option<BackendChoice>) -> Option<BackendChoice> {
+        if current.is_some() {
+            return None;
+        }
+        let pinned = match &self.spec {
+            JobSpec::Count { backend, .. } => *backend,
+            _ => BackendChoice::Auto,
+        };
+        match pinned {
+            BackendChoice::Treewidth | BackendChoice::Auto => Some(BackendChoice::Naive),
+            BackendChoice::Naive => None,
+        }
+    }
 }
 
 /// One evaluation slot held by a caller of [`EvalEngine::run`]. Dropping
@@ -585,8 +443,8 @@ fn publish_shed(shared: &Shared, flight: &Flight, reason: ShedReason) {
 }
 
 /// The one evaluation every job gets, on a pool worker or on a caller of
-/// [`EvalEngine::run`]: deadline, breaker, single-flight memo, the
-/// resilience ladder, and the job's accounting.
+/// [`EvalEngine::run`]: deadline, single-flight memo, the resilience
+/// ladder, and the job's accounting.
 fn evaluate(shared: &Shared, item: &WorkItem) -> Outcome {
     // The start → count → publish span; on a pool worker, enqueue time is
     // the gap between the `engine.enqueue` instant with the same
@@ -600,57 +458,30 @@ fn evaluate(shared: &Shared, item: &WorkItem) -> Outcome {
     let outcome = if expired {
         Outcome::TimedOut
     } else {
-        let breaker = shared.breakers.for_kind(item.spec.kind());
-        let (admit, transitions) = breaker.admit(item.spec.kind(), Instant::now());
-        shared.metrics.breaker_transitions_add(transitions);
-        match admit {
-            Admit::Rejected(ff) => {
-                shared.metrics.breaker_rejection();
-                Outcome::FailedFast(ff)
-            }
-            Admit::Allowed => {
-                // Looped for one reason: a joiner whose leader unwound
-                // before completing wakes with the `LEAD_DIED` poison after
-                // the slot was evicted — it retries the lookup (becoming
-                // the new leader, or joining one) instead of failing a job
-                // that merely shared the dead leader's flight.
-                let outcome = loop {
-                    match shared.cache.begin(item.spec.fingerprint()) {
-                        Lookup::Hit(outcome) => break outcome,
-                        Lookup::Join(flight) => match flight.wait(item.deadline) {
-                            None => break Outcome::TimedOut,
-                            Some(Outcome::Panicked(msg)) if msg == crate::cache::LEAD_DIED => {
-                                continue;
-                            }
-                            Some(outcome) => break outcome,
-                        },
-                        Lookup::Lead(token) => {
-                            let outcome = shared.execute_resilient(item);
-                            shared.cache.complete(token, outcome.clone());
-                            break outcome;
-                        }
-                    }
-                };
-                // Every admitted job reports back so a half-open probe can
-                // never leak: value → success, panic → failure, timeout →
-                // neutral (health says nothing under tight limits).
-                let signal = match &outcome {
-                    Outcome::Panicked(_) => Signal::Failure,
-                    Outcome::TimedOut | Outcome::FailedFast(_) | Outcome::Shed(_) => {
-                        Signal::Neutral
-                    }
-                    _ => Signal::Success,
-                };
-                let transitions = breaker.record(signal, Instant::now());
-                shared.metrics.breaker_transitions_add(transitions);
-                outcome
+        // Looped for one reason: a joiner whose leader unwound before
+        // completing wakes with the `LEAD_DIED` poison after the slot was
+        // evicted — it retries the lookup (becoming the new leader, or
+        // joining one) instead of failing a job that merely shared the
+        // dead leader's flight.
+        loop {
+            match shared.cache.begin(item.spec.fingerprint()) {
+                Lookup::Hit(outcome) => break outcome,
+                Lookup::Join(flight) => match flight.wait(item.deadline) {
+                    None => break Outcome::TimedOut,
+                    Some(Outcome::Panicked(msg)) if msg == crate::cache::LEAD_DIED => continue,
+                    Some(outcome) => break outcome,
+                },
+                Lookup::Lead(token) => {
+                    let outcome = shared.execute_resilient(item);
+                    shared.cache.complete(token, outcome.clone());
+                    break outcome;
+                }
             }
         }
     };
     match &outcome {
         Outcome::TimedOut => shared.metrics.job_timed_out(),
         Outcome::Panicked(_) => shared.metrics.job_panicked(),
-        Outcome::FailedFast(_) => shared.metrics.job_failed_fast(),
         Outcome::Shed(reason) => shared.metrics.job_shed(*reason),
         _ => {}
     }
@@ -820,7 +651,6 @@ impl EvalEngine {
             config.workers
         };
         let metrics = Arc::new(Metrics::new());
-        let breakers = BreakerSet::new(&config.breaker);
         let drain_stop = Arc::new(AtomicBool::new(false));
         let hook = Arc::new(EngineHook {
             drain_stop: Arc::clone(&drain_stop),
@@ -833,7 +663,6 @@ impl EvalEngine {
                 .with_store(config.store.clone()),
             metrics,
             config,
-            breakers,
             queue: JobQueue::new(),
             budget,
             drain_stop,

@@ -1,12 +1,13 @@
 //! Deterministic, seedable fault injection for the evaluation engine.
 //!
 //! A [`FaultPlan`] is a pure description of *how often* and *which kinds*
-//! of faults to inject; a [`FaultInjector`] executes one plan. The
-//! injector implements [`CheckpointHook`], so installing it on an
-//! [`crate::EngineConfig`] threads it through every
-//! [`bagcq_homcount::EvalControl`] the workers build — faults then fire
-//! inside the counting loops themselves (ticker poll boundaries) and at
-//! the engine's own count checkpoints, exactly where real failures strike.
+//! of faults to inject; a [`FaultInjector`] executes one plan. Installed
+//! on an [`crate::EngineConfig`], it fires through the engine's
+//! [`bagcq_homcount::CheckpointHook`], which every
+//! [`bagcq_homcount::EvalControl`] the engine builds carries — faults then
+//! fire inside the counting loops themselves (ticker poll boundaries) and
+//! at the engine's own count checkpoints, exactly where real failures
+//! strike.
 //!
 //! Decisions are a pure function of `(seed, site, checkpoint-sequence)`:
 //! re-running the same single-threaded workload under the same plan
@@ -17,17 +18,11 @@
 //! to a clean run, failures are never cached") must hold under **any**
 //! interleaving.
 //!
-//! Four fault kinds, mirroring what long sweeps actually hit:
+//! Two fault kinds, mirroring what long sweeps actually hit:
 //!
 //! * [`FaultKind::Panic`] — a crashing evaluation (`panic!` at the checkpoint);
-//! * [`FaultKind::Latency`] — a slow disk/NUMA stall (bounded sleep);
-//! * [`FaultKind::SpuriousCancel`] — a cancellation nobody requested;
-//! * [`FaultKind::TransientError`] — a counter that fails once and then
-//!   recovers (only fires at engine count sites; at loop checkpoints it
-//!   degrades to a spurious cancel, the closest typed signal available).
+//! * [`FaultKind::Latency`] — a slow disk/NUMA stall (bounded sleep).
 
-use bagcq_homcount::CountError;
-use bagcq_homcount::{CancelReason, Cancelled, CheckpointHook};
 use bagcq_obs::{fnv1a, splitmix64};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,14 +35,7 @@ pub enum FaultKind {
     Panic,
     /// Sleep briefly at the checkpoint (simulated stall).
     Latency,
-    /// Return a spurious [`Cancelled`] that no token requested.
-    SpuriousCancel,
-    /// Fail a count with a typed transient error.
-    TransientError,
 }
-
-const ALL_KINDS: [FaultKind; 4] =
-    [FaultKind::Panic, FaultKind::Latency, FaultKind::SpuriousCancel, FaultKind::TransientError];
 
 /// A seeded, declarative fault schedule.
 #[derive(Clone, Debug)]
@@ -73,7 +61,7 @@ impl FaultPlan {
             seed,
             rate_per_mille: 60,
             max_faults: 48,
-            kinds: ALL_KINDS.to_vec(),
+            kinds: vec![FaultKind::Panic, FaultKind::Latency],
             latency: Duration::from_millis(1),
         }
     }
@@ -218,33 +206,14 @@ impl FaultInjector {
         self.schedule.draw(site).map(|(kind, _)| kind)
     }
 
-    /// Checkpoint for engine-level count sites: all four kinds fire with
-    /// their precise semantics ([`FaultKind::TransientError`] becomes a
-    /// typed [`CountError::Transient`]).
-    pub(crate) fn intercept_count(&self, site: &'static str) -> Result<(), CountError> {
+    /// Draws the decision for the next checkpoint at `site` and carries
+    /// it out: panics, sleeps, or returns at once.
+    pub(crate) fn fire(&self, site: &'static str) {
         match self.decide(site) {
-            None => Ok(()),
+            None => {}
             Some(FaultKind::Panic) => panic!("fault injection: panic at {site}"),
-            Some(FaultKind::Latency) => {
-                std::thread::sleep(self.plan.latency);
-                Ok(())
-            }
-            Some(FaultKind::SpuriousCancel) => {
-                Err(CountError::Cancelled(Cancelled(CancelReason::Cancelled)))
-            }
-            Some(FaultKind::TransientError) => {
-                Err(CountError::Transient(format!("fault injection: transient error at {site}")))
-            }
+            Some(FaultKind::Latency) => std::thread::sleep(self.plan.latency),
         }
-    }
-}
-
-impl CheckpointHook for FaultInjector {
-    /// Checkpoint inside the counting loops: the hook's error channel is
-    /// [`Cancelled`], so a drawn `TransientError` degrades to a spurious
-    /// cancel (same transient class, same retry treatment).
-    fn checkpoint(&self, site: &'static str) -> Result<(), Cancelled> {
-        self.intercept_count(site).map_err(|_| Cancelled(CancelReason::Cancelled))
     }
 }
 
@@ -253,8 +222,7 @@ mod tests {
     use super::*;
 
     /// The fired decisions among the first 512 at `site`, as
-    /// `index:kind` pairs (kind initial: Panic, Latency, spurious Cancel,
-    /// Transient error).
+    /// `index:kind` pairs (kind initial: Panic, Latency).
     fn fired(seed: u64, site: &str) -> String {
         let inj = FaultInjector::new(FaultPlan::seeded(seed).with_max_faults(0));
         let mut out = Vec::new();
@@ -263,8 +231,6 @@ mod tests {
                 None => continue,
                 Some(FaultKind::Panic) => 'P',
                 Some(FaultKind::Latency) => 'L',
-                Some(FaultKind::SpuriousCancel) => 'C',
-                Some(FaultKind::TransientError) => 'T',
             };
             out.push(format!("{n}:{letter}"));
         }
@@ -279,42 +245,42 @@ mod tests {
             (
                 1,
                 "engine/count",
-                "3:C 34:T 58:P 81:C 116:C 120:P 130:T 137:T 152:T 163:C 198:C 203:L 228:L \
-                 236:L 241:L 242:L 249:T 253:C 280:L 296:L 301:P 305:P 307:L 325:L 327:P \
-                 366:P 393:T 429:P 437:T 439:T 440:T 466:L",
+                "3:P 34:L 58:P 81:P 116:P 120:P 130:L 137:L 152:L 163:P 198:P 203:L 228:L \
+                 236:L 241:L 242:L 249:L 253:P 280:L 296:L 301:P 305:P 307:L 325:L 327:P \
+                 366:P 393:L 429:P 437:L 439:L 440:L 466:L",
             ),
             (
                 1,
                 "homcount/tick",
-                "7:L 69:L 70:C 105:C 108:C 121:L 124:T 148:T 151:P 176:C 182:C 215:T 226:C \
-                 268:C 273:L 316:C 331:C 333:C 344:T 352:P 360:P 372:P 376:L 379:P 399:L \
-                 404:P 410:L 478:C 480:C 485:C",
+                "7:L 69:L 70:P 105:P 108:P 121:L 124:L 148:L 151:P 176:P 182:P 215:L 226:P \
+                 268:P 273:L 316:P 331:P 333:P 344:L 352:P 360:P 372:P 376:L 379:P 399:L \
+                 404:P 410:L 478:P 480:P 485:P",
             ),
             (
                 7,
                 "engine/count",
-                "36:T 53:L 66:T 90:P 97:L 106:P 111:L 133:T 143:C 161:L 165:T 166:P 169:T \
-                 171:T 189:T 190:C 232:C 243:C 253:C 298:C 325:C 334:T 335:L 357:P 363:L \
-                 370:L 413:C 425:C 437:C 454:L 458:T 460:P 466:T 501:C 505:C",
+                "36:L 53:L 66:L 90:P 97:L 106:P 111:L 133:L 143:P 161:L 165:L 166:P 169:L \
+                 171:L 189:L 190:P 232:P 243:P 253:P 298:P 325:P 334:L 335:L 357:P 363:L \
+                 370:L 413:P 425:P 437:P 454:L 458:L 460:P 466:L 501:P 505:P",
             ),
             (
                 7,
                 "homcount/tick",
-                "47:C 58:C 81:P 124:T 136:C 170:C 195:P 203:T 234:T 237:C 297:T 323:C 336:C \
-                 351:L 376:C 394:T 402:T 413:P 418:L 428:L 429:T 466:C 483:L",
+                "47:P 58:P 81:P 124:L 136:P 170:P 195:P 203:L 234:L 237:P 297:L 323:P 336:P \
+                 351:L 376:P 394:L 402:L 413:P 418:L 428:L 429:L 466:P 483:L",
             ),
             (
                 42,
                 "engine/count",
-                "6:C 32:C 57:C 130:C 144:T 158:P 207:P 219:P 255:C 273:P 275:T 329:C 365:C \
-                 372:L 378:T 388:P 390:P 397:L 408:L 414:C 418:L 421:C 453:P 465:T 485:L 493:L",
+                "6:P 32:P 57:P 130:P 144:L 158:P 207:P 219:P 255:P 273:P 275:L 329:P 365:P \
+                 372:L 378:L 388:P 390:P 397:L 408:L 414:P 418:L 421:P 453:P 465:L 485:L 493:L",
             ),
             (
                 42,
                 "homcount/tick",
-                "2:T 20:L 29:C 33:T 58:P 61:C 62:L 93:P 135:L 138:C 142:T 143:T 152:L 184:L \
-                 187:L 200:L 212:L 238:L 250:C 277:C 288:T 290:L 294:L 316:L 319:L 358:P \
-                 369:P 400:P 419:L 454:C 457:T 459:T 471:L 475:L",
+                "2:L 20:L 29:P 33:L 58:P 61:P 62:L 93:P 135:L 138:P 142:L 143:L 152:L 184:L \
+                 187:L 200:L 212:L 238:L 250:P 277:P 288:L 290:L 294:L 316:L 319:L 358:P \
+                 369:P 400:P 419:L 454:P 457:L 459:L 471:L 475:L",
             ),
         ];
         for (seed, site, want) in expected {

@@ -11,7 +11,6 @@
 //! is the engine's memo-cache key, so two structurally equal jobs
 //! submitted from different threads share one computation.
 
-use crate::breaker::FailFast;
 use crate::cache::Flight;
 use bagcq_arith::{Magnitude, Nat};
 use bagcq_containment::{CheckSpec, ContainmentChoice, Semantics, Verdict};
@@ -244,14 +243,10 @@ pub enum Outcome {
     /// The job hit its wall-clock deadline or exhausted its step budget
     /// before finishing. Never cached.
     TimedOut,
-    /// The evaluation panicked (or a cross-validation mismatch was
-    /// detected, or a transient failure persisted past the retry budget);
-    /// the payload is the panic message. Never cached.
+    /// The evaluation panicked, also after its hop to the naive engine
+    /// (or a cross-validation mismatch was detected, or the memory budget
+    /// refused it); the payload is the message. Never cached.
     Panicked(String),
-    /// The job kind's circuit breaker was open: the job was rejected
-    /// without evaluating, to stop a failing kind from burning workers.
-    /// Never cached.
-    FailedFast(FailFast),
     /// The job was shed without evaluating: the engine was draining, or
     /// the serving layer's tenant gate refused it. Never cached.
     Shed(ShedReason),
@@ -319,14 +314,6 @@ impl Outcome {
         }
     }
 
-    /// The fail-fast payload, if this is a [`Outcome::FailedFast`].
-    pub fn as_failed_fast(&self) -> Option<&FailFast> {
-        match self {
-            Outcome::FailedFast(ff) => Some(ff),
-            _ => None,
-        }
-    }
-
     /// The shed reason, if this is a [`Outcome::Shed`].
     pub fn as_shed(&self) -> Option<ShedReason> {
         match self {
@@ -335,14 +322,11 @@ impl Outcome {
         }
     }
 
-    /// `true` for [`Outcome::TimedOut`], [`Outcome::Panicked`],
-    /// [`Outcome::FailedFast`], and [`Outcome::Shed`] — the outcomes that
-    /// are published to waiters but never cached.
+    /// `true` for [`Outcome::TimedOut`], [`Outcome::Panicked`] and
+    /// [`Outcome::Shed`] — the outcomes that are published to waiters but
+    /// never cached.
     pub fn is_failure(&self) -> bool {
-        matches!(
-            self,
-            Outcome::TimedOut | Outcome::Panicked(_) | Outcome::FailedFast(_) | Outcome::Shed(_)
-        )
+        matches!(self, Outcome::TimedOut | Outcome::Panicked(_) | Outcome::Shed(_))
     }
 }
 

@@ -33,12 +33,11 @@
 //!   (two independent implementations of Section 2.1's `|Hom(ψ, D)|`)
 //!   applied continuously instead of only in tests. A disagreement is a
 //!   typed [`CountError::Mismatch`], never a silently wrong number.
-//! * **Resilience**: transient failures (spurious cancellations, typed
-//!   transient errors, panics) are retried under a [`RetryPolicy`] with
-//!   exponential backoff and deterministic jitter; a treewidth evaluation
-//!   that keeps failing or exhausts its step budget falls back to the
-//!   naive engine once; per-job-kind circuit breakers ([`BreakerConfig`])
-//!   fail fast ([`Outcome::FailedFast`]) when a kind keeps failing.
+//! * **Resilience**: for a fixed kernel and input an evaluation fails
+//!   every time or never, so the engine makes one attempt per kernel,
+//!   never sleeps, and shares no failure state between callers; an
+//!   evaluation that panics or exhausts its step or byte budget hops once
+//!   to the naive engine, then resolves to a typed outcome.
 //! * **Deterministic fault injection** ([`FaultPlan`], [`FaultInjector`]):
 //!   a seeded chaos harness threaded through every evaluation checkpoint,
 //!   driving the chaos test suite's core property — under any fault
@@ -68,7 +67,7 @@
 //!   corrupt records ([`RecoveryReport`]), and compacts dead bytes. Long
 //!   sweeps commit their points to the same store, so a killed sweep
 //!   resumes where it stopped (see `bagcq-coord`).
-//! * **Metrics**: atomic job/cache/resilience counters plus a log₂
+//! * **Metrics**: atomic job/cache/fallback counters plus a log₂
 //!   latency histogram, snapshot-able as text
 //!   ([`MetricsSnapshot::render`]).
 
@@ -76,14 +75,12 @@
 #![warn(missing_docs)]
 
 mod admission;
-mod breaker;
 mod budget;
 mod cache;
 mod engine;
 mod fault;
 mod job;
 mod metrics;
-mod retry;
 mod store;
 pub mod trace;
 
@@ -104,11 +101,9 @@ pub use admission::{
 /// speak.
 pub use bagcq_containment::{CheckRequest, CheckSpec, ContainmentChoice, Semantics, Verdict};
 pub use bagcq_homcount::{BackendChoice, CountError, CountRequest};
-pub use breaker::{BreakerConfig, FailFast};
 pub use engine::{DrainReport, EngineConfig, EvalEngine};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSchedule};
 pub use job::{Job, JobHandle, JobSpec, Outcome, ShedReason};
 pub use metrics::{EngineHealth, Metrics, MetricsSnapshot};
-pub use retry::RetryPolicy;
 pub use store::{MemoStore, RecoveryReport, StoreError, StoreOptions, StoreStats};
 pub use trace::{TraceReport, TraceSession};

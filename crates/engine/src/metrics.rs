@@ -45,16 +45,12 @@ pub struct Metrics {
     jobs_completed: AtomicU64,
     jobs_timed_out: AtomicU64,
     jobs_panicked: AtomicU64,
-    jobs_failed_fast: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     single_flight_joins: AtomicU64,
     store_hits: AtomicU64,
     cross_validations: AtomicU64,
-    retries: AtomicU64,
     fallbacks_taken: AtomicU64,
-    breaker_transitions: AtomicU64,
-    breaker_rejections: AtomicU64,
     jobs_shed: AtomicU64,
     draining: AtomicBool,
     latency_us: Log2Histogram,
@@ -103,30 +99,9 @@ impl Metrics {
         self.cross_validations.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn job_failed_fast(&self) {
-        self.jobs_failed_fast.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-        bagcq_obs::instant("engine.resilience", "retry");
-    }
-
     pub(crate) fn fallback_taken(&self) {
         self.fallbacks_taken.fetch_add(1, Ordering::Relaxed);
         bagcq_obs::instant("engine.resilience", "fallback");
-    }
-
-    pub(crate) fn breaker_transitions_add(&self, n: u64) {
-        if n != 0 {
-            self.breaker_transitions.fetch_add(n, Ordering::Relaxed);
-            bagcq_obs::instant("engine.resilience", "breaker_transition");
-        }
-    }
-
-    pub(crate) fn breaker_rejection(&self) {
-        self.breaker_rejections.fetch_add(1, Ordering::Relaxed);
-        bagcq_obs::instant("engine.resilience", "breaker_rejection");
     }
 
     pub(crate) fn job_shed(&self, reason: ShedReason) {
@@ -178,16 +153,12 @@ impl Metrics {
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
             jobs_timed_out: self.jobs_timed_out.load(Ordering::Relaxed),
             jobs_panicked: self.jobs_panicked.load(Ordering::Relaxed),
-            jobs_failed_fast: self.jobs_failed_fast.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             single_flight_joins: self.single_flight_joins.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             cross_validations: self.cross_validations.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
             fallbacks_taken: self.fallbacks_taken.load(Ordering::Relaxed),
-            breaker_transitions: self.breaker_transitions.load(Ordering::Relaxed),
-            breaker_rejections: self.breaker_rejections.load(Ordering::Relaxed),
             jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
             health: self.health(),
             // The queue and memory gauges live outside the registry; the
@@ -222,9 +193,6 @@ pub struct MetricsSnapshot {
     pub jobs_timed_out: u64,
     /// Jobs that finished as [`crate::Outcome::Panicked`].
     pub jobs_panicked: u64,
-    /// Jobs rejected by an open circuit breaker
-    /// ([`crate::Outcome::FailedFast`]).
-    pub jobs_failed_fast: u64,
     /// Memo-cache lookups answered from a `Ready` slot.
     pub cache_hits: u64,
     /// Lookups that started a fresh computation.
@@ -237,15 +205,9 @@ pub struct MetricsSnapshot {
     pub store_hits: u64,
     /// Counts that were computed by both engines and compared.
     pub cross_validations: u64,
-    /// Transient-failure retries performed (backoff sleeps taken).
-    pub retries: u64,
-    /// Evaluations re-run on the fallback engine (treewidth → naive).
+    /// Evaluations re-run on the naive engine after a panic or a budget
+    /// exhaustion (the ladder's one hop).
     pub fallbacks_taken: u64,
-    /// Circuit-breaker state transitions (closed→open, open→half-open,
-    /// half-open→closed/open).
-    pub breaker_transitions: u64,
-    /// Jobs rejected by an open breaker before evaluation.
-    pub breaker_rejections: u64,
     /// Jobs shed by a drain ([`crate::Outcome::Shed`]): refused at
     /// submission or for want of an evaluation slot, or flushed from the
     /// queue.
@@ -308,12 +270,8 @@ impl fmt::Display for MetricsSnapshot {
         writeln!(f, "engine metrics")?;
         writeln!(
             f,
-            "  jobs     submitted={} completed={} timed_out={} panicked={} failed_fast={}",
-            self.jobs_submitted,
-            self.jobs_completed,
-            self.jobs_timed_out,
-            self.jobs_panicked,
-            self.jobs_failed_fast
+            "  jobs     submitted={} completed={} timed_out={} panicked={}",
+            self.jobs_submitted, self.jobs_completed, self.jobs_timed_out, self.jobs_panicked
         )?;
         write!(
             f,
@@ -328,11 +286,7 @@ impl fmt::Display for MetricsSnapshot {
             None => writeln!(f)?,
         }
         writeln!(f, "  validate cross_validations={}", self.cross_validations)?;
-        writeln!(
-            f,
-            "  resilience retries={} fallbacks={} breaker_transitions={} breaker_rejections={}",
-            self.retries, self.fallbacks_taken, self.breaker_transitions, self.breaker_rejections
-        )?;
+        writeln!(f, "  resilience fallbacks={}", self.fallbacks_taken)?;
         writeln!(
             f,
             "  serving  health={} shed={} queue_depth={} queue_high_water={}",
@@ -428,21 +382,11 @@ mod tests {
     #[test]
     fn resilience_counters_render() {
         let m = Metrics::new();
-        m.retry();
-        m.retry();
         m.fallback_taken();
-        m.breaker_transitions_add(3);
-        m.breaker_rejection();
-        m.job_failed_fast();
         let s = m.snapshot();
-        assert_eq!(s.retries, 2);
         assert_eq!(s.fallbacks_taken, 1);
-        assert_eq!(s.breaker_transitions, 3);
-        assert_eq!(s.breaker_rejections, 1);
-        assert_eq!(s.jobs_failed_fast, 1);
         let text = s.render();
-        assert!(text.contains("retries=2"), "{text}");
-        assert!(text.contains("failed_fast=1"), "{text}");
+        assert!(text.contains("fallbacks=1"), "{text}");
     }
 
     #[test]

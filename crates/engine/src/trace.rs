@@ -34,7 +34,6 @@ pub fn outcome_label(outcome: &Outcome) -> &'static str {
         Outcome::Verdict(_) => "verdict",
         Outcome::TimedOut => "timed_out",
         Outcome::Panicked(_) => "panicked",
-        Outcome::FailedFast(_) => "failed_fast",
         Outcome::Shed(_) => "shed",
     }
 }

@@ -9,16 +9,11 @@
 //! 2. the memo cache **never stores a faulty result**: resubmitting a job
 //!    that failed recomputes it (and succeeds once the plan's fault cap
 //!    is spent), and a full resubmission of the workload after the faults
-//!    are exhausted reproduces the clean run exactly;
-//! 3. circuit breakers trip on persistent failure, fail fast while open,
-//!    and recover through a half-open probe.
+//!    are exhausted reproduces the clean run exactly.
 
 use bagcq_arith::Nat;
 use bagcq_containment::{CheckRequest, Verdict};
-use bagcq_engine::{
-    BreakerConfig, EngineConfig, EvalEngine, FaultInjector, FaultKind, FaultPlan, Job, Outcome,
-    RetryPolicy,
-};
+use bagcq_engine::{EngineConfig, EvalEngine, FaultInjector, FaultKind, FaultPlan, Job, Outcome};
 use bagcq_homcount::BackendChoice;
 use bagcq_query::{cycle_query, path_query, PowerQuery};
 use bagcq_structure::{Schema, Structure, StructureGen};
@@ -79,9 +74,6 @@ fn chaos_engine(plan: FaultPlan) -> (EvalEngine, Arc<FaultInjector>) {
     let injector = FaultInjector::new(plan);
     let engine = EvalEngine::new(EngineConfig {
         workers: 3,
-        // Breakers are tested separately; here they would only add
-        // cooldown stalls between resubmissions.
-        breaker: BreakerConfig::disabled(),
         fault: Some(Arc::clone(&injector)),
         ..EngineConfig::default()
     });
@@ -135,14 +127,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Properties 1 and 2 hold under arbitrary seeds for the full fault
-    /// mix (panics, latency, spurious cancels, transient errors).
+    /// mix (panics and stalls).
     #[test]
     fn completed_outcomes_bit_identical_under_any_fault_schedule(seed in 0u64..100_000) {
         assert_chaos_invariants(seed, FaultPlan::seeded(seed));
     }
 
     /// Same properties under a panic-heavy plan — the worst case for the
-    /// cache (leaders dying mid-flight) and the retry/fallback ladder.
+    /// cache (leaders dying mid-flight) and the fallback hop.
     #[test]
     fn panic_storms_never_poison_cache_or_pool(seed in 0u64..100_000) {
         let plan = FaultPlan::seeded(seed)
@@ -174,92 +166,6 @@ fn fixed_seed_chaos_run() {
     }
     assert!(injector.injected() > 0, "fault plan at 12% never fired");
     assert!(injector.checkpoints() > 0);
-}
-
-/// Transient-only faults are absorbed by the retry layer: the workload
-/// completes identically to a clean run and the retry counter moves.
-#[test]
-fn transient_faults_are_retried_to_success() {
-    let seed = 7;
-    let (schema, d) = digraph(5, seed);
-    let jobs = workload(&schema, &d);
-    let clean = clean_outcomes(&jobs);
-    let plan = FaultPlan::seeded(seed)
-        .with_kinds(&[FaultKind::SpuriousCancel, FaultKind::TransientError])
-        .with_rate_per_mille(100)
-        .with_max_faults(8);
-    let (engine, injector) = chaos_engine(plan);
-    let got: Vec<String> =
-        engine.submit_batch(jobs).iter().map(|h| outcome_key(&h.wait())).collect();
-    // Default retries (2) + one fallback hop absorb a per-job fault
-    // budget of 8 spread over 10 jobs with overwhelming probability for
-    // this seed; the assertion below locks that in.
-    assert_eq!(got, clean);
-    assert!(injector.injected() > 0, "plan never fired");
-    assert!(engine.metrics().retries > 0, "retry path never exercised");
-}
-
-/// A count run on the calling thread absorbs transient faults through
-/// retries and stays bit-identical to the direct count.
-#[test]
-fn run_retries_transients() {
-    let seed = 11;
-    let (schema, d) = digraph(5, seed);
-    let q = path_query(&schema, "E", 2);
-    let want = bagcq_homcount::CountRequest::new(&q, &d).count();
-
-    let plan = FaultPlan::seeded(seed)
-        .with_kinds(&[FaultKind::TransientError])
-        .with_rate_per_mille(400)
-        .with_max_faults(2);
-    let (engine, _injector) = chaos_engine(plan);
-    let got = engine.run(Job::count(q, d));
-    assert_eq!(got.as_count(), Some(&want), "retries absorb two transient faults");
-    assert!(engine.metrics().retries > 0);
-}
-
-/// Breakers: persistent panics trip the breaker after the configured
-/// threshold, jobs then fail fast without evaluating, and once the fault
-/// budget is spent the half-open probe closes the breaker again.
-#[test]
-fn breaker_trips_fails_fast_and_recovers() {
-    let seed = 3;
-    let (schema, d) = digraph(5, seed);
-    // Panic on every engine count until the cap (4 faults) is spent; no
-    // retries or fallback, so each faulted job fails immediately.
-    let injector = FaultInjector::new(
-        FaultPlan::seeded(seed)
-            .with_kinds(&[FaultKind::Panic])
-            .with_rate_per_mille(1000)
-            .with_max_faults(4),
-    );
-    let engine = EvalEngine::new(EngineConfig {
-        workers: 1,
-        retry: RetryPolicy::none(),
-        fallback_enabled: false,
-        breaker: BreakerConfig {
-            failure_threshold: 2,
-            cooldown: std::time::Duration::from_millis(0),
-        },
-        fault: Some(Arc::clone(&injector)),
-        ..EngineConfig::default()
-    });
-
-    let mut outcomes = Vec::new();
-    for k in 1..=8 {
-        // Distinct queries so the cache never answers for the breaker.
-        let q = path_query(&schema, "E", 1 + (k % 3));
-        let job = Job::count_with(BackendChoice::Naive, q, Arc::clone(&d));
-        outcomes.push(engine.submit(job).wait());
-    }
-    let panicked = outcomes.iter().filter(|o| matches!(o, Outcome::Panicked(_))).count();
-    let succeeded = outcomes.iter().filter(|o| !o.is_failure()).count();
-    assert!(panicked >= 2, "the first faulted jobs must fail: {outcomes:?}");
-    assert!(succeeded > 0, "the breaker must recover once faults are spent: {outcomes:?}");
-
-    let m = engine.metrics();
-    assert!(m.breaker_transitions >= 2, "expected open + close transitions: {m}");
-    assert_eq!(injector.injected(), 4);
 }
 
 /// Step-budget exhaustion takes the fallback chain exactly once

@@ -3,15 +3,15 @@
 //! The properties, per the E-OVERLOAD experiment:
 //!
 //! 1. the byte budget fails `Nat`-heavy evaluations with a typed error
-//!    (never an allocator abort), and releases its reservations;
+//!    (never an allocator abort), and releases its reservations; one
+//!    caller's denials never fail another caller's job that fits;
 //! 2. `drain(deadline)` resolves every submitted job to exactly one
 //!    outcome and returns by its deadline, under fault injection too.
 
 use bagcq_engine::{
-    BreakerConfig, EngineConfig, EngineHealth, EvalEngine, FaultInjector, FaultPlan, Job, Outcome,
-    ShedReason,
+    EngineConfig, EngineHealth, EvalEngine, FaultInjector, FaultPlan, Job, Outcome, ShedReason,
 };
-use bagcq_homcount::BackendChoice;
+use bagcq_homcount::{BackendChoice, CountRequest};
 use bagcq_query::{cycle_query, grid_query, path_query, Query};
 use bagcq_structure::{Schema, Structure, StructureGen};
 use std::sync::Arc;
@@ -39,7 +39,6 @@ fn starved_memory_budget_fails_typed() {
     let engine = EvalEngine::new(EngineConfig {
         workers: 1,
         memory_budget_bytes: 1, // any component count (≥ 8 bytes) is refused
-        breaker: BreakerConfig::disabled(),
         ..EngineConfig::default()
     });
     let job = Job::count(q, d);
@@ -56,6 +55,32 @@ fn starved_memory_budget_fails_typed() {
     assert_eq!(m.fallbacks_taken, 2, "each evaluation takes the naive fallback hop once");
 }
 
+/// Property 1 across callers: the engine keeps no failure state between
+/// jobs, so five counts that overflow a 64-byte budget leave the next
+/// caller's count, which fits it, to answer exactly.
+#[test]
+fn a_budget_denial_cannot_deny_anyone_else() {
+    let (schema, d) = digraph(5, 3);
+    let engine = EvalEngine::new(EngineConfig {
+        workers: 1,
+        memory_budget_bytes: 64,
+        ..EngineConfig::default()
+    });
+    // `(one edge)↑k` has k components, each charging 8 bytes in both
+    // kernels, so k ≥ 9 overflows 64 bytes, also after the hop.
+    let edge = path_query(&schema, "E", 1);
+    for k in 9..=13 {
+        match engine.run(Job::count(edge.power(k), Arc::clone(&d))) {
+            Outcome::Panicked(msg) => assert!(msg.contains("memory budget"), "k={k}: {msg}"),
+            other => panic!("k={k}: expected a typed budget failure, got {other:?}"),
+        }
+    }
+    let q = path_query(&schema, "E", 2);
+    let want = CountRequest::new(&q, &d).count();
+    let out = engine.run(Job::count(q, d));
+    assert_eq!(out.as_count(), Some(&want), "another caller's denials failed this count: {out:?}");
+}
+
 /// A generous byte budget changes nothing about the answers, and every
 /// reservation is released once the work is done.
 #[test]
@@ -68,7 +93,7 @@ fn generous_memory_budget_is_transparent_and_released() {
     });
     for k in 1..=3 {
         let q = path_query(&schema, "E", k);
-        let want = bagcq_homcount::CountRequest::new(&q, &d).count();
+        let want = CountRequest::new(&q, &d).count();
         assert_eq!(engine.submit(Job::count(q, Arc::clone(&d))).wait().as_count(), Some(&want));
     }
     let m = engine.metrics();
@@ -93,12 +118,11 @@ fn dp_tables_are_charged_and_outgrowing_the_budget_falls_back() {
     };
     let d = Arc::new(gen.sample(&schema, 7));
     let q = grid_query(&schema, "E", 3, 3);
-    let want = bagcq_homcount::CountRequest::new(&q, &d).backend(BackendChoice::Naive).count();
+    let want = CountRequest::new(&q, &d).backend(BackendChoice::Naive).count();
 
     let engine = EvalEngine::new(EngineConfig {
         workers: 1,
         memory_budget_bytes: 16 << 10,
-        breaker: BreakerConfig::disabled(),
         ..EngineConfig::default()
     });
     let out = engine.run(Job::count_with(BackendChoice::Treewidth, q, d));
@@ -114,11 +138,7 @@ fn dp_tables_are_charged_and_outgrowing_the_budget_falls_back() {
 #[test]
 fn drain_resolves_every_job_and_meets_its_deadline() {
     let (schema, d) = digraph(5, 42);
-    let engine = EvalEngine::new(EngineConfig {
-        workers: 2,
-        breaker: BreakerConfig::disabled(),
-        ..EngineConfig::default()
-    });
+    let engine = EvalEngine::new(EngineConfig { workers: 2, ..EngineConfig::default() });
     let handles: Vec<_> = (0..40)
         .map(|i| {
             let q = path_query(&schema, "E", 1 + (i % 3));
@@ -158,7 +178,6 @@ fn drain_never_loses_jobs_under_chaos() {
         let injector = FaultInjector::new(FaultPlan::seeded(round_seed).with_rate_per_mille(120));
         let engine = EvalEngine::new(EngineConfig {
             workers: 3,
-            breaker: BreakerConfig::disabled(),
             fault: Some(injector),
             ..EngineConfig::default()
         });
@@ -189,7 +208,6 @@ fn drain_never_loses_jobs_under_chaos() {
                 | Outcome::Verdict(_)
                 | Outcome::TimedOut
                 | Outcome::Panicked(_)
-                | Outcome::FailedFast(_)
                 | Outcome::Shed(_) => {}
             }
         }

@@ -7,8 +7,10 @@
 //! 2. at most `workers` callers evaluate at once;
 //! 3. a drain sheds callers without a slot and waits for callers with
 //!    one;
-//! 4. an evaluation panic is retried, on a caller and on a pool worker
-//!    alike: it never unwinds into the caller and never kills the worker;
+//! 4. an evaluation panic gets one attempt per rung — one on the job's
+//!    kernel, one after the hop to the naive engine — on a caller and on
+//!    a pool worker alike: it never unwinds into the caller and never
+//!    kills the worker;
 //! 5. the worker pool starts with the first submission, so an engine that
 //!    only runs jobs on its callers spawns no thread.
 
@@ -151,27 +153,40 @@ fn drain_sheds_callers_without_a_slot_and_waits_for_the_rest() {
 }
 
 #[test]
-fn panics_on_a_caller_are_retried_and_never_unwind_into_it() {
+fn a_panic_gets_one_attempt_per_rung_and_never_unwinds_into_the_caller() {
     let (schema, d) = digraph(5, 3);
     let q = path_query(&schema, "E", 2);
     let want = CountRequest::new(&q, &d).count();
+    // (panics allowed, 0 = uncapped; backend; faults fired; hops taken)
+    let cases = [
+        (0, BackendChoice::Naive, 1, 0),
+        (0, BackendChoice::Auto, 2, 1),
+        (1, BackendChoice::Auto, 1, 1),
+    ];
     for pooled in [false, true] {
-        let injector = plan(FaultKind::Panic, 1, Duration::ZERO);
-        let engine = engine_with(1, Some(Arc::clone(&injector)));
-        let job = Job::count_with(BackendChoice::Naive, q.clone(), Arc::clone(&d));
-        let out = if pooled {
-            engine.submit(job).wait()
-        } else {
-            std::thread::scope(|s| s.spawn(|| engine.run(job)).join())
-                .expect("the calling thread returns")
-        };
-        assert_eq!(out.as_count(), Some(&want), "pooled={pooled}");
-        assert_eq!(injector.injected(), 1);
-        let m = engine.metrics();
-        assert!(m.retries >= 1, "pooled={pooled}: {m}");
-        assert_eq!(m.jobs_panicked, 0, "pooled={pooled}: {m}");
-        if pooled {
-            assert_eq!(engine.live_workers(), engine.worker_count(), "a worker died");
+        for (cap, backend, fired, hops) in cases {
+            let injector = plan(FaultKind::Panic, cap, Duration::ZERO);
+            let engine = engine_with(1, Some(Arc::clone(&injector)));
+            let job = Job::count_with(backend, q.clone(), Arc::clone(&d));
+            let out = if pooled {
+                engine.submit(job).wait()
+            } else {
+                std::thread::scope(|s| s.spawn(|| engine.run(job)).join())
+                    .expect("the calling thread returns")
+            };
+            let case = format!("pooled={pooled} cap={cap} {backend:?}");
+            if cap == 0 {
+                assert!(matches!(out, Outcome::Panicked(_)), "{case}: {out:?}");
+            } else {
+                assert_eq!(out.as_count(), Some(&want), "{case}");
+            }
+            assert_eq!(injector.injected(), fired, "{case}: one attempt per rung");
+            let m = engine.metrics();
+            assert_eq!(m.fallbacks_taken, hops, "{case}: {m}");
+            assert_eq!(m.jobs_panicked, u64::from(cap == 0), "{case}: {m}");
+            if pooled {
+                assert_eq!(engine.live_workers(), engine.worker_count(), "{case}: a worker died");
+            }
         }
     }
 }

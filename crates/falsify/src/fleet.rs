@@ -5,7 +5,7 @@
 //! database) pair, and simultaneously streams a representative query of
 //! each item through two production paths —
 //!
-//! * the [`EvalEngine`] worker pool (admission, cache, breakers), whose
+//! * the [`EvalEngine`] worker pool (single-flight memo cache), whose
 //!   answers must equal the synchronous `CountRequest` oracle; and
 //! * the `bagcq-serve` HTTP front door, whose wire frames must carry the
 //!   same count the in-process parse of the *identical frame text*

@@ -37,21 +37,21 @@ use std::sync::{Arc, OnceLock};
 ///
 /// This is the single error hierarchy of the counting stack: budget and
 /// deadline denial arrive as [`CountError::Cancelled`] (see
-/// [`CancelReason`] for which), backend failure as
-/// [`CountError::Mismatch`] or [`CountError::Transient`]. The engine and
+/// [`CancelReason`] for which), a disagreement between the two kernels as
+/// [`CountError::Mismatch`]. Neither goes away when the same count is
+/// repeated — a budget denial or a mismatch recurs for a fixed kernel and
+/// input, and a deadline stays passed — so no caller retries one; the
+/// engine re-runs a budget denial once on the naive kernel. The engine and
 /// containment crates re-export this type rather than defining their own,
 /// so callers match one error family end to end.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CountError {
     /// The evaluation was cancelled (deadline, step budget, memory
-    /// budget, engine shutdown, or a spurious injected cancellation — see
-    /// [`CancelReason`]).
+    /// budget, or engine shutdown — see [`CancelReason`]).
     Cancelled(Cancelled),
     /// Dual-engine cross-validation disagreed: one of the two counting
     /// engines has a bug, and no number can be trusted. Terminal.
     Mismatch(String),
-    /// A transient infrastructure failure worth retrying.
-    Transient(String),
 }
 
 impl fmt::Display for CountError {
@@ -59,7 +59,6 @@ impl fmt::Display for CountError {
         match self {
             CountError::Cancelled(c) => write!(f, "{c}"),
             CountError::Mismatch(msg) => write!(f, "cross-validation mismatch: {msg}"),
-            CountError::Transient(msg) => write!(f, "transient failure: {msg}"),
         }
     }
 }
@@ -73,16 +72,6 @@ impl From<Cancelled> for CountError {
 }
 
 impl CountError {
-    /// `true` for failures a retry may cure: transient errors and
-    /// spurious cancellations (a cancellation nobody's deadline or budget
-    /// explains).
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            CountError::Transient(_) | CountError::Cancelled(Cancelled(CancelReason::Cancelled))
-        )
-    }
-
     /// The cancellation reason, when this is a budget/deadline denial.
     pub fn cancel_reason(&self) -> Option<CancelReason> {
         match self {
@@ -402,7 +391,6 @@ mod tests {
             .run()
             .unwrap_err();
         assert_eq!(err.cancel_reason(), Some(CancelReason::BudgetExhausted));
-        assert!(!err.is_transient());
     }
 
     #[test]

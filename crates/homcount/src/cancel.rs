@@ -133,14 +133,16 @@ impl Default for CancelToken {
 ///
 /// * return `Ok(())` — the common no-op;
 /// * sleep before returning — injected latency;
-/// * return `Err(Cancelled)` — a spurious cancellation, indistinguishable
-///   from a real one to the evaluation itself;
+/// * return `Err(Cancelled)` — stop the evaluation, which sees a
+///   cancellation like any other;
 /// * panic — a simulated worker crash, to be caught by whatever
 ///   `catch_unwind` isolation the caller runs under.
 ///
-/// The `bagcq-engine` crate uses this to thread its deterministic
-/// fault-injection harness through every evaluation without the counting
-/// code knowing anything about faults.
+/// The `bagcq-engine` crate uses this to hard-stop evaluations during a
+/// drain (`Err`, as [`CancelReason::ShuttingDown`]) and to thread its
+/// deterministic fault-injection harness (stalls and panics) through
+/// every evaluation without the counting code knowing anything about
+/// faults.
 pub trait CheckpointHook: Send + Sync {
     /// Fires the checkpoint; `site` names the location (e.g.
     /// `"homcount/count"`, `"homcount/tick"`).

@@ -5,8 +5,8 @@
 //! The tracer is a process-global facility: instrumented code opens RAII
 //! [`SpanGuard`]s (enter/exit with monotonic microsecond timestamps, a
 //! synthetic thread id, a stage tag, and an optional job fingerprint) and
-//! fires point-in-time instant events (retries, fallbacks, breaker
-//! transitions). Events accumulate in per-thread buffers — each thread
+//! fires point-in-time instant events (fallbacks, store hits, drain
+//! steps). Events accumulate in per-thread buffers — each thread
 //! appends to a buffer only it writes, so steady-state recording never
 //! contends — and drain on demand into:
 //!
@@ -147,7 +147,7 @@ pub fn reset() {
 pub enum EventKind {
     /// A closed interval with a duration (RAII span).
     Span,
-    /// A point-in-time marker (retry, fallback, breaker transition, …).
+    /// A point-in-time marker (fallback, store hit, drain step, …).
     Instant,
 }
 

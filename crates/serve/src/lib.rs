@@ -55,14 +55,16 @@
 pub mod chaos;
 pub mod http;
 pub mod loadgen;
+mod retry;
 pub mod server;
 pub mod wire;
 
-pub use bagcq_engine::{DrainReport, RetryPolicy, TenantQuota, TenantSpec};
+pub use bagcq_engine::{DrainReport, TenantQuota, TenantSpec};
 pub use bagcq_obs::SplitMix64;
 pub use chaos::{ChaosTransport, Conn, ConnFault, NetFaultInjector, NetFaultKind, NetFaultPlan};
 pub use http::{HttpError, HttpLimits, HttpRequest, HttpResponse};
 pub use loadgen::{plan_requests, LoadgenConfig, LoadgenReport, PlannedRequest, WorkloadMix};
+pub use retry::RetryPolicy;
 pub use server::{Server, ServerConfig};
 pub use wire::{
     parse_check_request, parse_count_request, parse_response, CheckJob, CountJob, WireError,

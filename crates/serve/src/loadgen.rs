@@ -41,9 +41,9 @@ use crate::chaos::{Conn, NetFaultInjector, NetFaultPlan};
 use crate::http::{
     crc32, read_response, write_request_with_headers, HttpError, HttpLimits, HttpResponse,
 };
+use crate::retry::RetryPolicy;
 use crate::wire::{parse_response, WireResponse};
 use bagcq_arith::Nat;
-use bagcq_engine::RetryPolicy;
 use bagcq_homcount::{BackendChoice, CountRequest};
 use bagcq_obs::{Log2Histogram, SplitMix64};
 use bagcq_query::{parse_bag_instance_infer, parse_dlgp_query};
@@ -497,9 +497,6 @@ fn score(plan: &Plan, status: u16, response: &WireResponse, tally: &Tally) {
             // shed rather than breakage.
             "slow_client" if status == 408 => {
                 tally.record_shed("slow_client");
-            }
-            "failed_fast" if status == 503 => {
-                tally.record_shed(if reason.is_empty() { "failed_fast" } else { reason });
             }
             _ => {
                 tally.protocol_errors.fetch_add(1, Ordering::Relaxed);

@@ -1,26 +1,25 @@
-//! Bounded retries with exponential backoff and deterministic jitter.
+//! Bounded retries with exponential backoff and deterministic jitter for
+//! the loadgen's self-healing client.
 //!
-//! [`RetryPolicy`] governs how the worker pool reacts to **transient**
-//! failures (injected faults, spurious cancellations, transient counter
-//! errors, panics that a fallback engine might dodge). It is consulted
-//! only for transient failures — deadline cancellations and step-budget
-//! exhaustion are terminal for the attempt that hit them (retrying a
-//! deterministic computation against the same limit reproduces the same
-//! exhaustion; the fallback chain, not the retry loop, handles those).
+//! [`RetryPolicy`] governs how the client resends a request after a
+//! **transient** failure — a transport error, a truncated response, a
+//! checksum mismatch, a 408 slow-client eviction, or a `corrupt` 400 on a
+//! frame known to be well-formed. Typed overload sheds are never retried;
+//! see [`crate::loadgen`].
 //!
-//! Jitter is *deterministic*: the delay for attempt `k` of a job is a pure
-//! function of the policy seed, the job's content fingerprint, and `k`, so
-//! two runs of the same workload back off identically — a requirement for
-//! the chaos suite's reproducibility and for debugging sweep logs.
+//! Jitter is *deterministic*: the delay for attempt `k` of a request is a
+//! pure function of the policy seed, the request's salt, and `k`, so two
+//! runs of the same workload back off identically — a requirement for
+//! the chaos suite's reproducibility.
 
 use bagcq_obs::splitmix64;
 use std::time::Duration;
 
-/// Retry policy for transient evaluation failures.
+/// Retry policy for the client's transient failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Maximum retries *per engine* in the fallback chain (`0` disables
-    /// retrying; the first failure is final for that engine).
+    /// Maximum retries per request (`0` disables retrying; the first
+    /// failure is final).
     pub max_retries: u32,
     /// Backoff before the first retry; doubles per attempt.
     pub base_backoff: Duration,
@@ -42,15 +41,11 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn none() -> Self {
-        RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
-    }
-
-    /// The backoff before retry number `attempt` (0-based) of a job whose
-    /// identity is mixed in via `salt` (the engine uses the job's content
-    /// fingerprint). Exponential with full determinism: the result lies in
-    /// `[exp/2, exp)` where `exp = min(base·2^attempt, max)`.
+    /// The backoff before retry number `attempt` (0-based) of a request
+    /// whose identity is mixed in via `salt` (the loadgen mixes the run's
+    /// seed with the request's index). Exponential with full determinism:
+    /// the result lies in `[exp/2, exp)` where
+    /// `exp = min(base·2^attempt, max)`.
     pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
         let exp = self
             .base_backoff

@@ -25,7 +25,7 @@
 //! Every engine outcome maps to exactly one status: counts/verdicts →
 //! 200; [`ShedReason::QuotaExceeded`]/[`ShedReason::InFlightLimit`]/
 //! [`ShedReason::ConnectionLimit`] → 429;
-//! [`ShedReason::Draining`] and [`Outcome::FailedFast`] → 503;
+//! [`ShedReason::Draining`] → 503;
 //! [`Outcome::TimedOut`] → 504;
 //! [`Outcome::Panicked`] → 500. Parse/frame errors → 400 with the caret
 //! snippet verbatim; a `semantics`/`containment` combination no backend
@@ -906,12 +906,6 @@ fn respond(outcome: Outcome, responder: Responder) -> (u16, &'static str, String
         Outcome::Panicked(msg) => {
             (500, "Internal Server Error", WireResponse::error("panic", msg).render())
         }
-        Outcome::FailedFast(ff) => (
-            503,
-            "Service Unavailable",
-            WireResponse::error_with_reason("failed_fast", ff.job_kind, "circuit breaker open")
-                .render(),
-        ),
         Outcome::Shed(reason) => shed_response(reason),
     }
 }

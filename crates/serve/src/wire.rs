@@ -329,7 +329,7 @@ pub enum WireResponse {
     /// rendering, verbatim).
     Error {
         /// Stable machine label (`parse`, `frame`, `auth`, `shed`,
-        /// `timeout`, `panic`, `failed_fast`, `not_found`, `corrupt` —
+        /// `timeout`, `panic`, `not_found`, `corrupt` —
         /// a request body failed its `X-Body-Crc` integrity check;
         /// retryable, since the retry re-sends intact bytes —
         /// `slow_client` — the connection was evicted for trickling

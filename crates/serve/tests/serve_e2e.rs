@@ -130,6 +130,58 @@ fn engine_jobs_count_memo_misses_and_admissions_count_frames() {
     server.shutdown();
 }
 
+/// One tenant's frames that overflow the engine's byte budget answer
+/// typed 500s, and leave another tenant's count that fits at 200: the
+/// engine shares no failure state between callers.
+#[test]
+fn one_tenants_budget_denials_leave_another_tenants_count_at_200() {
+    use bagcq_engine::EngineConfig;
+    use bagcq_homcount::CountRequest;
+
+    let open = |name: &str, key: &str| {
+        TenantSpec::new(name, key).with_quota(TenantQuota {
+            rate_per_sec: 0,
+            burst: 0,
+            max_in_flight: 0,
+            max_connections: 0,
+        })
+    };
+    let server = Server::start(ServerConfig {
+        tenants: vec![open("a", "a-key"), open("b", "b-key")],
+        engine: EngineConfig { memory_budget_bytes: 64, ..Default::default() },
+        ..Default::default()
+    })
+    .expect("server starts");
+    let addr = server.local_addr().to_string();
+
+    // k disjoint `e` atoms are k components of 8 bytes each: k ≥ 9
+    // overflows 64 bytes in both kernels.
+    for k in 9..=13 {
+        let atoms: Vec<String> = (0..k).map(|i| format!("e(X{i}, Y{i})")).collect();
+        let body = format!("query: ?- {}.\ndata: e(a, b). e(b, c).\n", atoms.join(", "));
+        let (status, text) = post(&addr, "/v1/count", "a-key", &body);
+        assert_eq!(status, 500, "k={k}: {text}");
+        match parse_response(&text).expect("well-formed error frame") {
+            WireResponse::Error { kind, detail, .. } => {
+                assert_eq!(kind, "panic", "k={k}");
+                assert!(detail.contains("memory budget"), "k={k}: {detail}");
+            }
+            other => panic!("k={k}: expected a typed error, got {other:?}"),
+        }
+    }
+
+    let body = "query: ?- e(X, Y), e(Y, Z).\ndata: e(a, b). e(b, c). e(c, a). e(a, a).\n";
+    let job = bagcq_serve::parse_count_request(body).expect("valid frame");
+    let want = CountRequest::new(&job.query, &job.support).backend(job.backend).count();
+    let (status, text) = post(&addr, "/v1/count", "b-key", body);
+    assert_eq!(status, 200, "tenant a's denials failed tenant b's count: {text}");
+    match parse_response(&text).expect("well-formed count frame") {
+        WireResponse::Count { count, .. } => assert_eq!(count, want),
+        other => panic!("expected a count frame, got {other:?}"),
+    }
+    server.shutdown();
+}
+
 #[test]
 fn drain_refuses_new_work_with_typed_sheds() {
     let server = Server::start(ServerConfig { tenants: vec![open_tenant()], ..Default::default() })
