@@ -205,14 +205,15 @@ fn main() {
     println!();
     println!("## E-OVERLOAD — a burst, then a drain");
     println!();
-    println!("One worker, stalled by one latency fault, and a burst of 40 jobs:");
-    println!("the first 20 queue behind the stall, then a drain closes the queue");
-    println!("and the last 20 arrive while it runs. Every job resolves exactly");
-    println!("once: queued jobs are served with the direct count, later ones are");
-    println!("shed as draining, and the drain loses nothing and meets its deadline.");
+    println!("One evaluation slot, stalled by one latency fault, and a burst of 40");
+    println!("calls: 20 callers arrive together, one evaluates behind the stall and");
+    println!("19 wait for the slot; then a drain closes the slots, and 20 more calls");
+    println!("arrive while it runs. Every call resolves exactly once: the evaluating");
+    println!("caller is served the direct count, the rest are shed as draining, and");
+    println!("the drain loses nothing and meets its deadline.");
     const BURST: usize = 40;
     // A plan whose only fault is one 200ms stall at the first checkpoint:
-    // it holds the worker while the burst queues and the drain begins.
+    // it holds the slot while the callers queue and the drain begins.
     let stall = FaultInjector::new(FaultPlan {
         latency: std::time::Duration::from_millis(200),
         ..FaultPlan::seeded(0)
@@ -228,20 +229,24 @@ fn main() {
     });
     let q = path_query(&schema, "E", 2);
     let want = CountRequest::new(&q, &d).count();
-    let submit = || serving.submit(Job::count(q.clone(), Arc::clone(&d)));
-    let mut burst: Vec<_> = (0..BURST / 2).map(|_| submit()).collect();
-    let report = std::thread::scope(|s| {
+    let call = || serving.run(Job::count(q.clone(), Arc::clone(&d)));
+    let (burst, report) = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..BURST / 2).map(|_| s.spawn(call)).collect();
+        while serving.metrics().queue_depth < (BURST / 2 - 1) as u64 {
+            std::thread::yield_now();
+        }
         let drain = s.spawn(|| serving.drain(std::time::Duration::from_secs(5)));
-        // Health reads Draining only once the queue is closed.
+        // Health reads Draining only once the slots are closed.
         while serving.health() != EngineHealth::Draining {
             std::thread::yield_now();
         }
-        burst.extend((0..BURST / 2).map(|_| submit()));
-        drain.join().expect("drain returns")
+        let mut burst: Vec<Outcome> = (0..BURST / 2).map(|_| call()).collect();
+        burst.extend(callers.into_iter().map(|c| c.join().expect("caller returns")));
+        (burst, drain.join().expect("drain returns"))
     });
     let (mut served, mut shed) = (0u64, 0u64);
-    for handle in &burst {
-        match handle.wait() {
+    for out in burst {
+        match out {
             Outcome::Count(n) => {
                 assert_eq!(n, want, "the burst corrupted a served count");
                 served += 1;
@@ -253,7 +258,7 @@ fn main() {
             other => panic!("unexpected outcome in the burst: {other:?}"),
         }
     }
-    assert_eq!(served + shed, BURST as u64, "every job resolves exactly once");
+    assert_eq!(served + shed, BURST as u64, "every call resolves exactly once");
     assert!(report.met_deadline && report.stragglers == 0, "drain must not lose jobs: {report:?}");
     println!();
     println!("burst of {BURST}: served={served} shed={shed} (typed, accounted)");
@@ -264,6 +269,7 @@ fn main() {
     let m = serving.metrics();
     assert_eq!(m.jobs_completed, m.jobs_submitted, "every job resolves exactly once");
     assert_eq!(m.jobs_shed, shed);
+    assert_eq!(m.queue_high_water, (BURST / 2 - 1) as u64, "all but one caller waited");
     assert_eq!(m.health, EngineHealth::Draining);
     println!();
     print!("{}", m.render());

@@ -79,7 +79,6 @@ fn exp_engines_trace_parses_and_nests() {
         &chrome,
         &jsonl,
         &[
-            "engine.enqueue",
             "engine.process",
             "engine.count",
             "engine.publish",

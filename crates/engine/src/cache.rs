@@ -38,8 +38,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// A one-shot outcome cell: the rendezvous for one in-flight memo
-/// computation, and the completion state behind a [`crate::JobHandle`].
-#[derive(Debug, Default)]
+/// computation.
+#[derive(Default)]
 pub(crate) struct Flight {
     done: Mutex<Option<Outcome>>,
     cond: Condvar,
@@ -68,40 +68,10 @@ impl Flight {
         }
     }
 
-    /// The outcome, if it was already published.
-    pub(crate) fn get(&self) -> Option<Outcome> {
-        self.done.lock().unwrap().clone()
-    }
-
     pub(crate) fn publish(&self, outcome: Outcome) {
         let mut done = self.done.lock().unwrap();
         *done = Some(outcome);
         self.cond.notify_all();
-    }
-
-    /// Publishes only if nothing was published yet (so a drain's shed or
-    /// a pool worker's panic net never overwrites a real outcome — and
-    /// never leaves waiters hung);
-    /// returns whether this call published. `accounting` runs while still
-    /// holding the cell's lock: metric updates that belong to the
-    /// publication (shed/completed counters) go there, because a waiter
-    /// woken by the publish cannot re-acquire the lock — and therefore
-    /// cannot observe the outcome — before the accounting has landed, so
-    /// a `metrics()` read after `wait()` never sees a resolved job as
-    /// still outstanding.
-    pub(crate) fn publish_if_pending_with(
-        &self,
-        outcome: Outcome,
-        accounting: impl FnOnce(),
-    ) -> bool {
-        let mut done = self.done.lock().unwrap();
-        if done.is_some() {
-            return false;
-        }
-        *done = Some(outcome);
-        accounting();
-        self.cond.notify_all();
-        true
     }
 }
 

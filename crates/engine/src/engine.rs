@@ -1,36 +1,35 @@
-//! The one evaluation path, the worker pool, the serving layer, and
-//! failure classification.
+//! The one evaluation path, the serving layer, and failure
+//! classification.
 //!
 //! [`EvalEngine::run`] takes a job through its whole life on the calling
-//! thread. [`EvalEngine::submit`] queues it instead for a fixed pool of
-//! named worker threads, started by the first submission, which run the
-//! same private evaluation and publish the outcome to a [`JobHandle`].
-//! Each evaluation:
+//! thread. [`EvalEngine::submit`] does the same and wraps the outcome in
+//! a resolved [`JobHandle`]; [`EvalEngine::submit_batch`] spreads a batch
+//! over scoped threads that each call the same evaluation. Each
+//! evaluation:
 //!
-//! 1. resolves a job whose deadline already passed (while it sat queued
-//!    or waited for a slot) as [`Outcome::TimedOut`] without evaluating;
+//! 1. resolves a job whose deadline already passed (while it waited for a
+//!    slot) as [`Outcome::TimedOut`] without evaluating;
 //! 2. consults the sharded single-flight [`MemoCache`] under the job's
 //!    content fingerprint (hit → answer immediately; in-flight → join the
 //!    existing computation, bounded by this job's *own* deadline);
 //! 3. otherwise leads: runs the evaluation through the **resilience
 //!    ladder** below and publishes the outcome — failures
 //!    ([`Outcome::TimedOut`], [`Outcome::Panicked`]) reach current
-//!    waiters but are never cached; a panicking evaluation neither kills
-//!    a pool worker nor unwinds into a caller of [`EvalEngine::run`].
+//!    waiters but are never cached; a panicking evaluation never unwinds
+//!    into its caller.
 //!
 //! # The serving layer
 //!
-//! At most [`EngineConfig::workers`] callers of [`EvalEngine::run`]
-//! evaluate at once; the rest wait for a slot. Submission pushes onto an
-//! unbounded queue; a pool worker handles every fault exactly as a caller
-//! of `run` does, so no worker dies and the pool never shrinks. Big
-//! integer evaluation state is debited against
+//! At most [`EngineConfig::workers`] evaluations run at once, whoever
+//! calls them; the rest wait for a slot, and the callers waiting are the
+//! engine's only queue ([`MetricsSnapshot::queue_depth`]). Big integer
+//! evaluation state is debited against
 //! [`EngineConfig::memory_budget_bytes`] through `homcount`'s
 //! [`MemoryGauge`](bagcq_homcount::MemoryGauge) hook, so an evaluation
 //! that would dwarf memory fails with a typed error instead of taking the
-//! process down. [`EvalEngine::drain`] closes the queue and the slots and
-//! winds the engine down by a caller-supplied deadline, shedding what
-//! cannot finish as [`Outcome::Shed`]`(`[`ShedReason::Draining`]`)`.
+//! process down. [`EvalEngine::drain`] closes the slots and winds the
+//! engine down by a caller-supplied deadline, shedding callers without a
+//! slot as [`Outcome::Shed`]`(`[`ShedReason::Draining`]`)`.
 //!
 //! # The resilience ladder
 //!
@@ -56,39 +55,38 @@
 //! use, so mixed workloads share work across job kinds.
 
 use crate::budget::MemoryBudget;
-use crate::cache::{Flight, Lookup, MemoCache};
+use crate::cache::{Lookup, MemoCache};
 use crate::fault::FaultInjector;
 use crate::job::{count_fingerprint, Job, JobHandle, JobSpec, Outcome, ShedReason};
 use crate::metrics::{EngineHealth, Metrics, MetricsSnapshot};
 use crate::trace::{fp_bits, outcome_label};
-use bagcq_arith::{Magnitude, Nat};
+use bagcq_arith::Nat;
 use bagcq_containment::CheckError;
 use bagcq_homcount::{
-    BackendChoice, CancelReason, CancelToken, Cancelled, CheckpointHook, CountError, CountRequest,
-    Engine, EvalControl,
+    eval_power_query_with, BackendChoice, CancelReason, CancelToken, Cancelled, CheckpointHook,
+    CountError, CountRequest, Engine, EvalControl,
 };
 use bagcq_obs as obs;
 use bagcq_query::Query;
-use bagcq_structure::Structure;
+use bagcq_structure::{Fingerprint, Structure};
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// Memo-cache shards (lock granularity).
 const CACHE_SHARDS: usize = 16;
 
-/// Configuration for an [`EvalEngine`]. The default picks one worker per
-/// core (at most 8) and has no cross-validation, fault injector, byte
-/// budget or store.
+/// Configuration for an [`EvalEngine`]. The default picks one evaluation
+/// slot per core (at most 8) and has no cross-validation, fault injector,
+/// byte budget or store.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// Worker threads. `0` picks `available_parallelism` (capped at 8).
-    /// The same number bounds how many callers of [`EvalEngine::run`]
-    /// evaluate at once.
+    /// Evaluation slots: how many evaluations run at once, and how many
+    /// threads [`EvalEngine::submit_batch`] starts at most. `0` picks
+    /// `available_parallelism` (capped at 8).
     pub workers: usize,
     /// When `true`, every raw count is computed by **both** counting
     /// algorithms (the resolved backend plus the kernel of the *other*
@@ -100,7 +98,7 @@ pub struct EngineConfig {
     /// (chaos testing). `None` in production.
     pub fault: Option<Arc<FaultInjector>>,
     /// Byte budget for big-integer evaluation state, shared by every
-    /// worker (`0` = no budget). Charged through `homcount`'s
+    /// evaluation (`0` = no budget). Charged through `homcount`'s
     /// [`MemoryGauge`](bagcq_homcount::MemoryGauge) hook; an evaluation
     /// that would exceed it fails with a typed error instead of aborting
     /// the process.
@@ -139,38 +137,64 @@ impl CheckpointHook for EngineHook {
     }
 }
 
-/// State shared by the public handle and every pool worker.
-pub(crate) struct Shared {
+/// The engine's state behind [`EvalEngine`]'s public methods.
+struct Shared {
     cache: MemoCache,
     metrics: Arc<Metrics>,
     config: EngineConfig,
-    queue: JobQueue<(WorkItem, Arc<Flight>)>,
     budget: Option<Arc<MemoryBudget>>,
     drain_stop: Arc<AtomicBool>,
     hook: Arc<EngineHook>,
-    /// Free evaluation slots for callers of [`EvalEngine::run`]; `None`
-    /// once a drain has closed them.
-    free_slots: Mutex<Option<usize>>,
+    slots: Mutex<Slots>,
     slot_freed: Condvar,
 }
 
+/// The evaluation slots, and the callers waiting for one.
+struct Slots {
+    /// Free slots; `None` once a drain has closed them.
+    free: Option<usize>,
+    /// Callers blocked until a slot frees or the drain closes them.
+    waiting: usize,
+    /// The most callers ever blocked at once.
+    high_water: usize,
+}
+
 impl Shared {
-    /// Takes an evaluation slot for a caller of [`EvalEngine::run`],
-    /// waiting while every slot is taken; `None` once a drain closed them.
+    /// Takes an evaluation slot, waiting while every slot is taken;
+    /// `None` once a drain closed them. Only a caller that has to wait
+    /// counts in [`Slots::waiting`].
     fn acquire_slot(&self) -> Option<EvalSlot<'_>> {
-        // A free count is valid at every step, so a poisoned lock is safe
+        // The counts are valid at every step, so a poisoned lock is safe
         // to recover.
-        let mut free = self.free_slots.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            match *free {
-                None => return None,
-                Some(0) => free = self.slot_freed.wait(free).unwrap_or_else(|p| p.into_inner()),
-                Some(n) => {
-                    *free = Some(n - 1);
-                    return Some(EvalSlot(self));
-                }
+        let mut slots = self.slots.lock().unwrap_or_else(|p| p.into_inner());
+        if slots.free == Some(0) {
+            slots.waiting += 1;
+            slots.high_water = slots.high_water.max(slots.waiting);
+            while slots.free == Some(0) {
+                slots = self.slot_freed.wait(slots).unwrap_or_else(|p| p.into_inner());
             }
+            slots.waiting -= 1;
         }
+        let free = slots.free?;
+        slots.free = Some(free - 1);
+        Some(EvalSlot(self))
+    }
+
+    /// Stamps a job's deadline and counts it as submitted.
+    fn accept(&self, job: Job) -> WorkItem {
+        self.metrics.job_submitted();
+        WorkItem::new(job)
+    }
+
+    /// Evaluates an accepted job once it holds a slot, or sheds it as
+    /// [`ShedReason::Draining`] once a drain has closed the slots.
+    fn run_item(&self, item: &WorkItem) -> Outcome {
+        let Some(_slot) = self.acquire_slot() else {
+            self.metrics.job_shed(ShedReason::Draining);
+            self.metrics.job_completed();
+            return Outcome::Shed(ShedReason::Draining);
+        };
+        evaluate(self, item)
     }
 
     /// A raw count with optional cross-family validation.
@@ -258,17 +282,14 @@ impl Shared {
                 Ok(Outcome::Count(self.count_direct(backend, query, database, ctl)?))
             }
             JobSpec::EvalPower { query, database, exact_bits } => {
-                // Mirrors `try_eval_power_query`, but routes every factor
-                // count through the memo cache (φ_s and φ_b share factor
-                // counts on the same database) and cross-validation.
+                // Every factor count goes through the memo cache (φ_s and
+                // φ_b share factor counts on the same database) and
+                // cross-validation.
                 let backend = backend_override.unwrap_or(BackendChoice::Auto);
-                let mut acc = Magnitude::exact_with_budget(Nat::one(), *exact_bits);
-                for f in query.factors() {
-                    let base = self.count_cached(backend, &f.base, database, ctl, deadline)?;
-                    let m = Magnitude::exact_with_budget(base, *exact_bits).pow(&f.exponent);
-                    acc = acc.mul(&m);
-                }
-                Ok(Outcome::Power(acc))
+                let power = eval_power_query_with(query, *exact_bits, |q| {
+                    self.count_cached(backend, q, database, ctl, deadline)
+                })?;
+                Ok(Outcome::Power(power))
             }
             JobSpec::Check { spec } => {
                 let backend = backend_override.unwrap_or(BackendChoice::Auto);
@@ -324,9 +345,9 @@ impl Shared {
 
     /// Runs a spec through the resilience ladder: deadline check, one
     /// attempt, at most one hop to the backtracker, typed terminal
-    /// outcome. Never sleeps and never panics outward.
-    fn execute_resilient(&self, item: &WorkItem) -> Outcome {
-        let fp = item.spec.fingerprint();
+    /// outcome. Never sleeps and never panics outward. `fp` is the
+    /// spec's fingerprint, which the caller already computed.
+    fn execute_resilient(&self, item: &WorkItem, fp: Fingerprint) -> Outcome {
         let _span = obs::span_fp("engine.execute", item.spec.kind(), fp_bits(&fp));
         let mut backend_override: Option<BackendChoice> = None;
         loop {
@@ -418,39 +439,29 @@ impl WorkItem {
     }
 }
 
-/// One evaluation slot held by a caller of [`EvalEngine::run`]. Dropping
-/// it, also while unwinding, returns the slot.
+/// One evaluation slot held by a caller. Dropping it, also while
+/// unwinding, returns the slot.
 struct EvalSlot<'a>(&'a Shared);
 
 impl Drop for EvalSlot<'_> {
     fn drop(&mut self) {
-        let mut free = self.0.free_slots.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(n) = free.as_mut() {
+        let mut slots = self.0.slots.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(n) = slots.free.as_mut() {
             *n += 1;
         }
         self.0.slot_freed.notify_one();
     }
 }
 
-/// Resolves a job the serving layer refused to evaluate: publishes the
-/// typed [`Outcome::Shed`] (if nothing was published yet) and keeps the
-/// submitted/completed accounting balanced.
-fn publish_shed(shared: &Shared, flight: &Flight, reason: ShedReason) {
-    flight.publish_if_pending_with(Outcome::Shed(reason), || {
-        shared.metrics.job_shed(reason);
-        shared.metrics.job_completed();
-    });
-}
-
-/// The one evaluation every job gets, on a pool worker or on a caller of
-/// [`EvalEngine::run`]: deadline, single-flight memo, the resilience
-/// ladder, and the job's accounting.
+/// The one evaluation every job gets, on a thread holding an evaluation
+/// slot: deadline, single-flight memo, the resilience ladder, and the
+/// job's accounting.
 fn evaluate(shared: &Shared, item: &WorkItem) -> Outcome {
-    // The start → count → publish span; on a pool worker, enqueue time is
-    // the gap between the `engine.enqueue` instant with the same
-    // fingerprint and this.
+    // The job's one fingerprint: the memo key, and the trace's job id.
+    let fp = item.spec.fingerprint();
+    // The start → count → publish span.
     let _span = if obs::enabled() {
-        obs::span_fp("engine.process", item.spec.kind(), fp_bits(&item.spec.fingerprint()))
+        obs::span_fp("engine.process", item.spec.kind(), fp_bits(&fp))
     } else {
         None
     };
@@ -464,7 +475,7 @@ fn evaluate(shared: &Shared, item: &WorkItem) -> Outcome {
         // joining one) instead of failing a job that merely shared the
         // dead leader's flight.
         loop {
-            match shared.cache.begin(item.spec.fingerprint()) {
+            match shared.cache.begin(fp) {
                 Lookup::Hit(outcome) => break outcome,
                 Lookup::Join(flight) => match flight.wait(item.deadline) {
                     None => break Outcome::TimedOut,
@@ -472,7 +483,7 @@ fn evaluate(shared: &Shared, item: &WorkItem) -> Outcome {
                     Some(outcome) => break outcome,
                 },
                 Lookup::Lead(token) => {
-                    let outcome = shared.execute_resilient(item);
+                    let outcome = shared.execute_resilient(item, fp);
                     shared.cache.complete(token, outcome.clone());
                     break outcome;
                 }
@@ -491,112 +502,13 @@ fn evaluate(shared: &Shared, item: &WorkItem) -> Outcome {
     outcome
 }
 
-/// One pool worker's life: evaluate queued jobs until the queue is closed
-/// *and* empty. A panic that escapes the evaluation (nothing inside it
-/// runs caller code, so none is expected) resolves its job as
-/// [`Outcome::Panicked`] and the worker lives on: a waiter never hangs
-/// and the pool never shrinks.
-fn worker_loop(shared: &Shared) {
-    while let Some((item, flight)) = shared.queue.pop() {
-        match catch_unwind(AssertUnwindSafe(|| evaluate(shared, &item))) {
-            Ok(outcome) => flight.publish(outcome),
-            Err(payload) => {
-                flight.publish_if_pending_with(Outcome::Panicked(panic_message(payload)), || {
-                    shared.metrics.job_panicked();
-                    shared.metrics.job_completed();
-                });
-            }
-        }
-    }
-}
-
-/// A closable FIFO for the pool: one `Mutex<VecDeque>` and one `Condvar`.
-///
-/// Lock poisoning is ignored (`into_inner` on a poisoned guard): no code
-/// that can panic runs while the lock is held, and every update leaves
-/// the queue valid.
-struct JobQueue<T> {
-    inner: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-    high_water: usize,
-}
-
-impl<T> JobQueue<T> {
-    fn new() -> Self {
-        JobQueue {
-            inner: Mutex::new(QueueState { items: VecDeque::new(), closed: false, high_water: 0 }),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Enqueues `item`, or hands it back once the queue is closed (the
-    /// caller sheds it as [`ShedReason::Draining`]).
-    fn push(&self, item: T) -> Result<(), T> {
-        let mut inner = self.lock();
-        if inner.closed {
-            return Err(item);
-        }
-        inner.items.push_back(item);
-        inner.high_water = inner.high_water.max(inner.items.len());
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next item; `None` once the queue is closed *and*
-    /// empty (workers finish what was queued before exiting).
-    fn pop(&self) -> Option<T> {
-        let mut inner = self.lock();
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// Refuses further pushes and wakes every blocked popper. Idempotent.
-    fn close(&self) {
-        self.lock().closed = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Removes and returns everything currently queued (the drain
-    /// deadline's shed step).
-    fn drain_now(&self) -> Vec<T> {
-        std::mem::take(&mut self.lock().items).into()
-    }
-
-    /// Items currently queued.
-    fn len(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// The deepest the queue has ever been.
-    fn high_water(&self) -> usize {
-        self.lock().high_water
-    }
-}
-
 /// What [`EvalEngine::drain`] did, and whether it met its deadline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DrainReport {
     /// Jobs that resolved (any outcome) during the drain window.
     pub completed: u64,
-    /// Jobs the drain shed with [`ShedReason::Draining`]: queued work
-    /// flushed, and submissions and callers of [`EvalEngine::run`]
-    /// refused, in the window.
+    /// Jobs the drain shed with [`ShedReason::Draining`] in the window:
+    /// callers still waiting for a slot, and later ones.
     pub shed: u64,
     /// Jobs still unresolved when the drain returned — `0` unless an
     /// evaluation ignored the cooperative hard stop past the deadline.
@@ -626,24 +538,19 @@ pub struct DrainReport {
 /// let d = Arc::new(d);
 ///
 /// let engine = EvalEngine::with_workers(2);
-/// let handles: Vec<_> = (1..=2)
-///     .map(|k| engine.submit(Job::count(path_query(&schema, "E", k), Arc::clone(&d))))
-///     .collect();
-/// let counts: Vec<_> = handles.iter().map(|h| h.wait()).collect();
+/// let jobs = (1..=2).map(|k| Job::count(path_query(&schema, "E", k), Arc::clone(&d)));
+/// let counts: Vec<_> = engine.submit_batch(jobs).iter().map(|h| h.wait()).collect();
 /// assert_eq!(counts[0].as_count(), Some(&Nat::from_u64(2)));
 /// assert_eq!(counts[1].as_count(), Some(&Nat::one()));
 /// ```
 pub struct EvalEngine {
-    shared: Arc<Shared>,
-    /// The pool, spawned by the first [`EvalEngine::submit`].
-    pool: OnceLock<Vec<thread::JoinHandle<()>>>,
+    shared: Shared,
     worker_target: usize,
 }
 
 impl EvalEngine {
     /// Builds an engine with the given configuration. It spawns no
-    /// thread: the worker pool starts with the first
-    /// [`EvalEngine::submit`].
+    /// thread.
     pub fn new(config: EngineConfig) -> Self {
         let worker_count = if config.workers == 0 {
             thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8)
@@ -658,37 +565,28 @@ impl EvalEngine {
         });
         let budget =
             (config.memory_budget_bytes > 0).then(|| MemoryBudget::new(config.memory_budget_bytes));
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             cache: MemoCache::new(CACHE_SHARDS, Arc::clone(&metrics))
                 .with_store(config.store.clone()),
             metrics,
             config,
-            queue: JobQueue::new(),
             budget,
             drain_stop,
             hook,
-            free_slots: Mutex::new(Some(worker_count)),
+            slots: Mutex::new(Slots { free: Some(worker_count), waiting: 0, high_water: 0 }),
             slot_freed: Condvar::new(),
-        });
-        EvalEngine { shared, pool: OnceLock::new(), worker_target: worker_count }
+        };
+        EvalEngine { shared, worker_target: worker_count }
     }
 
-    /// An engine with `n` workers and default everything else.
+    /// An engine with `n` evaluation slots and default everything else.
     pub fn with_workers(n: usize) -> Self {
         EvalEngine::new(EngineConfig { workers: n, ..EngineConfig::default() })
     }
 
-    /// Size of the worker pool, and the number of evaluation slots for
-    /// callers of [`EvalEngine::run`].
+    /// The number of evaluation slots.
     pub fn worker_count(&self) -> usize {
         self.worker_target
-    }
-
-    /// Pool worker threads currently alive: `0` until the first
-    /// [`EvalEngine::submit`], then [`EvalEngine::worker_count`] until a
-    /// drain closes the queue and the workers finish what it held.
-    pub fn live_workers(&self) -> usize {
-        self.pool.get().map_or(0, |pool| pool.iter().filter(|h| !h.is_finished()).count())
     }
 
     /// The engine's current health state.
@@ -696,58 +594,48 @@ impl EvalEngine {
         self.shared.metrics.health()
     }
 
-    /// Submits one job to the worker pool, starting the pool on first
-    /// use, and returns a waitable handle at once. Once a drain has
-    /// begun, the handle yields
-    /// [`Outcome::Shed`]`(`[`ShedReason::Draining`]`)`.
+    /// Evaluates one job exactly as [`EvalEngine::run`] does and returns
+    /// a handle that is already resolved.
     pub fn submit(&self, job: Job) -> JobHandle {
-        let flight = Arc::new(Flight::default());
-        let item = WorkItem::new(job);
-        self.shared.metrics.job_submitted();
-        if obs::enabled() {
-            obs::instant_fp("engine.enqueue", item.spec.kind(), fp_bits(&item.spec.fingerprint()));
-        }
-        match self.shared.queue.push((item, Arc::clone(&flight))) {
-            Ok(()) => {
-                self.pool.get_or_init(|| {
-                    (0..self.worker_target)
-                        .map(|i| {
-                            let shared = Arc::clone(&self.shared);
-                            thread::Builder::new()
-                                .name(format!("bagcq-engine-{i}"))
-                                .spawn(move || worker_loop(&shared))
-                                .expect("failed to spawn engine worker")
-                        })
-                        .collect()
+        JobHandle { outcome: self.run(job) }
+    }
+
+    /// Evaluates a batch on `min(workers, n)` scoped threads, each taking
+    /// an evaluation slot per job as a caller of [`EvalEngine::run`]
+    /// does, and returns resolved handles in submission order. Every
+    /// job's deadline is stamped at this call, so time spent waiting for
+    /// a thread or a slot counts against it.
+    pub fn submit_batch(&self, jobs: impl IntoIterator<Item = Job>) -> Vec<JobHandle> {
+        let work: Vec<(WorkItem, OnceLock<Outcome>)> =
+            jobs.into_iter().map(|job| (self.shared.accept(job), OnceLock::new())).collect();
+        let next = AtomicUsize::new(0);
+        thread::scope(|s| {
+            for _ in 0..self.worker_target.min(work.len()) {
+                s.spawn(|| {
+                    while let Some((item, outcome)) = work.get(next.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let _ = outcome.set(self.shared.run_item(item));
+                    }
                 });
             }
-            Err(_) => publish_shed(&self.shared, &flight, ShedReason::Draining),
-        }
-        JobHandle { flight }
+        });
+        work.into_iter()
+            .map(|(_, outcome)| JobHandle {
+                outcome: outcome.into_inner().expect("every batch job was evaluated"),
+            })
+            .collect()
     }
 
-    /// Submits a batch; handles are returned in submission order.
-    pub fn submit_batch(&self, jobs: impl IntoIterator<Item = Job>) -> Vec<JobHandle> {
-        jobs.into_iter().map(|j| self.submit(j)).collect()
-    }
-
-    /// Takes one job through its whole life on the calling thread — the
-    /// same evaluation a pool worker runs, with the same accounting — and
-    /// returns its outcome. At most [`EngineConfig::workers`] callers
-    /// evaluate at once; the rest wait for a slot with no deadline of
-    /// their own (a job whose deadline passes meanwhile resolves as
+    /// Takes one job through its whole life on the calling thread and
+    /// returns its outcome. At most [`EngineConfig::workers`] evaluations
+    /// run at once; the rest wait for a slot with no deadline of their own
+    /// (a job whose deadline passes meanwhile resolves as
     /// [`Outcome::TimedOut`]). Once a drain has begun, the job resolves as
     /// [`Outcome::Shed`]`(`[`ShedReason::Draining`]`)` without evaluating.
     /// No evaluation panic unwinds into the caller.
     pub fn run(&self, job: Job) -> Outcome {
-        let item = WorkItem::new(job);
-        self.shared.metrics.job_submitted();
-        let Some(_slot) = self.shared.acquire_slot() else {
-            self.shared.metrics.job_shed(ShedReason::Draining);
-            self.shared.metrics.job_completed();
-            return Outcome::Shed(ShedReason::Draining);
-        };
-        evaluate(&self.shared, &item)
+        let item = self.shared.accept(job);
+        self.shared.run_item(&item)
     }
 
     /// Jobs submitted but not yet resolved.
@@ -757,21 +645,20 @@ impl EvalEngine {
 
     /// Gracefully winds the engine down, returning by `timeout`:
     ///
-    /// 1. the queue and the evaluation slots close — new submissions, and
-    ///    callers of [`EvalEngine::run`] without a slot, resolve as
+    /// 1. the evaluation slots close — callers still waiting for one, and
+    ///    later ones, resolve as
     ///    [`Outcome::Shed`]`(`[`ShedReason::Draining`]`)` — and only then
     ///    health → [`EngineHealth::Draining`] (terminal);
-    /// 2. in-flight and queued work gets most of the timeout to finish
+    /// 2. evaluations in flight get most of the timeout to finish
     ///    normally;
-    /// 3. whatever is still queued near the deadline is flushed and shed;
-    ///    still-running evaluations are hard-stopped through the
-    ///    cooperative checkpoint hook (they resolve as
+    /// 3. those still running near the deadline are hard-stopped through
+    ///    the cooperative checkpoint hook (they resolve as
     ///    [`Outcome::TimedOut`]);
     /// 4. the persistent store's write-behind buffer is flushed.
     ///
     /// Every job submitted before or during the drain resolves to exactly
     /// one outcome; none is lost or left hanging. Draining is terminal —
-    /// the engine does not serve again afterwards (submissions and runs
+    /// the engine does not serve again afterwards (every later job is
     /// shed).
     pub fn drain(&self, timeout: Duration) -> DrainReport {
         let started = Instant::now();
@@ -779,21 +666,17 @@ impl EvalEngine {
         obs::instant("engine.drain", "begin");
         let completed_before = self.shared.metrics.completed_count();
         let shed_before = self.shared.metrics.shed_count();
-        self.shared.queue.close();
-        *self.shared.free_slots.lock().unwrap_or_else(|p| p.into_inner()) = None;
+        self.shared.slots.lock().unwrap_or_else(|p| p.into_inner()).free = None;
         self.shared.slot_freed.notify_all();
         self.shared.metrics.begin_draining();
         // Most of the timeout goes to letting work finish; a margin is
-        // reserved for the shed + hard-stop + flush steps.
+        // reserved for the hard-stop + flush steps.
         let margin = (timeout / 10)
             .clamp(Duration::from_millis(2), Duration::from_millis(100))
             .min(timeout / 2);
         let soft_deadline = deadline - margin;
         while self.outstanding() > 0 && Instant::now() < soft_deadline {
             thread::sleep(Duration::from_micros(200));
-        }
-        for (_, flight) in self.shared.queue.drain_now() {
-            publish_shed(&self.shared, &flight, ShedReason::Draining);
         }
         if self.outstanding() > 0 {
             self.shared.drain_stop.store(true, Ordering::Relaxed);
@@ -820,11 +703,15 @@ impl EvalEngine {
     }
 
     /// A point-in-time copy of the engine's metrics, including the
-    /// serving-layer gauges (queue depth, memory budget account).
+    /// serving-layer gauges (callers waiting for a slot, memory budget
+    /// account).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.shared.metrics.snapshot();
-        snap.queue_depth = self.shared.queue.len() as u64;
-        snap.queue_high_water = self.shared.queue.high_water() as u64;
+        {
+            let slots = self.shared.slots.lock().unwrap_or_else(|p| p.into_inner());
+            snap.queue_depth = slots.waiting as u64;
+            snap.queue_high_water = slots.high_water as u64;
+        }
         if let Some(budget) = &self.shared.budget {
             snap.mem_used_bytes = budget.used();
             snap.mem_high_water_bytes = budget.high_water();
@@ -839,69 +726,5 @@ impl EvalEngine {
     /// Completed (`Ready`) memo-cache entries.
     pub fn cache_entries(&self) -> usize {
         self.shared.cache.ready_len()
-    }
-}
-
-impl Drop for EvalEngine {
-    fn drop(&mut self) {
-        // Closing the queue lets workers finish what is left and exit.
-        self.shared.queue.close();
-        for handle in self.pool.take().into_iter().flatten() {
-            let _ = handle.join();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::JobQueue;
-    use std::sync::Arc;
-    use std::thread;
-    use std::time::Duration;
-
-    #[test]
-    fn unbounded_always_admits() {
-        let q = JobQueue::new();
-        for i in 0..1000 {
-            assert!(q.push(i).is_ok());
-        }
-        assert_eq!(q.len(), 1000);
-        assert_eq!(q.high_water(), 1000);
-    }
-
-    #[test]
-    fn close_refuses_pushes_and_drains_pops() {
-        let q = JobQueue::new();
-        assert!(q.push(1).is_ok());
-        q.close();
-        q.close(); // idempotent
-        assert_eq!(q.push(2), Err(2), "a closed queue hands the item back");
-        // Queued items still drain before pop reports closure.
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn close_wakes_blocked_popper() {
-        let q = Arc::new(JobQueue::<u32>::new());
-        let popper = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.pop())
-        };
-        thread::sleep(Duration::from_millis(5));
-        q.close();
-        assert_eq!(popper.join().unwrap(), None);
-    }
-
-    #[test]
-    fn drain_now_empties_the_queue() {
-        let q = JobQueue::new();
-        for i in 0..5 {
-            assert!(q.push(i).is_ok());
-        }
-        assert_eq!(q.drain_now(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.len(), 0);
-        q.close();
-        assert_eq!(q.pop(), None);
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! Decisions are a pure function of `(seed, site, checkpoint-sequence)`:
 //! re-running the same single-threaded workload under the same plan
-//! injects the same faults in the same places. Under a multi-worker pool
+//! injects the same faults in the same places. Under concurrent callers
 //! the *sequence* of decisions is still fixed by the seed; only which job
 //! draws which decision varies with scheduling — which is what the chaos
 //! suite wants, since its property ("completed outcomes are bit-identical
@@ -174,7 +174,7 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// An injector executing `plan`, shareable across workers.
+    /// An injector executing `plan`, shareable across threads.
     pub fn new(plan: FaultPlan) -> Arc<Self> {
         let schedule =
             FaultSchedule::new(plan.seed, plan.rate_per_mille, plan.max_faults, &plan.kinds);

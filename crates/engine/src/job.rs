@@ -3,15 +3,15 @@
 //! A [`Job`] pairs a [`JobSpec`] (what to evaluate) with execution limits
 //! (a wall-clock timeout and a cooperative step budget).
 //! [`crate::EvalEngine::run`] evaluates one on the calling thread and
-//! returns its [`Outcome`]; submitting one to the engine's pool returns a
-//! [`JobHandle`] whose `wait()` yields the same outcome.
+//! returns its [`Outcome`]; [`crate::EvalEngine::submit`] and
+//! [`crate::EvalEngine::submit_batch`] evaluate the same way and wrap each
+//! outcome in a resolved [`JobHandle`].
 //!
 //! Every spec has a stable 128-bit content [`Fingerprint`] derived from
 //! the fingerprints of its query/structure components — that fingerprint
 //! is the engine's memo-cache key, so two structurally equal jobs
 //! submitted from different threads share one computation.
 
-use crate::cache::Flight;
 use bagcq_arith::{Magnitude, Nat};
 use bagcq_containment::{CheckSpec, ContainmentChoice, Semantics, Verdict};
 use bagcq_homcount::BackendChoice;
@@ -255,9 +255,8 @@ pub enum Outcome {
 /// Why the serving layer shed a job (see [`Outcome::Shed`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The engine is draining (or already drained): the job was refused
-    /// at submission or for want of an evaluation slot, or flushed out
-    /// of the queue by the drain deadline.
+    /// The engine is draining (or already drained): the job's caller was
+    /// still waiting for an evaluation slot, or came later.
     Draining,
     /// The tenant's token-bucket quota was exhausted
     /// ([`crate::TenantGate`]); the serving layer maps this to HTTP 429.
@@ -330,21 +329,19 @@ impl Outcome {
     }
 }
 
-/// A handle to a submitted job.
+/// The outcome of a job evaluated by [`crate::EvalEngine::submit`] or
+/// [`crate::EvalEngine::submit_batch`]; both return only once the job is
+/// resolved.
 #[derive(Clone, Debug)]
 pub struct JobHandle {
-    pub(crate) flight: Arc<Flight>,
+    pub(crate) outcome: Outcome,
 }
 
 impl JobHandle {
-    /// Blocks until the job's outcome is published, then returns it.
+    /// The job's outcome. Never blocks: the job was evaluated before the
+    /// handle was returned.
     pub fn wait(&self) -> Outcome {
-        self.flight.wait(None).expect("a wait without a deadline ends only on publish")
-    }
-
-    /// Returns the outcome if it is already available.
-    pub fn try_wait(&self) -> Option<Outcome> {
-        self.flight.get()
+        self.outcome.clone()
     }
 }
 
@@ -452,19 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_if_pending_never_overwrites() {
-        let flight = Arc::new(Flight::default());
-        let mut accounted = 0;
-        assert!(flight.publish_if_pending_with(Outcome::Count(Nat::one()), || accounted += 1));
-        assert!(
-            !flight.publish_if_pending_with(Outcome::Panicked("late".into()), || accounted += 1)
-        );
-        assert_eq!(accounted, 1, "accounting runs only when the publish lands");
-        let handle = JobHandle { flight };
-        assert_eq!(handle.wait().as_count(), Some(&Nat::one()));
-    }
-
-    #[test]
     fn shed_is_a_failure_with_a_stable_label() {
         let out = Outcome::Shed(ShedReason::Draining);
         assert!(out.is_failure());
@@ -473,20 +457,5 @@ mod tests {
         assert_eq!(ShedReason::Draining.to_string(), "draining");
         assert_eq!(ShedReason::QuotaExceeded.label(), "quota_exceeded");
         assert_eq!(ShedReason::InFlightLimit.label(), "in_flight_limit");
-    }
-
-    #[test]
-    fn handle_publish_wakes_waiter() {
-        let flight = Arc::new(Flight::default());
-        let handle = JobHandle { flight: Arc::clone(&flight) };
-        assert!(handle.try_wait().is_none());
-        let t = std::thread::spawn({
-            let handle = handle.clone();
-            move || handle.wait()
-        });
-        flight.publish(Outcome::Count(Nat::from_u64(7)));
-        let out = t.join().unwrap();
-        assert_eq!(out.as_count(), Some(&Nat::from_u64(7)));
-        assert!(!out.is_failure());
     }
 }

@@ -10,11 +10,12 @@
 //!
 //! * **One execution path**: [`EvalEngine::run`] evaluates a [`Job`] on
 //!   the calling thread and returns its [`Outcome`] — that is how
-//!   `bagcq-serve` answers each request; a fixed worker pool
-//!   (`std::thread`, no external dependencies, started by the first
-//!   submission) runs the same evaluation for submitted jobs and batches,
-//!   which return [`JobHandle`]s to `wait()` on. A pool worker handles
-//!   every fault as a caller of `run` does, so it never dies.
+//!   `bagcq-serve` answers each request. [`EvalEngine::submit`] does the
+//!   same behind a resolved [`JobHandle`], and
+//!   [`EvalEngine::submit_batch`] spreads a batch over scoped threads
+//!   (`std::thread`, no external dependencies) that each evaluate the
+//!   same way. Every evaluation, whoever calls it, takes one of
+//!   [`EngineConfig::workers`] slots.
 //! * **Single-flight memo cache**, sharded and keyed by stable 128-bit
 //!   content fingerprints of queries and structures
 //!   ([`bagcq_structure::Fingerprint`]): structurally equal jobs are
@@ -26,7 +27,7 @@
 //!   complete normally.
 //! * **Panic isolation**: evaluations run under `catch_unwind`, so a
 //!   panicking job yields [`Outcome::Panicked`] without poisoning the
-//!   pool or unwinding into a caller of [`EvalEngine::run`].
+//!   memo cache or unwinding into its caller.
 //! * **Dual-engine cross-validation** ([`EngineConfig::cross_validate`]):
 //!   every count is computed by both the naive backtracking engine and
 //!   the treewidth DP and compared — the workspace-wide soundness story
@@ -45,8 +46,9 @@
 //!   the cache never stores a faulty result.
 //! * **Serving guards**: a [`TenantGate`] admits each request under its
 //!   tenant's [`TenantQuota`] before the engine sees it; at most
-//!   [`EngineConfig::workers`] callers of [`EvalEngine::run`] evaluate at
-//!   once; a refused request resolves to a typed [`Outcome::Shed`]
+//!   [`EngineConfig::workers`] evaluations run at once, and the callers
+//!   waiting for a slot are counted ([`MetricsSnapshot::queue_depth`]); a
+//!   refused request resolves to a typed [`Outcome::Shed`]
 //!   instead of hanging or vanishing. [`EngineHealth`] reads `Healthy`
 //!   until a drain, then `Draining`.
 //! * **Memory budgeting** ([`EngineConfig::memory_budget_bytes`]): the
@@ -54,10 +56,11 @@
 //!   `homcount`'s [`bagcq_homcount::MemoryGauge`] hook; an evaluation
 //!   that would dwarf memory fails with a typed error instead of taking
 //!   the process down.
-//! * **Graceful drain** ([`EvalEngine::drain`]): closes the queue and
-//!   the evaluation slots, finishes or sheds in-flight work, flushes the
-//!   persistent store, and returns by a caller-supplied deadline with a
-//!   [`DrainReport`] — every job resolves to exactly one outcome.
+//! * **Graceful drain** ([`EvalEngine::drain`]): closes the evaluation
+//!   slots, sheds callers still waiting for one, finishes or hard-stops
+//!   evaluations in flight, flushes the persistent store, and returns by
+//!   a caller-supplied deadline with a [`DrainReport`] — every job
+//!   resolves to exactly one outcome.
 //! * **Persistent memo store** ([`MemoStore`],
 //!   [`EngineConfig::store`]): completed counts are appended to
 //!   disk-backed, CRC-framed segment files keyed by the same 128-bit

@@ -1,8 +1,8 @@
 //! Lock-free metrics for the evaluation engine.
 //!
 //! A [`Metrics`] registry is a bundle of [`AtomicU64`] counters plus a
-//! [`Log2Histogram`] of job latencies, shared by every worker thread and
-//! every cache shard of an engine. Reading it never blocks the workers:
+//! [`Log2Histogram`] of job latencies, shared by every evaluating thread
+//! and every cache shard of an engine. Reading it never blocks them:
 //! [`Metrics::snapshot`] takes a relaxed point-in-time copy into a plain
 //! [`MetricsSnapshot`], which also knows how to [`render`] itself as a
 //! small text report (the format served by `exp_*` binaries and benches).
@@ -23,8 +23,8 @@ use std::time::Duration;
 pub enum EngineHealth {
     /// Accepting work.
     Healthy,
-    /// `drain()` was called: the queue and the evaluation slots are
-    /// closed and the engine is winding down. Terminal.
+    /// `drain()` was called: the evaluation slots are closed and the
+    /// engine is winding down. Terminal.
     Draining,
 }
 
@@ -161,7 +161,7 @@ impl Metrics {
             fallbacks_taken: self.fallbacks_taken.load(Ordering::Relaxed),
             jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
             health: self.health(),
-            // The queue and memory gauges live outside the registry; the
+            // The slot and memory gauges live outside the registry; the
             // engine fills them in (`EvalEngine::metrics`).
             queue_depth: 0,
             queue_high_water: 0,
@@ -183,8 +183,8 @@ impl Metrics {
 /// A plain-data copy of a [`Metrics`] registry at one instant.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Jobs handed to [`crate::EvalEngine::submit`] or
-    /// [`crate::EvalEngine::run`].
+    /// Jobs handed to [`crate::EvalEngine::run`],
+    /// [`crate::EvalEngine::submit`] or [`crate::EvalEngine::submit_batch`].
     pub jobs_submitted: u64,
     /// Jobs whose outcome has been published (any outcome, including
     /// failures).
@@ -208,15 +208,15 @@ pub struct MetricsSnapshot {
     /// Evaluations re-run on the naive engine after a panic or a budget
     /// exhaustion (the ladder's one hop).
     pub fallbacks_taken: u64,
-    /// Jobs shed by a drain ([`crate::Outcome::Shed`]): refused at
-    /// submission or for want of an evaluation slot, or flushed from the
-    /// queue.
+    /// Jobs shed by a drain ([`crate::Outcome::Shed`]): their callers
+    /// were still waiting for an evaluation slot, or came later.
     pub jobs_shed: u64,
     /// The engine health state at snapshot time.
     pub health: EngineHealth,
-    /// Jobs queued at snapshot time.
+    /// Callers blocked on an evaluation slot at snapshot time (a caller
+    /// that finds a slot free is never counted).
     pub queue_depth: u64,
-    /// The deepest the job queue has ever been.
+    /// The most callers ever blocked on an evaluation slot at once.
     pub queue_high_water: u64,
     /// Bytes currently reserved against the memory budget (`0` when no
     /// budget is configured).

@@ -136,7 +136,7 @@ proptest! {
     /// Same properties under a panic-heavy plan — the worst case for the
     /// cache (leaders dying mid-flight) and the fallback hop.
     #[test]
-    fn panic_storms_never_poison_cache_or_pool(seed in 0u64..100_000) {
+    fn panic_storms_never_poison_the_cache(seed in 0u64..100_000) {
         let plan = FaultPlan::seeded(seed)
             .with_kinds(&[FaultKind::Panic])
             .with_rate_per_mille(150)

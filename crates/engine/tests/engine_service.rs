@@ -1,7 +1,7 @@
 //! Integration tests for the evaluation service: a large mixed batch is
 //! bit-identical to the sequential baseline, repeated workloads hit the
 //! memo cache, deadlines isolate only the doomed job, and a panicking
-//! evaluation never poisons the pool.
+//! evaluation never stops the engine from serving.
 
 use bagcq_arith::Nat;
 use bagcq_containment::{CheckRequest, Semantics, Verdict};
@@ -171,17 +171,16 @@ fn deadline_times_out_doomed_job_while_others_complete() {
     let dense = Arc::new(gen.sample(&schema, 7));
     let doomed_q = path_query(&schema, "E", 12);
 
+    // One batch on two slots: the doomed job and the fine ones run side
+    // by side.
     let engine = EvalEngine::with_workers(2);
-    let doomed = engine.submit(
-        Job::count_with(BackendChoice::Naive, doomed_q, Arc::clone(&dense))
-            .with_timeout(Duration::from_millis(30)),
-    );
-    let fine: Vec<_> = (1..=3)
-        .map(|k| engine.submit(Job::count(path_query(&schema, "E", k), Arc::clone(&dense))))
-        .collect();
+    let mut jobs = vec![Job::count_with(BackendChoice::Naive, doomed_q, Arc::clone(&dense))
+        .with_timeout(Duration::from_millis(30))];
+    jobs.extend((1..=3).map(|k| Job::count(path_query(&schema, "E", k), Arc::clone(&dense))));
+    let handles = engine.submit_batch(jobs);
 
-    assert!(matches!(doomed.wait(), Outcome::TimedOut), "doomed job must time out");
-    for h in fine {
+    assert!(matches!(handles[0].wait(), Outcome::TimedOut), "doomed job must time out");
+    for h in &handles[1..] {
         assert!(h.wait().as_count().is_some(), "unrelated jobs must complete");
     }
     let m = engine.metrics();
@@ -205,7 +204,7 @@ fn step_budget_times_out_without_wall_clock() {
 }
 
 #[test]
-fn panicking_job_is_isolated_and_pool_survives() {
+fn panicking_job_is_isolated_and_the_engine_keeps_serving() {
     // A query over a *different* (larger) schema than the database: the
     // counting engines index relations positionally, so evaluating it
     // panics — the canonical "pathological evaluation".
@@ -229,7 +228,7 @@ fn panicking_job_is_isolated_and_pool_survives() {
     let bad = engine.submit(Job::count(bad_query, Arc::clone(&d))).wait();
     assert!(matches!(bad, Outcome::Panicked(_)), "got {bad:?}");
 
-    // Same single worker thread must still be alive and serving.
+    // The engine's one slot was returned and still serves.
     let ok = engine.submit(Job::count(path_query(&small, "E", 1), d)).wait();
     assert_eq!(ok.as_count(), Some(&Nat::one()));
     let m = engine.metrics();

@@ -5,11 +5,13 @@
 //! 1. the byte budget fails `Nat`-heavy evaluations with a typed error
 //!    (never an allocator abort), and releases its reservations; one
 //!    caller's denials never fail another caller's job that fits;
-//! 2. `drain(deadline)` resolves every submitted job to exactly one
-//!    outcome and returns by its deadline, under fault injection too.
+//! 2. `drain(deadline)`, started while some callers evaluate and others
+//!    wait for a slot, resolves every job to exactly one outcome and
+//!    returns by its deadline, under fault injection too.
 
 use bagcq_engine::{
-    EngineConfig, EngineHealth, EvalEngine, FaultInjector, FaultPlan, Job, Outcome, ShedReason,
+    EngineConfig, EngineHealth, EvalEngine, FaultInjector, FaultKind, FaultPlan, Job, Outcome,
+    ShedReason,
 };
 use bagcq_homcount::{BackendChoice, CountRequest};
 use bagcq_query::{cycle_query, grid_query, path_query, Query};
@@ -26,11 +28,23 @@ fn digraph(extra_vertices: u32, seed: u64) -> (Arc<Schema>, Arc<Structure>) {
     (schema, d)
 }
 
+/// A fault plan whose only faults are `n` stalls of `latency`, at the
+/// first checkpoints it sees.
+fn stalls(n: u64, latency: Duration) -> Arc<FaultInjector> {
+    FaultInjector::new(FaultPlan {
+        latency,
+        ..FaultPlan::seeded(0)
+            .with_kinds(&[FaultKind::Latency])
+            .with_rate_per_mille(1000)
+            .with_max_faults(n)
+    })
+}
+
 /// Property 1: a starved byte budget fails the evaluation with the typed
 /// `MemoryBudgetExceeded` cancellation, which surfaces as
 /// [`Outcome::Panicked`] with a budget message after the fallback hop —
-/// on a caller of `run` and through the pool alike — and the denials show
-/// up in the metrics.
+/// on a caller of `run` and in a batch alike — and the denials show up in
+/// the metrics.
 #[test]
 fn starved_memory_budget_fails_typed() {
     let (schema, d) = digraph(5, 3);
@@ -42,7 +56,7 @@ fn starved_memory_budget_fails_typed() {
         ..EngineConfig::default()
     });
     let job = Job::count(q, d);
-    for out in [engine.run(job.clone()), engine.submit(job).wait()] {
+    for out in [engine.run(job.clone()), engine.submit_batch([job]).remove(0).wait()] {
         match out {
             Outcome::Panicked(msg) => {
                 assert!(msg.contains("memory budget"), "untyped failure message: {msg}")
@@ -133,30 +147,58 @@ fn dp_tables_are_charged_and_outgrowing_the_budget_falls_back() {
     assert_eq!(m.mem_used_bytes, 0, "scopes must release what they charged: {m}");
 }
 
-/// Property 2, clean half: drain resolves everything, meets its
-/// deadline, and leaves the engine terminally draining.
+/// Property 2, clean half: a drain started while both slots are held by
+/// 200 ms stalls and the other callers wait for one finishes the stalled
+/// evaluations, sheds the waiting callers, meets its deadline, and leaves
+/// the engine terminally draining.
 #[test]
 fn drain_resolves_every_job_and_meets_its_deadline() {
     let (schema, d) = digraph(5, 42);
-    let engine = EvalEngine::new(EngineConfig { workers: 2, ..EngineConfig::default() });
-    let handles: Vec<_> = (0..40)
-        .map(|i| {
-            let q = path_query(&schema, "E", 1 + (i % 3));
-            engine.submit(Job::count(q, Arc::clone(&d)))
-        })
-        .collect();
+    let engine = EvalEngine::new(EngineConfig {
+        workers: 2,
+        fault: Some(stalls(2, Duration::from_millis(200))),
+        ..EngineConfig::default()
+    });
+    let queries: Vec<Query> = (0..40).map(|i| path_query(&schema, "E", 1 + (i % 3))).collect();
     let timeout = Duration::from_secs(5);
-    let report = engine.drain(timeout);
+    let (outcomes, report) = std::thread::scope(|s| {
+        let engine = &engine;
+        let callers: Vec<_> = queries
+            .iter()
+            .map(|q| {
+                let job = Job::count(q.clone(), Arc::clone(&d));
+                s.spawn(move || engine.run(job))
+            })
+            .collect();
+        while engine.metrics().queue_depth == 0 {
+            std::thread::yield_now();
+        }
+        let report = engine.drain(timeout);
+        let outcomes: Vec<Outcome> =
+            callers.into_iter().map(|c| c.join().expect("caller returns")).collect();
+        (outcomes, report)
+    });
 
     assert!(report.met_deadline, "drain blew its deadline: {report:?}");
     assert!(report.elapsed <= timeout);
     assert_eq!(report.stragglers, 0, "drain lost jobs: {report:?}");
     assert_eq!(engine.health(), EngineHealth::Draining);
 
-    // Exactly-one-outcome: every handle is resolved (shed or completed).
-    for handle in &handles {
-        assert!(handle.try_wait().is_some(), "drain left a job unresolved");
+    // Exactly one outcome per job: a served count is the direct count,
+    // and every other job is shed as draining.
+    let (mut served, mut shed) = (0u64, 0u64);
+    for (q, out) in queries.iter().zip(&outcomes) {
+        match out {
+            Outcome::Count(n) => {
+                assert_eq!(n, &CountRequest::new(q, &d).count(), "a served count is wrong");
+                served += 1;
+            }
+            Outcome::Shed(ShedReason::Draining) => shed += 1,
+            other => panic!("unexpected outcome: {other:?}"),
+        }
     }
+    assert!(served > 0 && shed > 0, "the drain finished or shed nothing: {report:?}");
+    assert_eq!(report.shed, shed, "{report:?}");
     let m = engine.metrics();
     assert_eq!(m.jobs_completed, m.jobs_submitted);
 
@@ -166,40 +208,61 @@ fn drain_resolves_every_job_and_meets_its_deadline() {
 }
 
 /// Property 2, chaos half: under deterministic fault injection (the CI
-/// matrix pins seeds 1/7/42 via `BAGCQ_CHAOS_SEED`), a drain mid-burst
-/// still resolves every job to exactly one outcome and returns by its
-/// deadline.
+/// matrix pins seeds 1/7/42 via `BAGCQ_CHAOS_SEED`), a drain started
+/// mid-burst still resolves every job to exactly one outcome and returns
+/// by its deadline. The plan's own stalls are short and seeded, so doomed
+/// counts fill the slots instead: each holds one until a panic frees it
+/// or the drain hard-stops it.
 #[test]
 fn drain_never_loses_jobs_under_chaos() {
     let seed: u64 =
         std::env::var("BAGCQ_CHAOS_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(42);
     for round_seed in [seed, seed.wrapping_add(1)] {
         let (schema, d) = digraph(5, round_seed);
+        // Dense 9-vertex digraph + 12-step path on the backtracker: ~9^13
+        // steps, effectively unbounded without cancellation.
+        let gen = StructureGen { extra_vertices: 9, density: 0.9, ..StructureGen::default() };
+        let dense = Arc::new(gen.sample(&schema, round_seed));
+        let doomed = Job::count_with(BackendChoice::Naive, path_query(&schema, "E", 12), dense);
         let injector = FaultInjector::new(FaultPlan::seeded(round_seed).with_rate_per_mille(120));
         let engine = EvalEngine::new(EngineConfig {
             workers: 3,
             fault: Some(injector),
             ..EngineConfig::default()
         });
-        let mut handles = Vec::new();
-        for i in 0..30 {
-            let q: Query = if i % 4 == 3 {
-                cycle_query(&schema, "E", 3)
-            } else {
-                path_query(&schema, "E", 1 + (i % 3))
-            };
-            handles.push(
-                engine.submit(Job::count(q, Arc::clone(&d)).with_timeout(Duration::from_secs(10))),
-            );
-        }
-        let timeout = Duration::from_secs(10);
-        let report = engine.drain(timeout);
+        let timeout = Duration::from_secs(2);
+        let (outcomes, report) = std::thread::scope(|s| {
+            let engine = &engine;
+            let mut callers: Vec<_> = (0..30)
+                .map(|i| {
+                    let q: Query = if i % 4 == 3 {
+                        cycle_query(&schema, "E", 3)
+                    } else {
+                        path_query(&schema, "E", 1 + (i % 3))
+                    };
+                    let job = Job::count(q, Arc::clone(&d)).with_timeout(Duration::from_secs(10));
+                    s.spawn(move || engine.run(job))
+                })
+                .collect();
+            // One doomed caller at a time until one has to wait for a
+            // slot; the plan's fault cap bounds how many panics free one.
+            while engine.metrics().queue_depth == 0 {
+                let accepted = engine.metrics().jobs_submitted;
+                let job = doomed.clone();
+                callers.push(s.spawn(move || engine.run(job)));
+                while engine.metrics().jobs_submitted == accepted {
+                    std::thread::yield_now();
+                }
+            }
+            let report = engine.drain(timeout);
+            let outcomes: Vec<Outcome> =
+                callers.into_iter().map(|c| c.join().expect("caller returns")).collect();
+            (outcomes, report)
+        });
         assert!(report.met_deadline, "seed {round_seed}: drain blew its deadline: {report:?}");
         assert_eq!(report.stragglers, 0, "seed {round_seed}: drain lost jobs: {report:?}");
-        for (i, handle) in handles.iter().enumerate() {
-            let outcome = handle
-                .try_wait()
-                .unwrap_or_else(|| panic!("seed {round_seed}: job {i} left unresolved by drain"));
+        assert!(report.shed > 0, "seed {round_seed}: no caller waited for a slot: {report:?}");
+        for outcome in &outcomes {
             // Exactly one of the typed terminal states; the content of
             // completed outcomes is covered by the chaos suite.
             match outcome {
@@ -216,5 +279,7 @@ fn drain_never_loses_jobs_under_chaos() {
             m.jobs_completed, m.jobs_submitted,
             "seed {round_seed}: accounting imbalance: {m}"
         );
+        let late = engine.run(Job::count(path_query(&schema, "E", 1), Arc::clone(&d)));
+        assert_eq!(late.as_shed(), Some(ShedReason::Draining), "seed {round_seed}");
     }
 }

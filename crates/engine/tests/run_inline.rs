@@ -3,16 +3,15 @@
 //! The properties:
 //!
 //! 1. `run` and `submit(..).wait()` give identical outcomes and identical
-//!    job and memo accounting;
-//! 2. at most `workers` callers evaluate at once;
+//!    job and memo accounting (`submit` evaluates through `run`'s path);
+//! 2. at most `workers` evaluations run at once, whether their callers
+//!    use `run` or `submit_batch`, and a caller blocked on a slot counts
+//!    in `queue_depth` and `queue_high_water`;
 //! 3. a drain sheds callers without a slot and waits for callers with
 //!    one;
 //! 4. an evaluation panic gets one attempt per rung — one on the job's
-//!    kernel, one after the hop to the naive engine — on a caller and on
-//!    a pool worker alike: it never unwinds into the caller and never
-//!    kills the worker;
-//! 5. the worker pool starts with the first submission, so an engine that
-//!    only runs jobs on its callers spawns no thread.
+//!    kernel, one after the hop to the naive engine — on a caller of
+//!    `run` and in a batch alike, and never unwinds into the caller.
 
 use bagcq_arith::Nat;
 use bagcq_containment::{CheckRequest, Semantics, Verdict};
@@ -76,46 +75,61 @@ fn run_matches_submit_in_outcomes_and_accounting() {
         Job::count(p2, Arc::clone(&d)),
     ];
     let inline = engine_with(2, None);
-    let pooled = engine_with(2, None);
+    let submitted = engine_with(2, None);
     for job in &jobs {
         let a = inline.run(job.clone());
-        let b = pooled.submit(job.clone()).wait();
+        let b = submitted.submit(job.clone()).wait();
         assert!(!a.is_failure(), "{} failed: {a:?}", job.spec.kind());
         assert_eq!(outcome_key(&a), outcome_key(&b), "{} diverges", job.spec.kind());
     }
-    let (a, b) = (inline.metrics(), pooled.metrics());
+    let (a, b) = (inline.metrics(), submitted.metrics());
     assert_eq!(a.jobs_submitted, jobs.len() as u64);
     assert_eq!(
         (a.jobs_submitted, a.jobs_completed, a.cache_hits, a.cache_misses),
         (b.jobs_submitted, b.jobs_completed, b.cache_hits, b.cache_misses),
-        "run must account exactly as the pool does"
+        "run must account exactly as submit does"
     );
     assert!(a.cache_hits > 0, "the repeated job must hit the memo: {a}");
     assert_eq!(a.latency_count(), jobs.len() as u64);
 }
 
 /// One slot and two 100 ms stalls: two concurrent callers can only take
-/// the stalls one after the other. Given a second slot they would
+/// the stalls one after the other, whether the second caller runs its job
+/// or submits it as a one-job batch, and the one that waits for the slot
+/// shows in `queue_high_water`. Given a second slot the stalls would
 /// overlap and finish in about one stall.
 #[test]
 fn one_slot_serializes_concurrent_callers() {
     let stall = Duration::from_millis(100);
     let (schema, d) = digraph(5, 7);
-    let engine = engine_with(1, Some(plan(FaultKind::Latency, 2, stall)));
     let queries: Vec<Query> = (1..=2).map(|k| path_query(&schema, "E", k)).collect();
-    let started = Instant::now();
-    let outcomes: Vec<Outcome> = std::thread::scope(|s| {
-        let callers: Vec<_> = queries
-            .iter()
-            .map(|q| s.spawn(|| engine.run(Job::count(q.clone(), Arc::clone(&d)))))
-            .collect();
-        callers.into_iter().map(|c| c.join().expect("caller returns")).collect()
-    });
-    let elapsed = started.elapsed();
-    for (q, out) in queries.iter().zip(&outcomes) {
-        assert_eq!(out.as_count(), Some(&CountRequest::new(q, &d).count()));
+    for batch in [false, true] {
+        let engine = engine_with(1, Some(plan(FaultKind::Latency, 2, stall)));
+        let job = |q: &Query| Job::count(q.clone(), Arc::clone(&d));
+        let started = Instant::now();
+        let outcomes: Vec<Outcome> = std::thread::scope(|s| {
+            let first = s.spawn(|| engine.run(job(&queries[0])));
+            let second = s.spawn(|| {
+                if batch {
+                    engine.submit_batch([job(&queries[1])]).remove(0).wait()
+                } else {
+                    engine.run(job(&queries[1]))
+                }
+            });
+            [first, second].into_iter().map(|c| c.join().expect("caller returns")).collect()
+        });
+        let elapsed = started.elapsed();
+        for (q, out) in queries.iter().zip(&outcomes) {
+            assert_eq!(out.as_count(), Some(&CountRequest::new(q, &d).count()), "batch={batch}");
+        }
+        assert!(
+            elapsed >= 2 * stall,
+            "batch={batch}: two stalls overlapped in {elapsed:?}: more than one evaluation at once"
+        );
+        let m = engine.metrics();
+        assert_eq!(m.queue_high_water, 1, "batch={batch}: one caller waited for the slot: {m}");
+        assert_eq!(m.queue_depth, 0, "batch={batch}: {m}");
     }
-    assert!(elapsed >= 2 * stall, "two stalls overlapped in {elapsed:?}: more than one slot");
 }
 
 #[test]
@@ -135,7 +149,8 @@ fn drain_sheds_callers_without_a_slot_and_waits_for_the_rest() {
         }
         let waiting =
             s.spawn(|| engine.run(Job::count(cycle_query(&schema, "E", 3), Arc::clone(&d))));
-        while engine.metrics().jobs_submitted < 2 {
+        // The second caller is blocked on the slot.
+        while engine.metrics().queue_depth == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         let report = engine.drain(Duration::from_secs(5));
@@ -163,18 +178,18 @@ fn a_panic_gets_one_attempt_per_rung_and_never_unwinds_into_the_caller() {
         (0, BackendChoice::Auto, 2, 1),
         (1, BackendChoice::Auto, 1, 1),
     ];
-    for pooled in [false, true] {
+    for batch in [false, true] {
         for (cap, backend, fired, hops) in cases {
             let injector = plan(FaultKind::Panic, cap, Duration::ZERO);
             let engine = engine_with(1, Some(Arc::clone(&injector)));
             let job = Job::count_with(backend, q.clone(), Arc::clone(&d));
-            let out = if pooled {
-                engine.submit(job).wait()
+            let out = if batch {
+                engine.submit_batch([job]).remove(0).wait()
             } else {
                 std::thread::scope(|s| s.spawn(|| engine.run(job)).join())
                     .expect("the calling thread returns")
             };
-            let case = format!("pooled={pooled} cap={cap} {backend:?}");
+            let case = format!("batch={batch} cap={cap} {backend:?}");
             if cap == 0 {
                 assert!(matches!(out, Outcome::Panicked(_)), "{case}: {out:?}");
             } else {
@@ -184,20 +199,6 @@ fn a_panic_gets_one_attempt_per_rung_and_never_unwinds_into_the_caller() {
             let m = engine.metrics();
             assert_eq!(m.fallbacks_taken, hops, "{case}: {m}");
             assert_eq!(m.jobs_panicked, u64::from(cap == 0), "{case}: {m}");
-            if pooled {
-                assert_eq!(engine.live_workers(), engine.worker_count(), "{case}: a worker died");
-            }
         }
     }
-}
-
-#[test]
-fn the_pool_starts_with_the_first_submission() {
-    let (schema, d) = digraph(5, 11);
-    let engine = engine_with(2, None);
-    let job = Job::count(path_query(&schema, "E", 2), d);
-    assert!(!engine.run(job.clone()).is_failure());
-    assert_eq!(engine.live_workers(), 0, "run needs no pool thread");
-    assert!(!engine.submit(job).wait().is_failure());
-    assert_eq!(engine.live_workers(), engine.worker_count());
 }

@@ -5,8 +5,8 @@
 //! database) pair, and simultaneously streams a representative query of
 //! each item through two production paths —
 //!
-//! * the [`EvalEngine`] worker pool (single-flight memo cache), whose
-//!   answers must equal the synchronous `CountRequest` oracle; and
+//! * the [`EvalEngine`] (single-flight memo cache), whose answers must
+//!   equal the synchronous `CountRequest` oracle; and
 //! * the `bagcq-serve` HTTP front door, whose wire frames must carry the
 //!   same count the in-process parse of the *identical frame text*
 //!   produces.
@@ -44,7 +44,7 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Corpus size (items).
     pub budget: u64,
-    /// Engine worker threads.
+    /// Engine evaluation slots.
     pub workers: usize,
     /// Also stream frames through a loopback `bagcq-serve` instance.
     pub serve: bool,
@@ -397,13 +397,13 @@ pub fn run_fleet(config: &FleetConfig) -> FleetReport {
                 }
             }
 
-            // Engine parity: the async pool must agree with the
-            // synchronous oracle on the representative query.
+            // Engine parity: the engine's memoized evaluation must agree
+            // with the direct count on the representative query.
             let query = representative_query(&ctx);
             let expected = CountRequest::new(&query, db).backend(BackendChoice::Auto).count();
-            let handle = engine.submit(Job::count(query.clone(), Arc::new(db.clone())));
+            let outcome = engine.run(Job::count(query.clone(), Arc::new(db.clone())));
             report.engine_jobs += 1;
-            match handle.wait().as_count() {
+            match outcome.as_count() {
                 Some(n) if *n == expected => {}
                 outcome => {
                     report.engine_mismatches += 1;

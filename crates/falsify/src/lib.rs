@@ -21,7 +21,7 @@
 //! * [`fixture`] — DLGP serialization for minimized counterexamples,
 //!   replayed forever by `paper_claims.rs`;
 //! * [`fleet`] — the driver: corpus → oracles, with every instance also
-//!   streamed through the [`bagcq_engine::EvalEngine`] pool and the
+//!   streamed through the [`bagcq_engine::EvalEngine`] and the
 //!   `bagcq-serve` wire path, whose answers must match the synchronous
 //!   oracle exactly.
 //!

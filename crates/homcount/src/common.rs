@@ -45,12 +45,6 @@ pub(crate) fn ground_facts_hold(q: &Query, d: &Structure) -> bool {
             .all(|i| resolve(&i.lhs, &[], d) != resolve(&i.rhs, &[], d))
 }
 
-/// Heap bytes a [`Nat`] occupies (its limbs), for memory-gauge charges.
-#[inline]
-pub(crate) fn nat_bytes(n: &Nat) -> u64 {
-    8 * n.limbs().len() as u64
-}
-
 /// The `|V_D|^k` factor contributed by variables occurring in no atom and
 /// no inequality.
 ///

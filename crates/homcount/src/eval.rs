@@ -12,12 +12,11 @@
 //! (`count`, `count_with`, `try_count_with`) are gone: [`CountRequest`]
 //! is the single counting surface — see [`crate::backend`].
 
-use crate::backend::{BackendChoice, CountError, CountRequest};
-use crate::cancel::{CancelToken, Cancelled, EvalControl};
-use crate::common::nat_bytes;
+use crate::backend::{BackendChoice, CountRequest};
 use bagcq_arith::{Magnitude, Nat, DEFAULT_EXACT_BITS};
-use bagcq_query::PowerQuery;
+use bagcq_query::{PowerQuery, Query};
 use bagcq_structure::Structure;
+use std::convert::Infallible;
 
 /// The two counting algorithms, as [`BackendChoice::family`] reports
 /// them: what cross-validation pairs against the other one.
@@ -37,72 +36,34 @@ pub struct EvalOptions {
     pub backend: BackendChoice,
     /// Bit budget below which magnitudes stay exact.
     pub exact_bits: u64,
-    /// Step budget for the counting loops (`0` = unlimited). Only the
-    /// `try_*` entry points report exhaustion; the infallible ones require
-    /// this to be `0`.
-    pub step_budget: u64,
-    /// Cooperative cancellation token (optional). As with `step_budget`,
-    /// meaningful through the `try_*` entry points.
-    pub cancel: Option<CancelToken>,
-}
-
-impl EvalOptions {
-    /// The cancellation controls these options describe.
-    pub fn control(&self) -> EvalControl {
-        EvalControl::new(self.step_budget, self.cancel.clone())
-    }
 }
 
 impl Default for EvalOptions {
     fn default() -> Self {
-        EvalOptions {
-            backend: BackendChoice::Auto,
-            exact_bits: DEFAULT_EXACT_BITS,
-            step_budget: 0,
-            cancel: None,
-        }
+        EvalOptions { backend: BackendChoice::Auto, exact_bits: DEFAULT_EXACT_BITS }
     }
 }
 
 /// Evaluates a symbolic power query on a database.
-///
-/// Ignores any budget/token in `opts` (it cannot report cancellation);
-/// use [`try_eval_power_query`] to evaluate under controls.
 pub fn eval_power_query(pq: &PowerQuery, d: &Structure, opts: &EvalOptions) -> Magnitude {
     let _span = bagcq_obs::span("homcount.power", "eval");
-    let mut acc = Magnitude::exact_with_budget(Nat::one(), opts.exact_bits);
-    for f in pq.factors() {
-        let base = CountRequest::new(&f.base, d).backend(opts.backend).count();
-        let m = Magnitude::exact_with_budget(base, opts.exact_bits).pow(&f.exponent);
-        acc = acc.mul(&m);
-    }
-    acc
+    let count =
+        |q: &Query| Ok::<_, Infallible>(CountRequest::new(q, d).backend(opts.backend).count());
+    eval_power_query_with(pq, opts.exact_bits, count).unwrap_or_else(|never| match never {})
 }
 
-/// Evaluates a symbolic power query under the budget/token carried in
-/// `opts` (each counted factor gets the full step budget; the token is
-/// shared across all of them).
-pub fn try_eval_power_query(
+/// Evaluates a symbolic power query with `count` giving each factor's
+/// base `θᵢ(D)`: `Φ(D) = ∏ θᵢ(D)^{eᵢ}`, exact below `exact_bits` bits.
+/// The first error `count` returns ends the evaluation.
+pub fn eval_power_query_with<E>(
     pq: &PowerQuery,
-    d: &Structure,
-    opts: &EvalOptions,
-) -> Result<Magnitude, Cancelled> {
-    let ctl = opts.control();
-    let _span = bagcq_obs::span("homcount.power", "eval");
-    let mut acc = Magnitude::exact_with_budget(Nat::one(), opts.exact_bits);
+    exact_bits: u64,
+    mut count: impl FnMut(&Query) -> Result<Nat, E>,
+) -> Result<Magnitude, E> {
+    let mut acc = Magnitude::exact_with_budget(Nat::one(), exact_bits);
     for f in pq.factors() {
-        ctl.checkpoint("homcount/power-factor")?;
-        let base =
-            match CountRequest::new(&f.base, d).backend(opts.backend).control(ctl.clone()).run() {
-                Ok(n) => n,
-                Err(CountError::Cancelled(c)) => return Err(c),
-                Err(e) => unreachable!("plain kernels only fail by cancellation: {e}"),
-            };
-        let m = Magnitude::exact_with_budget(base, opts.exact_bits).pow(&f.exponent);
-        // Exact magnitudes carry their Nat on the heap; intervals are a
-        // couple of machine words. Charge before accumulating.
-        ctl.charge(m.as_exact().map_or(16, nat_bytes))?;
-        acc = acc.mul(&m);
+        let base = count(&f.base)?;
+        acc = acc.mul(&Magnitude::exact_with_budget(base, exact_bits).pow(&f.exponent));
     }
     Ok(acc)
 }

@@ -80,7 +80,7 @@ pub use cancel::{
     CancelReason, CancelToken, Cancelled, CheckpointHook, EvalControl, MemoryGauge, Ticker,
     CHECK_INTERVAL,
 };
-pub use eval::{eval_power_query, try_eval_power_query, Engine, EvalOptions};
+pub use eval::{eval_power_query, eval_power_query_with, Engine, EvalOptions};
 pub use naive::{for_each_hom_limited, try_for_each_hom_limited, NaiveCounter};
 pub use onto::{find_onto_hom, verify_onto_hom, OntoHom};
 pub use output_eval::{answer_bag, answer_bag_contained, output_contained_on, AnswerBag};

@@ -5,8 +5,8 @@
 //! [`ServerConfig::max_connections`]). One connection thread reads,
 //! parses, evaluates and answers each request: a memo miss is evaluated
 //! on that thread through [`EvalEngine::run`], which bounds concurrent
-//! evaluations at the engine's worker count, so the engine's worker pool
-//! is never started. Every `/v1/*` request runs the four traced stages
+//! evaluations at the engine's worker count; the engine starts no thread
+//! of its own. Every `/v1/*` request runs the four traced stages
 //! `serve.parse → serve.admit → serve.count → serve.respond` (see
 //! [`bagcq_obs::stages`]).
 //!

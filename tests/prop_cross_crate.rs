@@ -111,7 +111,7 @@ proptest! {
 
     /// Differential: counts routed through the batched evaluation engine
     /// are bit-identical to a direct naive count — with the tracer
-    /// *enabled*, so the span-instrumented code paths (enqueue → process
+    /// *enabled*, so the span-instrumented code paths (process → execute
     /// → count → publish, plus both homcount engines under
     /// cross-validation) are exactly the paths being exercised.
     #[test]
