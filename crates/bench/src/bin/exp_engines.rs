@@ -282,7 +282,7 @@ fn main() {
         ..EngineConfig::default()
     });
     let refused = match starved.run(Job::count(q, Arc::clone(&d))) {
-        Outcome::Panicked(msg) => msg,
+        Outcome::MemoryBudgetExceeded => "memory budget exceeded",
         other => panic!("1-byte budget must refuse, got {other:?}"),
     };
     println!();

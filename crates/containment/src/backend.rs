@@ -3,8 +3,10 @@
 //!
 //! Every check is a [`CheckRequest`] — a pair of [`UnionQuery`] sides, a
 //! [`Semantics`], a procedure preference, a multiplier and a search
-//! budget. [`CheckSpec::try_check_with_counter`] resolves the preference
-//! to one of four procedures ([`ContainmentChoice`]) and calls it:
+//! budget. [`CheckSpec::try_check_prepared`] resolves the preference to
+//! one of four procedures ([`ContainmentChoice`]), prepares every
+//! disjunct once ([`PreparedQuery`]) and calls the procedure, which counts
+//! each candidate database through the injected counter:
 //!
 //! * `BagSearch` — the `q·ϱ_s(D) ≤ ϱ_b(D)` harness for CQ pairs: sound
 //!   certificates, verified counterexamples, honest Unknowns.
@@ -35,10 +37,10 @@
 //! differential tests stay meaningful under the matrix.
 
 use crate::chandra_merlin::{set_chandra_merlin, set_ucq};
-use crate::checker::{bag_search, bag_ucq, SearchBudget, TryCountFn};
+use crate::checker::{bag_search, bag_ucq, PreparedCountFn, SearchBudget, TryCountFn};
 use crate::verdict::Verdict;
 use bagcq_arith::Rat;
-use bagcq_homcount::CountRequest;
+use bagcq_homcount::{CountRequest, PreparedQuery};
 use bagcq_query::{Query, UnionQuery};
 use bagcq_structure::Structure;
 use std::convert::Infallible;
@@ -329,20 +331,23 @@ impl CheckSpec {
         Ok(choice)
     }
 
-    /// Runs the resolved procedure with an injected *fallible* counter.
+    /// Runs the resolved procedure with an injected *fallible* counter
+    /// over prepared queries.
     ///
     /// The resilient-evaluation entry point (the engine routes counts
-    /// through its memo cache and cross-validator this way): the
-    /// procedures count every candidate database through `counter`, and
-    /// the first `Err` it returns aborts the whole check and comes back
-    /// verbatim as [`CheckError::Counter`].
-    pub fn try_check_with_counter<E>(
+    /// through its memo cache and cross-validator this way): every
+    /// disjunct is prepared once, the procedures count every candidate
+    /// database through `counter`, and the first `Err` it returns aborts
+    /// the whole check and comes back verbatim as [`CheckError::Counter`].
+    pub fn try_check_prepared<E>(
         &self,
-        counter: &TryCountFn<'_, E>,
+        counter: &PreparedCountFn<'_, E>,
     ) -> Result<Verdict, CheckError<E>> {
         let choice = self.validate().map_err(CheckError::Unsupported)?;
         let _span = bagcq_obs::span("containment.backend", choice.label());
-        let (u_s, u_b) = (self.q_s.disjuncts(), self.q_b.disjuncts());
+        let u_s: Vec<_> = self.q_s.disjuncts().iter().map(PreparedQuery::new).collect();
+        let u_b: Vec<_> = self.q_b.disjuncts().iter().map(PreparedQuery::new).collect();
+        let (u_s, u_b) = (u_s.as_slice(), u_b.as_slice());
         let (multiplier, budget) = (&self.multiplier, &self.budget);
         match choice {
             ContainmentChoice::BagSearch => {
@@ -354,6 +359,15 @@ impl CheckSpec {
             ContainmentChoice::Auto => unreachable!("validate() resolves Auto"),
         }
         .map_err(CheckError::Counter)
+    }
+
+    /// [`CheckSpec::try_check_prepared`] with a counter over plain
+    /// queries: it is handed each prepared disjunct's query.
+    pub fn try_check_with_counter<E>(
+        &self,
+        counter: &TryCountFn<'_, E>,
+    ) -> Result<Verdict, CheckError<E>> {
+        self.try_check_prepared(&|p, d| counter(p.query(), d))
     }
 }
 
@@ -486,9 +500,10 @@ impl CheckRequest {
 
     /// Runs the check, counting with the default counting backend.
     pub fn check(&self) -> Result<Verdict, Unsupported> {
-        let counter =
-            |q: &Query, d: &Structure| Ok::<_, Infallible>(CountRequest::new(q, d).count());
-        self.spec.try_check_with_counter(&counter).map_err(|e| match e {
+        let counter = |p: &PreparedQuery<'_>, d: &Structure| {
+            Ok::<_, Infallible>(CountRequest::prepared(p, d).count())
+        };
+        self.spec.try_check_prepared(&counter).map_err(|e| match e {
             CheckError::Unsupported(u) => u,
             CheckError::Counter(never) => match never {},
         })

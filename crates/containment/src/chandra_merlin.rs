@@ -13,10 +13,10 @@
 //!   already fails, the canonical structure of `ψ_s` is a bag-semantics
 //!   counterexample (`ψ_s` counts ≥ 1 on it while `ψ_b` counts 0).
 
-use crate::checker::{union_count, TryCountFn};
+use crate::checker::{union_count, PreparedCountFn};
 use crate::verdict::{Certificate, Counterexample, Provenance, Verdict};
 use bagcq_arith::Nat;
-use bagcq_homcount::NaiveCounter;
+use bagcq_homcount::{NaiveCounter, PreparedQuery};
 use bagcq_query::Query;
 
 /// Decides set-semantics containment `ψ_s ⊑^set ψ_b` for boolean CQs by
@@ -41,11 +41,11 @@ pub fn set_contained(q_s: &Query, q_b: &Query) -> bool {
 /// counterexample under both semantics (`q_s` counts ≥ 1 on it, `q_b`
 /// counts 0).
 pub(crate) fn canonical_refutation<E>(
-    q_s: &Query,
-    q_b: &Query,
-    counter: &TryCountFn<'_, E>,
+    q_s: &PreparedQuery<'_>,
+    q_b: &PreparedQuery<'_>,
+    counter: &PreparedCountFn<'_, E>,
 ) -> Result<Option<Counterexample>, E> {
-    let database = q_s.canonical_structure().0;
+    let database = q_s.query().canonical_structure().0;
     let count_b = counter(q_b, &database)?;
     if !count_b.is_zero() {
         return Ok(None);
@@ -62,9 +62,9 @@ pub(crate) fn canonical_refutation<E>(
 /// Chandra–Merlin set containment for a pure CQ pair: complete, so never
 /// `Unknown`.
 pub(crate) fn set_chandra_merlin<E>(
-    q_s: &Query,
-    q_b: &Query,
-    counter: &TryCountFn<'_, E>,
+    q_s: &PreparedQuery<'_>,
+    q_b: &PreparedQuery<'_>,
+    counter: &PreparedCountFn<'_, E>,
 ) -> Result<Verdict, E> {
     Ok(match canonical_refutation(q_s, q_b, counter)? {
         Some(ce) => Verdict::Refuted(ce),
@@ -78,13 +78,13 @@ pub(crate) fn set_chandra_merlin<E>(
 /// map in; conversely CM containment of every disjunct gives containment
 /// pointwise.
 pub(crate) fn set_ucq<E>(
-    u_s: &[Query],
-    u_b: &[Query],
-    counter: &TryCountFn<'_, E>,
+    u_s: &[PreparedQuery<'_>],
+    u_b: &[PreparedQuery<'_>],
+    counter: &PreparedCountFn<'_, E>,
 ) -> Result<Verdict, E> {
     let mut pairs = Vec::with_capacity(u_s.len());
     'disjuncts: for p in u_s {
-        let database = p.canonical_structure().0;
+        let database = p.query().canonical_structure().0;
         for (j, q) in u_b.iter().enumerate() {
             if !counter(q, &database)?.is_zero() {
                 pairs.push(j);

@@ -23,11 +23,16 @@
 //! matching and sweep the small side's canonical structures first. Both
 //! procedures share one candidate check and one random-search loop: a CQ
 //! pair is a one-disjunct union.
+//!
+//! The procedures take their disjuncts as [`PreparedQuery`]s, prepared
+//! once per check, and count through a [`PreparedCountFn`]: every
+//! candidate database is counted against the same component splits and
+//! decompositions.
 
 use crate::chandra_merlin::canonical_refutation;
 use crate::verdict::{Certificate, Counterexample, Provenance, Verdict};
 use bagcq_arith::{Nat, Rat};
-use bagcq_homcount::find_onto_hom;
+use bagcq_homcount::{find_onto_hom, PreparedQuery};
 use bagcq_query::Query;
 use bagcq_reduction::{eliminate_inequalities, EliminationError};
 use bagcq_structure::{Structure, StructureGen};
@@ -35,11 +40,18 @@ use std::slice;
 
 /// Signature of the injectable *fallible* counting function every
 /// procedure counts through (see
-/// [`CheckSpec::try_check_with_counter`](crate::CheckSpec::try_check_with_counter)).
-/// It must be extensionally equal to
-/// [`bagcq_homcount::CountRequest::count`] — verdicts are only as sound as
-/// the counts. The error type is the caller's: the procedures never
-/// inspect it, they only abort and hand it back.
+/// [`CheckSpec::try_check_prepared`](crate::CheckSpec::try_check_prepared)).
+/// It is handed each disjunct prepared once per check, and must be
+/// extensionally equal to [`bagcq_homcount::CountRequest::count`] —
+/// verdicts are only as sound as the counts. The error type is the
+/// caller's: the procedures never inspect it, they only abort and hand it
+/// back.
+pub type PreparedCountFn<'a, E> = dyn Fn(&PreparedQuery<'_>, &Structure) -> Result<Nat, E> + 'a;
+
+/// A counting function over plain queries (see
+/// [`CheckSpec::try_check_with_counter`](crate::CheckSpec::try_check_with_counter)),
+/// which adapts it to a [`PreparedCountFn`] by handing it each prepared
+/// disjunct's query.
 pub type TryCountFn<'a, E> = dyn Fn(&Query, &Structure) -> Result<Nat, E> + 'a;
 
 /// Search budget for the refutation phase.
@@ -71,9 +83,9 @@ impl Default for SearchBudget {
 
 /// `ΣU(d)`, one count per disjunct, in order.
 pub(crate) fn union_count<E>(
-    u: &[Query],
+    u: &[PreparedQuery<'_>],
     d: &Structure,
-    counter: &TryCountFn<'_, E>,
+    counter: &PreparedCountFn<'_, E>,
 ) -> Result<Nat, E> {
     let mut total = Nat::zero();
     for q in u {
@@ -84,13 +96,14 @@ pub(crate) fn union_count<E>(
 
 /// The bag harness for one CQ pair: `multiplier·ϱ_s(D) ≤ ϱ_b(D)`.
 pub(crate) fn bag_search<E>(
-    q_s: &Query,
-    q_b: &Query,
+    p_s: &PreparedQuery<'_>,
+    p_b: &PreparedQuery<'_>,
     multiplier: &Rat,
     budget: &SearchBudget,
-    counter: &TryCountFn<'_, E>,
+    counter: &PreparedCountFn<'_, E>,
 ) -> Result<Verdict, E> {
     let _span = bagcq_obs::span("containment.check", "pipeline");
+    let (q_s, q_b) = (p_s.query(), p_b.query());
     let one_or_less = *multiplier <= Rat::one();
 
     // --- Certificates ---
@@ -107,12 +120,12 @@ pub(crate) fn bag_search<E>(
     // Chandra–Merlin: a set-semantics failure gives an immediate bag
     // counterexample (requires pure queries).
     if q_s.is_pure() && q_b.is_pure() {
-        if let Some(ce) = canonical_refutation(q_s, q_b, counter)? {
+        if let Some(ce) = canonical_refutation(p_s, p_b, counter)? {
             return Ok(Verdict::Refuted(ce));
         }
     }
 
-    let mut search = Search::new(slice::from_ref(q_s), slice::from_ref(q_b), multiplier, budget);
+    let mut search = Search::new(slice::from_ref(p_s), slice::from_ref(p_b), multiplier, budget);
     let (cs, _) = q_s.canonical_structure();
     let (cb, _) = q_b.canonical_structure();
     let both = cs.union(&cb);
@@ -127,9 +140,12 @@ pub(crate) fn bag_search<E>(
     // Theorem 5 preprocessing: inequalities only in the s-query.
     if !q_s.is_pure() && q_b.is_pure() && multiplier.is_one() {
         let stripped = q_s.strip_inequalities();
-        if let Verdict::Refuted(ce) = bag_search(&stripped, q_b, multiplier, budget, counter)? {
+        let stripped = PreparedQuery::new(&stripped);
+        if let Verdict::Refuted(ce) = bag_search(&stripped, p_b, multiplier, budget, counter)? {
             search.checked += 1;
-            match eliminate_inequalities(q_s, q_b, &ce.database, budget.max_power, counter)? {
+            // The lift's four counts prepare their queries on the spot.
+            let count = |q: &Query, d: &Structure| counter(&PreparedQuery::new(q), d);
+            match eliminate_inequalities(q_s, q_b, &ce.database, budget.max_power, &count)? {
                 Ok(elim) => {
                     return Ok(Verdict::Refuted(Counterexample {
                         count_s: elim.count_s,
@@ -150,11 +166,11 @@ pub(crate) fn bag_search<E>(
 
 /// The bag harness for unions: `multiplier·ΣU_s(D) ≤ ΣU_b(D)`.
 pub(crate) fn bag_ucq<E>(
-    u_s: &[Query],
-    u_b: &[Query],
+    u_s: &[PreparedQuery<'_>],
+    u_b: &[PreparedQuery<'_>],
     multiplier: &Rat,
     budget: &SearchBudget,
-    counter: &TryCountFn<'_, E>,
+    counter: &PreparedCountFn<'_, E>,
 ) -> Result<Verdict, E> {
     let _span = bagcq_obs::span("containment.check", "bag-ucq");
 
@@ -164,7 +180,8 @@ pub(crate) fn bag_ucq<E>(
         return Ok(Verdict::Proved(Certificate::DisjunctMatching(Vec::new())));
     }
     let one_or_less = *multiplier <= Rat::one();
-    if one_or_less && u_s == u_b {
+    if one_or_less && u_s.iter().map(PreparedQuery::query).eq(u_b.iter().map(PreparedQuery::query))
+    {
         return Ok(Verdict::Proved(Certificate::Identical));
     }
     if one_or_less {
@@ -177,8 +194,10 @@ pub(crate) fn bag_ucq<E>(
     // The Lemma 22-flavoured family over all disjuncts: canonical
     // structures (s-side first — they realize any set-level failure),
     // their union, blow-ups and squares.
-    let canonical_s: Vec<Structure> = u_s.iter().map(|p| p.canonical_structure().0).collect();
-    let canonical_b: Vec<Structure> = u_b.iter().map(|q| q.canonical_structure().0).collect();
+    let canonical_s: Vec<Structure> =
+        u_s.iter().map(|p| p.query().canonical_structure().0).collect();
+    let canonical_b: Vec<Structure> =
+        u_b.iter().map(|q| q.query().canonical_structure().0).collect();
     let union_all = canonical_s.iter().chain(&canonical_b).cloned().reduce(|u, c| u.union(&c));
     let mut structured = Vec::new();
     for base in canonical_b.into_iter().chain(union_all) {
@@ -212,8 +231,8 @@ fn push_blowups(out: &mut Vec<Structure>, base: Structure, max_blowup: u32) {
 /// The refutation phases of one bag question `multiplier·ΣU_s(D) ≤
 /// ΣU_b(D)`, counting the candidate databases they examine.
 struct Search<'a> {
-    u_s: &'a [Query],
-    u_b: &'a [Query],
+    u_s: &'a [PreparedQuery<'a>],
+    u_b: &'a [PreparedQuery<'a>],
     multiplier: &'a Rat,
     budget: &'a SearchBudget,
     checked: usize,
@@ -221,8 +240,8 @@ struct Search<'a> {
 
 impl<'a> Search<'a> {
     fn new(
-        u_s: &'a [Query],
-        u_b: &'a [Query],
+        u_s: &'a [PreparedQuery<'a>],
+        u_b: &'a [PreparedQuery<'a>],
         multiplier: &'a Rat,
         budget: &'a SearchBudget,
     ) -> Self {
@@ -235,7 +254,7 @@ impl<'a> Search<'a> {
         &mut self,
         candidates: impl IntoIterator<Item = Structure>,
         provenance: Provenance,
-        counter: &TryCountFn<'_, E>,
+        counter: &PreparedCountFn<'_, E>,
     ) -> Result<Option<Verdict>, E> {
         for database in candidates {
             self.checked += 1;
@@ -255,8 +274,8 @@ impl<'a> Search<'a> {
 
     /// Seeded random search over a few density regimes, then `Unknown`
     /// with every candidate examined.
-    fn random<E>(mut self, counter: &TryCountFn<'_, E>) -> Result<Verdict, E> {
-        let schema = self.u_s[0].schema();
+    fn random<E>(mut self, counter: &PreparedCountFn<'_, E>) -> Result<Verdict, E> {
+        let schema = self.u_s[0].query().schema();
         let budget = self.budget;
         for (i, density) in [0.25f64, 0.5, 0.8].into_iter().enumerate() {
             let gen = StructureGen {
@@ -280,13 +299,15 @@ impl<'a> Search<'a> {
 /// along Lemma 12 onto-homomorphisms, when one saturates the s-side.
 /// Each onto hom `ψ_b → ψ_s` gives `ψ_s(D) ≤ ψ_b(D)` on every `D`;
 /// summing over a matching gives `ΣU₁(D) ≤ Σ_matched U₂(D) ≤ ΣU₂(D)`.
-fn match_disjuncts(u_s: &[Query], u_b: &[Query]) -> Option<Vec<usize>> {
+fn match_disjuncts(u_s: &[PreparedQuery<'_>], u_b: &[PreparedQuery<'_>]) -> Option<Vec<usize>> {
     let adjacency: Vec<Vec<usize>> = u_s
         .iter()
         .map(|p| {
             u_b.iter()
                 .enumerate()
-                .filter(|(_, q)| q.is_pure() && find_onto_hom(q, p).is_some())
+                .filter(|(_, q)| {
+                    q.query().is_pure() && find_onto_hom(q.query(), p.query()).is_some()
+                })
                 .map(|(j, _)| j)
                 .collect()
         })

@@ -15,7 +15,9 @@
 //!   search; and an honest [`Verdict::Unknown`]), its union counterpart,
 //!   Chandra–Merlin and Sagiv–Yannakakis all/any — all answering in one
 //!   [`Verdict`] vocabulary and counting through one injectable
-//!   [`TryCountFn`];
+//!   [`PreparedCountFn`], handed each disjunct prepared once per check
+//!   ([`bagcq_homcount::PreparedQuery`]); a [`TryCountFn`] over plain
+//!   queries adapts to it;
 //! * [`set_contained`] — the Chandra–Merlin set-semantics reference the
 //!   oracles check the procedures against;
 //! * [`estimate_domination_exponent`] — sampling estimates of the
@@ -33,6 +35,6 @@ mod verdict;
 
 pub use backend::{CheckError, CheckRequest, CheckSpec, ContainmentChoice, Semantics, Unsupported};
 pub use chandra_merlin::set_contained;
-pub use checker::{SearchBudget, TryCountFn};
+pub use checker::{PreparedCountFn, SearchBudget, TryCountFn};
 pub use domination::{domination_ratio, estimate_domination_exponent, DominationSample};
 pub use verdict::{Certificate, Counterexample, Provenance, Verdict};

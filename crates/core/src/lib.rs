@@ -80,7 +80,7 @@ pub mod prelude {
     pub use bagcq_homcount::{
         answer_bag, answer_bag_contained, eval_power_query, find_onto_hom, output_contained_on,
         verify_onto_hom, AnswerBag, BackendChoice, CountRequest, Engine, EvalOptions, NaiveCounter,
-        TreewidthCounter,
+        PreparedQuery, TreewidthCounter,
     };
     pub use bagcq_obs::StageStats;
     pub use bagcq_polynomial::{Lemma11Instance, Monomial, Polynomial};

@@ -14,9 +14,9 @@
 //!    existing computation, bounded by this job's *own* deadline);
 //! 3. otherwise leads: runs the evaluation through the **resilience
 //!    ladder** below and publishes the outcome — failures
-//!    ([`Outcome::TimedOut`], [`Outcome::Panicked`]) reach current
-//!    waiters but are never cached; a panicking evaluation never unwinds
-//!    into its caller.
+//!    ([`Outcome::TimedOut`], [`Outcome::Panicked`],
+//!    [`Outcome::MemoryBudgetExceeded`]) reach current waiters but are
+//!    never cached; a panicking evaluation never unwinds into its caller.
 //!
 //! # The serving layer
 //!
@@ -47,12 +47,15 @@
 //!   backtracker may not (it holds less intermediate state than the
 //!   treewidth DP), so a job not pinned to it hops there once, then gives
 //!   up — a panic as [`Outcome::Panicked`], step exhaustion as
-//!   [`Outcome::TimedOut`], memory exhaustion as [`Outcome::Panicked`]
-//!   with a budget message.
+//!   [`Outcome::TimedOut`], memory exhaustion as
+//!   [`Outcome::MemoryBudgetExceeded`].
 //!
 //! Counts performed *inside* a containment check are routed through the
 //! same cache under the same key a direct [`JobSpec::Count`] job would
-//! use, so mixed workloads share work across job kinds.
+//! use, so mixed workloads share work across job kinds. The check
+//! prepares each disjunct once ([`PreparedQuery`]), and its counts read
+//! the key's query half from the prepared query's cached fingerprint and
+//! resolve and count from its components and decompositions.
 
 use crate::budget::MemoryBudget;
 use crate::cache::{Lookup, MemoCache};
@@ -64,10 +67,9 @@ use bagcq_arith::Nat;
 use bagcq_containment::CheckError;
 use bagcq_homcount::{
     eval_power_query_with, BackendChoice, CancelReason, CancelToken, Cancelled, CheckpointHook,
-    CountError, CountRequest, Engine, EvalControl,
+    CountError, CountRequest, Engine, EvalControl, PreparedQuery,
 };
 use bagcq_obs as obs;
-use bagcq_query::Query;
 use bagcq_structure::{Fingerprint, Structure};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -197,19 +199,20 @@ impl Shared {
         evaluate(self, item)
     }
 
-    /// A raw count with optional cross-family validation.
+    /// A raw count with optional cross-family validation; both kernels
+    /// count from the same prepared query.
     fn count_direct(
         &self,
         backend: BackendChoice,
-        q: &Query,
+        p: &PreparedQuery<'_>,
         d: &Structure,
         ctl: &EvalControl,
     ) -> Result<Nat, CountError> {
         // The engine-level checkpoint: fires before every raw count.
         self.hook.checkpoint("engine/count")?;
-        let resolved = backend.resolve(q, d);
+        let resolved = backend.resolve_prepared(p, d);
         let _span = obs::span("engine.count", resolved.label());
-        let n = CountRequest::new(q, d).backend(resolved).control(ctl.clone()).run()?;
+        let n = CountRequest::prepared(p, d).backend(resolved).control(ctl.clone()).run()?;
         if self.config.cross_validate {
             // Validate against the *other* algorithm: two independent
             // counting algorithms must agree.
@@ -217,11 +220,12 @@ impl Shared {
                 Engine::Naive => BackendChoice::Treewidth,
                 Engine::Treewidth => BackendChoice::Naive,
             };
-            let m = CountRequest::new(q, d).backend(other).control(ctl.clone()).run()?;
+            let m = CountRequest::prepared(p, d).backend(other).control(ctl.clone()).run()?;
             self.metrics.cross_validation();
             if n != m {
                 return Err(CountError::Mismatch(format!(
-                    "backends disagree on {q}: {resolved} and {other} returned different counts"
+                    "backends disagree on {}: {resolved} and {other} returned different counts",
+                    p.query()
                 )));
             }
         }
@@ -235,25 +239,25 @@ impl Shared {
     fn count_cached(
         &self,
         backend: BackendChoice,
-        q: &Query,
+        p: &PreparedQuery<'_>,
         d: &Structure,
         ctl: &EvalControl,
         deadline: Option<Instant>,
     ) -> Result<Nat, CountError> {
-        let key = count_fingerprint(q, d, backend);
+        let key = count_fingerprint(p.fingerprint(), d, backend);
         match self.cache.begin(key) {
             Lookup::Hit(Outcome::Count(n)) => Ok(n),
-            Lookup::Hit(_) => self.count_direct(backend, q, d, ctl),
+            Lookup::Hit(_) => self.count_direct(backend, p, d, ctl),
             Lookup::Join(flight) => match flight.wait(deadline) {
                 Some(Outcome::Count(n)) => Ok(n),
-                Some(_) => self.count_direct(backend, q, d, ctl),
+                Some(_) => self.count_direct(backend, p, d, ctl),
                 // Our own deadline expired while waiting on the leader.
                 None => Err(Cancelled(CancelReason::DeadlineExceeded).into()),
             },
             Lookup::Lead(token) => {
                 // If count_direct panics, the token's Drop evicts the
                 // in-flight slot and wakes joiners, so nobody hangs.
-                let result = self.count_direct(backend, q, d, ctl);
+                let result = self.count_direct(backend, p, d, ctl);
                 let outcome = match &result {
                     Ok(n) => Outcome::Count(n.clone()),
                     Err(_) => Outcome::TimedOut,
@@ -277,9 +281,11 @@ impl Shared {
     ) -> Result<Outcome, CountError> {
         match spec {
             JobSpec::Count { query, database, backend } => {
-                // The job-level cache already keys this spec; compute directly.
+                // The job-level cache already keys this spec; compute
+                // directly, resolving and counting from one preparation.
                 let backend = backend_override.unwrap_or(*backend);
-                Ok(Outcome::Count(self.count_direct(backend, query, database, ctl)?))
+                let p = PreparedQuery::new(query);
+                Ok(Outcome::Count(self.count_direct(backend, &p, database, ctl)?))
             }
             JobSpec::EvalPower { query, database, exact_bits } => {
                 // Every factor count goes through the memo cache (φ_s and
@@ -287,16 +293,16 @@ impl Shared {
                 // cross-validation.
                 let backend = backend_override.unwrap_or(BackendChoice::Auto);
                 let power = eval_power_query_with(query, *exact_bits, |q| {
-                    self.count_cached(backend, q, database, ctl, deadline)
+                    self.count_cached(backend, &PreparedQuery::new(q), database, ctl, deadline)
                 })?;
                 Ok(Outcome::Power(power))
             }
             JobSpec::Check { spec } => {
                 let backend = backend_override.unwrap_or(BackendChoice::Auto);
-                let counter = |q: &Query, d: &Structure| -> Result<Nat, CountError> {
-                    self.count_cached(backend, q, d, ctl, deadline)
+                let counter = |p: &PreparedQuery<'_>, d: &Structure| -> Result<Nat, CountError> {
+                    self.count_cached(backend, p, d, ctl, deadline)
                 };
-                match spec.try_check_with_counter(&counter) {
+                match spec.try_check_prepared(&counter) {
                     Ok(verdict) => Ok(Outcome::Verdict(Arc::new(verdict))),
                     Err(CheckError::Counter(e)) => Err(e),
                     // A spec outside the resolved backend's fragment is a
@@ -374,11 +380,9 @@ impl Shared {
                 }
                 JobFailure::Panic(msg) => Outcome::Panicked(msg),
                 JobFailure::Cancelled(CancelReason::BudgetExhausted) => Outcome::TimedOut,
-                JobFailure::Cancelled(CancelReason::MemoryBudgetExceeded) => Outcome::Panicked(
-                    "memory budget exceeded: the evaluation's big-integer state does not fit \
-                     the engine's byte budget"
-                        .to_string(),
-                ),
+                JobFailure::Cancelled(CancelReason::MemoryBudgetExceeded) => {
+                    Outcome::MemoryBudgetExceeded
+                }
             };
             match item.fallback_for(backend_override) {
                 Some(backend) => {
@@ -493,6 +497,7 @@ fn evaluate(shared: &Shared, item: &WorkItem) -> Outcome {
     match &outcome {
         Outcome::TimedOut => shared.metrics.job_timed_out(),
         Outcome::Panicked(_) => shared.metrics.job_panicked(),
+        Outcome::MemoryBudgetExceeded => shared.metrics.job_over_budget(),
         Outcome::Shed(reason) => shared.metrics.job_shed(*reason),
         _ => {}
     }

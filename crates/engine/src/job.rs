@@ -74,7 +74,7 @@ impl JobSpec {
     pub fn fingerprint(&self) -> Fingerprint {
         match self {
             JobSpec::Count { query, database, backend } => {
-                count_fingerprint(query, database, *backend)
+                count_fingerprint(query.fingerprint(), database, *backend)
             }
             JobSpec::EvalPower { query, database, exact_bits } => {
                 let mut h = FingerprintHasher::new(b"bagcq/job/eval-power");
@@ -129,14 +129,14 @@ impl JobSpec {
 /// The memo-cache key of a raw count — shared between [`JobSpec::Count`]
 /// jobs and the counts performed inside containment checks, so a
 /// containment job warms the cache for later direct counts (and vice
-/// versa).
+/// versa). `q` is the query's [`Query::fingerprint`]; a check's
+/// counts pass the one their prepared disjunct cached.
 pub(crate) fn count_fingerprint(
-    query: &Query,
+    q: Fingerprint,
     database: &Structure,
     backend: BackendChoice,
 ) -> Fingerprint {
     let mut h = FingerprintHasher::new(b"bagcq/job/count");
-    let q = query.fingerprint();
     h.write_u64(q.hi);
     h.write_u64(q.lo);
     let d = database.fingerprint();
@@ -244,9 +244,14 @@ pub enum Outcome {
     /// before finishing. Never cached.
     TimedOut,
     /// The evaluation panicked, also after its hop to the naive engine
-    /// (or a cross-validation mismatch was detected, or the memory budget
-    /// refused it); the payload is the message. Never cached.
+    /// (or a cross-validation mismatch was detected); the payload is the
+    /// message. Never cached.
     Panicked(String),
+    /// The engine's byte budget ([`crate::EngineConfig::memory_budget_bytes`])
+    /// refused the evaluation's big-integer state, also after its hop to
+    /// the naive engine. The request is too large for this engine as it
+    /// is configured; nothing crashed. Never cached.
+    MemoryBudgetExceeded,
     /// The job was shed without evaluating: the engine was draining, or
     /// the serving layer's tenant gate refused it. Never cached.
     Shed(ShedReason),
@@ -321,11 +326,17 @@ impl Outcome {
         }
     }
 
-    /// `true` for [`Outcome::TimedOut`], [`Outcome::Panicked`] and
-    /// [`Outcome::Shed`] — the outcomes that are published to waiters but
-    /// never cached.
+    /// `true` for [`Outcome::TimedOut`], [`Outcome::Panicked`],
+    /// [`Outcome::MemoryBudgetExceeded`] and [`Outcome::Shed`] — the
+    /// outcomes that are published to waiters but never cached.
     pub fn is_failure(&self) -> bool {
-        matches!(self, Outcome::TimedOut | Outcome::Panicked(_) | Outcome::Shed(_))
+        matches!(
+            self,
+            Outcome::TimedOut
+                | Outcome::Panicked(_)
+                | Outcome::MemoryBudgetExceeded
+                | Outcome::Shed(_)
+        )
     }
 }
 

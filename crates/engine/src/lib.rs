@@ -54,8 +54,10 @@
 //! * **Memory budgeting** ([`EngineConfig::memory_budget_bytes`]): the
 //!   `Nat`-heavy counting loops debit an engine-wide byte account through
 //!   `homcount`'s [`bagcq_homcount::MemoryGauge`] hook; an evaluation
-//!   that would dwarf memory fails with a typed error instead of taking
-//!   the process down.
+//!   that would dwarf memory resolves as
+//!   [`Outcome::MemoryBudgetExceeded`] instead of taking the process
+//!   down, and is counted apart from panics
+//!   ([`MetricsSnapshot::jobs_over_budget`]).
 //! * **Graceful drain** ([`EvalEngine::drain`]): closes the evaluation
 //!   slots, sheds callers still waiting for one, finishes or hard-stops
 //!   evaluations in flight, flushes the persistent store, and returns by

@@ -45,6 +45,7 @@ pub struct Metrics {
     jobs_completed: AtomicU64,
     jobs_timed_out: AtomicU64,
     jobs_panicked: AtomicU64,
+    jobs_over_budget: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     single_flight_joins: AtomicU64,
@@ -76,6 +77,10 @@ impl Metrics {
 
     pub(crate) fn job_panicked(&self) {
         self.jobs_panicked.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn job_over_budget(&self) {
+        self.jobs_over_budget.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn cache_hit(&self) {
@@ -153,6 +158,7 @@ impl Metrics {
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
             jobs_timed_out: self.jobs_timed_out.load(Ordering::Relaxed),
             jobs_panicked: self.jobs_panicked.load(Ordering::Relaxed),
+            jobs_over_budget: self.jobs_over_budget.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             single_flight_joins: self.single_flight_joins.load(Ordering::Relaxed),
@@ -193,6 +199,9 @@ pub struct MetricsSnapshot {
     pub jobs_timed_out: u64,
     /// Jobs that finished as [`crate::Outcome::Panicked`].
     pub jobs_panicked: u64,
+    /// Jobs that finished as [`crate::Outcome::MemoryBudgetExceeded`]:
+    /// the byte budget refused them, which is not a panic.
+    pub jobs_over_budget: u64,
     /// Memo-cache lookups answered from a `Ready` slot.
     pub cache_hits: u64,
     /// Lookups that started a fresh computation.
@@ -270,8 +279,12 @@ impl fmt::Display for MetricsSnapshot {
         writeln!(f, "engine metrics")?;
         writeln!(
             f,
-            "  jobs     submitted={} completed={} timed_out={} panicked={}",
-            self.jobs_submitted, self.jobs_completed, self.jobs_timed_out, self.jobs_panicked
+            "  jobs     submitted={} completed={} timed_out={} panicked={} over_budget={}",
+            self.jobs_submitted,
+            self.jobs_completed,
+            self.jobs_timed_out,
+            self.jobs_panicked,
+            self.jobs_over_budget
         )?;
         write!(
             f,

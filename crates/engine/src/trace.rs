@@ -34,6 +34,7 @@ pub fn outcome_label(outcome: &Outcome) -> &'static str {
         Outcome::Verdict(_) => "verdict",
         Outcome::TimedOut => "timed_out",
         Outcome::Panicked(_) => "panicked",
+        Outcome::MemoryBudgetExceeded => "over_budget",
         Outcome::Shed(_) => "shed",
     }
 }

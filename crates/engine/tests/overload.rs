@@ -42,9 +42,9 @@ fn stalls(n: u64, latency: Duration) -> Arc<FaultInjector> {
 
 /// Property 1: a starved byte budget fails the evaluation with the typed
 /// `MemoryBudgetExceeded` cancellation, which surfaces as
-/// [`Outcome::Panicked`] with a budget message after the fallback hop —
-/// on a caller of `run` and in a batch alike — and the denials show up in
-/// the metrics.
+/// [`Outcome::MemoryBudgetExceeded`] after the fallback hop — on a caller
+/// of `run` and in a batch alike — and the denials show up in the
+/// metrics, counted apart from panics.
 #[test]
 fn starved_memory_budget_fails_typed() {
     let (schema, d) = digraph(5, 3);
@@ -58,14 +58,13 @@ fn starved_memory_budget_fails_typed() {
     let job = Job::count(q, d);
     for out in [engine.run(job.clone()), engine.submit_batch([job]).remove(0).wait()] {
         match out {
-            Outcome::Panicked(msg) => {
-                assert!(msg.contains("memory budget"), "untyped failure message: {msg}")
-            }
+            Outcome::MemoryBudgetExceeded => {}
             other => panic!("expected a typed budget failure, got {other:?}"),
         }
     }
     let m = engine.metrics();
     assert!(m.mem_denials > 0, "denials must be accounted: {m}");
+    assert_eq!((m.jobs_over_budget, m.jobs_panicked), (2, 0), "{m}");
     assert_eq!(m.fallbacks_taken, 2, "each evaluation takes the naive fallback hop once");
 }
 
@@ -85,7 +84,7 @@ fn a_budget_denial_cannot_deny_anyone_else() {
     let edge = path_query(&schema, "E", 1);
     for k in 9..=13 {
         match engine.run(Job::count(edge.power(k), Arc::clone(&d))) {
-            Outcome::Panicked(msg) => assert!(msg.contains("memory budget"), "k={k}: {msg}"),
+            Outcome::MemoryBudgetExceeded => {}
             other => panic!("k={k}: expected a typed budget failure, got {other:?}"),
         }
     }
@@ -271,6 +270,7 @@ fn drain_never_loses_jobs_under_chaos() {
                 | Outcome::Verdict(_)
                 | Outcome::TimedOut
                 | Outcome::Panicked(_)
+                | Outcome::MemoryBudgetExceeded
                 | Outcome::Shed(_) => {}
             }
         }

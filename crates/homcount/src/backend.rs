@@ -3,13 +3,19 @@
 //! above speaks.
 //!
 //! Every count is a [`CountRequest`] — query, structure, backend
-//! preference, cancellation controls. [`BackendChoice`] names the kernel:
+//! preference, cancellation controls. The query arrives prepared
+//! ([`CountRequest::prepared`]) or is prepared by the request
+//! ([`CountRequest::new`]); either way `Auto` and both kernels read its
+//! component split and decompositions from the [`PreparedQuery`], so a
+//! query counted on many structures is split and decomposed once.
+//! [`BackendChoice`] names the kernel:
 //!
 //! * `Naive` — indexed backtracking ([`NaiveCounter`](crate::NaiveCounter));
 //! * `Treewidth` — the tree-decomposition DP
 //!   ([`TreewidthCounter`](crate::TreewidthCounter));
 //! * `Auto` — picks one of the two by decomposition width and a cheap
-//!   per-component count upper bound (see [`BackendChoice::resolve`]).
+//!   per-component count upper bound (see
+//!   [`BackendChoice::resolve_prepared`]).
 //!
 //! Both kernels accumulate in the widening [`bagcq_arith::Acc`]: `u64`
 //! while counts fit, checked promotion to `u128` and then `Nat` on
@@ -25,10 +31,12 @@
 
 use crate::cancel::{CancelReason, Cancelled, EvalControl, MemoryGauge};
 use crate::eval::Engine;
+use crate::prepared::PreparedQuery;
 use crate::{naive, tw};
 use bagcq_arith::{Acc, Nat};
 use bagcq_query::Query;
 use bagcq_structure::Structure;
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
@@ -85,7 +93,7 @@ impl CountError {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum BackendChoice {
     /// Pick a kernel by decomposition width and a per-component count
-    /// upper bound (the default; see [`BackendChoice::resolve`]).
+    /// upper bound (the default; see [`BackendChoice::resolve_prepared`]).
     #[default]
     Auto,
     /// The backtracking kernel.
@@ -125,20 +133,29 @@ impl BackendChoice {
     /// pair; concrete choices return themselves unchanged.
     ///
     /// `Auto` chooses naive vs. treewidth by comparing, per connected
-    /// component, a cheap count upper bound (the product of the matched relations' sizes, capped by
-    /// `n^{vars}` — which bounds the backtracking work) against
-    /// `#bags · n^{w+1}` for the min-fill decomposition. That is `Auto`'s
-    /// estimate of the DP, not its cost: the DP takes most candidates from
-    /// index buckets and scans the domain only where no atom reaches. The
-    /// `BAGCQ_BACKEND` environment variable overrides the outcome.
-    pub fn resolve(self, q: &Query, d: &Structure) -> BackendChoice {
+    /// component, a cheap count upper bound (the product of the matched
+    /// relations' sizes, capped by `n^{vars}` — which bounds the
+    /// backtracking work) against `#bags · n^{w+1}` for the min-fill
+    /// decomposition. That is `Auto`'s estimate of the DP, not its cost:
+    /// the DP takes most candidates from index buckets and scans the
+    /// domain only where no atom reaches. The components and
+    /// decompositions are the prepared query's, so resolving and then
+    /// counting decomposes each component once. The `BAGCQ_BACKEND`
+    /// environment variable overrides the outcome.
+    pub fn resolve_prepared(self, p: &PreparedQuery<'_>, d: &Structure) -> BackendChoice {
         if self != BackendChoice::Auto {
             return self;
         }
         match env_override() {
-            Some(BackendChoice::Auto) | None => auto_choice(q, d),
+            Some(BackendChoice::Auto) | None => auto_choice(p, d),
             Some(forced) => forced,
         }
+    }
+
+    /// [`BackendChoice::resolve_prepared`] for a query prepared on the
+    /// spot.
+    pub fn resolve(self, q: &Query, d: &Structure) -> BackendChoice {
+        self.resolve_prepared(&PreparedQuery::new(q), d)
     }
 }
 
@@ -183,21 +200,24 @@ const COST_LOG_CAP: f64 = 400.0;
 
 /// Width-and-size heuristic behind `Auto`: per component, compare the
 /// count upper bound driving backtracking against the DP's bag sweep.
-fn auto_choice(q: &Query, d: &Structure) -> BackendChoice {
-    let comps = crate::common::components(q);
+fn auto_choice(p: &PreparedQuery<'_>, d: &Structure) -> BackendChoice {
+    let q = p.query();
     let log_n = (d.vertex_count().max(2) as f64).log2();
     let mut naive_cost = 0.0f64;
     let mut tw_cost = 0.0f64;
-    for (atom_idx, ineq_idx, vars) in &comps.comps {
+    for comp in p.components() {
         // Count upper bound: product of matched relation sizes, capped by
         // n^{vars} — both bound the assignments backtracking can visit.
-        let product_log: f64 =
-            atom_idx.iter().map(|&ai| (d.atom_count(q.atoms()[ai].rel).max(1) as f64).log2()).sum();
-        let dom_log = vars.len() as f64 * log_n;
-        let ub_log = if atom_idx.is_empty() { dom_log } else { product_log.min(dom_log) };
+        let product_log: f64 = comp
+            .atoms
+            .iter()
+            .map(|&ai| (d.atom_count(q.atoms()[ai].rel).max(1) as f64).log2())
+            .sum();
+        let dom_log = comp.vars.len() as f64 * log_n;
+        let ub_log = if comp.atoms.is_empty() { dom_log } else { product_log.min(dom_log) };
         naive_cost += ub_log.min(COST_LOG_CAP).exp2();
 
-        let (td, _) = tw::decompose_component(q, atom_idx, ineq_idx, vars);
+        let td = &comp.decomposition(q).td;
         let tw_log = (td.bags.len().max(1) as f64).log2() + (td.width() as f64 + 1.0) * log_n;
         tw_cost += tw_log.min(COST_LOG_CAP).exp2();
     }
@@ -234,7 +254,7 @@ fn auto_choice(q: &Query, d: &Structure) -> BackendChoice {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CountRequest<'a> {
-    query: &'a Query,
+    query: Cow<'a, PreparedQuery<'a>>,
     database: &'a Structure,
     backend: BackendChoice,
     control: EvalControl,
@@ -242,8 +262,19 @@ pub struct CountRequest<'a> {
 
 impl<'a> CountRequest<'a> {
     /// A request with the default backend ([`BackendChoice::Auto`]) and
-    /// unlimited controls.
+    /// unlimited controls. It prepares `query` itself, so resolving `Auto`
+    /// and then running decomposes each component once.
     pub fn new(query: &'a Query, database: &'a Structure) -> Self {
+        Self::with_query(Cow::Owned(PreparedQuery::new(query)), database)
+    }
+
+    /// A request over a query prepared once for counting on many
+    /// structures, with the default backend and unlimited controls.
+    pub fn prepared(query: &'a PreparedQuery<'a>, database: &'a Structure) -> Self {
+        Self::with_query(Cow::Borrowed(query), database)
+    }
+
+    fn with_query(query: Cow<'a, PreparedQuery<'a>>, database: &'a Structure) -> Self {
         CountRequest {
             query,
             database,
@@ -286,7 +317,7 @@ impl<'a> CountRequest<'a> {
     /// The concrete kernel this request will run (resolves `Auto` against
     /// the query/structure pair — diagnostics, cache keys, bench labels).
     pub fn resolved_backend(&self) -> BackendChoice {
-        self.backend.resolve(self.query, self.database)
+        self.backend.resolve_prepared(&self.query, self.database)
     }
 
     /// Runs the count under the configured controls.
@@ -297,10 +328,10 @@ impl<'a> CountRequest<'a> {
         self.control.checkpoint("homcount/count")?;
         let resolved = self.resolved_backend();
         let _span = bagcq_obs::span("homcount.request", resolved.label());
-        let (q, d, ctl) = (self.query, self.database, &self.control);
+        let (p, d, ctl) = (&*self.query, self.database, &self.control);
         Ok(match resolved {
-            BackendChoice::Naive => naive::try_count_generic::<Acc>(q, d, ctl)?,
-            BackendChoice::Treewidth => tw::try_count_generic::<Acc>(q, d, ctl)?,
+            BackendChoice::Naive => naive::try_count_generic::<Acc>(p, d, ctl)?,
+            BackendChoice::Treewidth => tw::try_count_generic::<Acc>(p, d, ctl)?,
             BackendChoice::Auto => unreachable!("resolve() returns a concrete kernel"),
         })
     }

@@ -5,10 +5,15 @@
 //!
 //! Every count goes through one API — a [`CountRequest`] naming the
 //! query, the structure, a [`BackendChoice`], and optional cancellation
-//! controls — which runs one of two kernels:
+//! controls — which runs one of two kernels. A query counted on many
+//! structures is prepared once ([`PreparedQuery`]: its component split,
+//! each component's min-fill decomposition and its fingerprint) and
+//! counted with [`CountRequest::prepared`]; `Auto` and both kernels read
+//! the prepared query, and [`CountRequest::new`] prepares its own.
 //!
 //! * [`NaiveCounter`] — indexed backtracking enumeration with component
-//!   factorization (the reference / baseline engine);
+//!   factorization (the reference / baseline engine). Each search
+//!   compiles its index probes once, so a search node allocates nothing;
 //! * [`TreewidthCounter`] — the textbook `#Hom` dynamic program over a
 //!   min-fill tree decomposition of the query's primal graph
 //!   ([`TreeDecomposition`]). Each bag is compiled once per count; a bag
@@ -72,6 +77,7 @@ mod eval;
 mod naive;
 mod onto;
 mod output_eval;
+mod prepared;
 mod treedec;
 mod tw;
 
@@ -84,5 +90,6 @@ pub use eval::{eval_power_query, eval_power_query_with, Engine, EvalOptions};
 pub use naive::{for_each_hom_limited, try_for_each_hom_limited, NaiveCounter};
 pub use onto::{find_onto_hom, verify_onto_hom, OntoHom};
 pub use output_eval::{answer_bag, answer_bag_contained, output_contained_on, AnswerBag};
+pub use prepared::PreparedQuery;
 pub use treedec::{decompose_min_fill, TreeDecomposition};
 pub use tw::TreewidthCounter;

@@ -7,13 +7,19 @@
 //!
 //! * **component factorization** — by Lemma 1 the count of a query is the
 //!   product over its connected components, so `θ↑k` costs `k` component
-//!   counts, not `θ(D)^k` enumeration steps;
+//!   counts, not `θ(D)^k` enumeration steps. The components come from the
+//!   [`PreparedQuery`], split once per query, not once per count;
 //! * **free-variable factor** — variables occurring in no atom and no
 //!   inequality contribute `|V_D|` each.
 //!
 //! Counting and [`try_for_each_hom_limited`] run the same search: one
 //! gate on variable-free atoms and inequalities, then one backtracker that
-//! hands each complete assignment to a visitor.
+//! hands each complete assignment to a visitor. The search compiles its
+//! plan once — per depth, the atom matched there and the index probed on
+//! each of its bound positions, with those indexes built and the
+//! relations' rows collected up front — so a search node allocates
+//! nothing: it takes the smallest bucket of its probes and iterates it in
+//! place.
 //!
 //! The engine is deliberately simple: it is the *reference* whose results
 //! the tree-decomposition engine (and everything built on top) is
@@ -21,10 +27,11 @@
 
 use crate::cancel::{Cancelled, EvalControl, Ticker};
 use crate::common::{
-    components, free_var_factor, ground_facts_hold, inequality_ok, resolve, IndexCache, UNASSIGNED,
+    free_var_factor, ground_facts_hold, inequality_ok, resolve, Access, UNASSIGNED,
 };
+use crate::prepared::PreparedQuery;
 use bagcq_arith::{Accumulator, Nat};
-use bagcq_query::{Query, Term};
+use bagcq_query::{Atom, Query, Term};
 use bagcq_structure::Structure;
 
 /// Reference counting engine (indexed backtracking).
@@ -60,21 +67,23 @@ impl NaiveCounter {
 /// The backtracking kernel, generic over the accumulator (requests run it
 /// over the widening [`bagcq_arith::Acc`]).
 pub(crate) fn try_count_generic<A: Accumulator>(
-    q: &Query,
+    p: &PreparedQuery<'_>,
     d: &Structure,
     ctl: &EvalControl,
 ) -> Result<Nat, Cancelled> {
     let _span = bagcq_obs::span("homcount.naive", "backtrack");
+    let q = p.query();
     if !ground_facts_hold(q, d) {
         return Ok(Nat::zero());
     }
-    let comps = components(q);
     let mut ticker = ctl.ticker();
+    let mut access = Access::default();
     let mut total = A::one();
-    for (atom_idx, ineq_idx, vars) in &comps.comps {
-        let order = order_atoms(q, d, atom_idx);
+    for comp in p.components() {
+        let order = order_atoms(q, d, &comp.atoms);
+        let plan = Plan::compile(q, d, &order, &comp.ineqs, &comp.vars, &mut access);
         let mut c = A::zero();
-        Search::run(q, d, &order, ineq_idx, vars, &mut ticker, &mut |_| {
+        plan.run(&access, &mut ticker, &mut |_| {
             c.add_one();
             true
         })?;
@@ -84,9 +93,9 @@ pub(crate) fn try_count_generic<A: Accumulator>(
         ctl.charge(c.heap_bytes())?;
         total.mul_assign_acc(&c);
     }
-    if comps.free_vars > 0 {
+    if p.free_vars() > 0 {
         let n = d.vertex_count() as u64;
-        total.mul_assign_nat(&free_var_factor(n, comps.free_vars as u64, ctl)?);
+        total.mul_assign_nat(&free_var_factor(n, p.free_vars() as u64, ctl)?);
     }
     Ok(total.into_nat())
 }
@@ -125,130 +134,188 @@ fn order_atoms(q: &Query, d: &Structure, atom_idx: &[usize]) -> Vec<usize> {
     order
 }
 
-/// The one backtracking search: matches the atoms of `order` in turn,
-/// then enumerates the domain for each variable of `vars` no atom bound.
-/// Every candidate tuple and every candidate vertex costs one tick, and
-/// the inequalities of `ineqs` are checked as soon as a variable binds.
-struct Search<'a, 't> {
-    q: &'a Query,
-    d: &'a Structure,
-    order: &'a [usize],
-    ineqs: &'a [usize],
-    vars: &'a [u32],
-    assign: Vec<u32>,
-    cache: IndexCache,
-    trail: Vec<u32>,
-    ticker: &'a mut Ticker<'t>,
+/// The atom matched at one depth of the search, and the index probed on
+/// each argument position bound on entry to that depth (a constant, or a
+/// variable an earlier atom binds), in position order.
+struct Level<'a> {
+    atom: &'a Atom,
+    /// `(position, index id)`.
+    probes: Vec<(usize, usize)>,
 }
 
-impl<'a, 't> Search<'a, 't> {
+/// The fixed half of one backtracking search: matches the atoms of an
+/// order in turn, then enumerates the domain for each variable of `vars`
+/// no atom bound, checking the inequalities of `ineqs` as soon as a
+/// variable binds.
+struct Plan<'a> {
+    q: &'a Query,
+    d: &'a Structure,
+    levels: Vec<Level<'a>>,
+    ineqs: &'a [usize],
+    vars: &'a [u32],
+}
+
+/// The mutable half: the partial assignment, the variables bound since
+/// each depth began (so a failed candidate unwinds), and the step counter.
+/// Every candidate tuple and every candidate vertex costs one tick.
+struct SearchState<'s, 't> {
+    assign: Vec<u32>,
+    trail: Vec<u32>,
+    ticker: &'s mut Ticker<'t>,
+}
+
+impl<'a> Plan<'a> {
+    /// Compiles the search over `order`: which positions each depth finds
+    /// bound and the index each one probes. Builds those indexes and
+    /// collects the matched relations' rows into `access`.
+    fn compile(
+        q: &'a Query,
+        d: &'a Structure,
+        order: &[usize],
+        ineqs: &'a [usize],
+        vars: &'a [u32],
+        access: &mut Access<'a>,
+    ) -> Self {
+        let mut bound = vec![false; q.var_count() as usize];
+        let mut levels = Vec::with_capacity(order.len());
+        for &ai in order {
+            let atom = &q.atoms()[ai];
+            let probes = (0..atom.args.len())
+                .filter(|&pos| match atom.args[pos] {
+                    Term::Const(_) => true,
+                    Term::Var(v) => bound[v.0 as usize],
+                })
+                .map(|pos| (pos, access.indexes.id(d, atom.rel, pos)))
+                .collect();
+            for t in &atom.args {
+                if let Term::Var(v) = t {
+                    bound[v.0 as usize] = true;
+                }
+            }
+            access.collect_rows(d, atom.rel);
+            levels.push(Level { atom, probes });
+        }
+        Plan { q, d, levels, ineqs, vars }
+    }
+
     /// Hands each complete assignment to `visit`, which returns `false` to
     /// stop the search.
     fn run(
-        q: &'a Query,
-        d: &'a Structure,
-        order: &'a [usize],
-        ineqs: &'a [usize],
-        vars: &'a [u32],
-        ticker: &'a mut Ticker<'t>,
+        &self,
+        access: &Access<'_>,
+        ticker: &mut Ticker<'_>,
         visit: &mut impl FnMut(&[u32]) -> bool,
     ) -> Result<(), Cancelled> {
-        let assign = vec![UNASSIGNED; q.var_count() as usize];
-        let cache = IndexCache::default();
-        let mut search =
-            Search { q, d, order, ineqs, vars, assign, cache, trail: Vec::new(), ticker };
-        search.atoms(0, visit).map(drop)
+        let mut state = SearchState {
+            assign: vec![UNASSIGNED; self.q.var_count() as usize],
+            trail: Vec::with_capacity(self.q.var_count() as usize),
+            ticker,
+        };
+        state.atoms(self, access, 0, visit).map(drop)
     }
 
-    /// Matches `order[depth..]`; `Ok(false)` once `visit` has stopped.
+    fn ineqs_ok(&self, assign: &[u32]) -> bool {
+        let ineqs = self.q.inequalities();
+        self.ineqs.iter().all(|&ii| inequality_ok(&ineqs[ii], assign, self.d))
+    }
+}
+
+impl SearchState<'_, '_> {
+    /// Matches the atoms from `depth` on; `Ok(false)` once `visit` has
+    /// stopped. Candidates come from the smallest bucket among the depth's
+    /// probes (ties to the first position), else from the whole relation.
     fn atoms(
         &mut self,
+        plan: &Plan<'_>,
+        access: &Access<'_>,
         depth: usize,
         visit: &mut impl FnMut(&[u32]) -> bool,
     ) -> Result<bool, Cancelled> {
-        if depth == self.order.len() {
-            return self.unbound(0, visit);
-        }
-        let (q, d) = (self.q, self.d);
-        let atom = &q.atoms()[self.order[depth]];
-        // Pick the most selective access path: a bound position with the
-        // smallest index bucket, else a full relation scan.
-        let mut best: Option<(usize, u32)> = None; // (position, value)
-        for (pos, t) in atom.args.iter().enumerate() {
-            let v = resolve(t, &self.assign, d);
-            if v == UNASSIGNED {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bp, bv)) => {
-                    self.cache.get(d, atom.rel, pos).get(v).len()
-                        < self.cache.get(d, atom.rel, bp).get(bv).len()
-                }
-            };
-            if better {
-                best = Some((pos, v));
-            }
-        }
-        let tuple_ids: Vec<u32> = match best {
-            Some((pos, v)) => self.cache.get(d, atom.rel, pos).get(v).to_vec(),
-            None => (0..d.atom_count(atom.rel) as u32).collect(),
+        let Some(level) = plan.levels.get(depth) else {
+            return self.unbound(plan, 0, visit);
         };
-        let tuples: Vec<&[u32]> = d.tuples(atom.rel).collect();
-
-        'tuples: for &ti in &tuple_ids {
-            self.ticker.tick()?;
-            let tuple = tuples[ti as usize];
-            let mark = self.trail.len();
-            for (t, &want) in atom.args.iter().zip(tuple) {
-                let fits = match t {
-                    Term::Const(c) => d.constant_vertex(*c).0 == want,
-                    Term::Var(v) if self.assign[v.0 as usize] == UNASSIGNED => {
-                        self.assign[v.0 as usize] = want;
-                        self.trail.push(v.0);
-                        self.ineqs_ok()
+        let mut best: Option<&[u32]> = None;
+        for &(pos, index) in &level.probes {
+            let v = resolve(&level.atom.args[pos], &self.assign, plan.d);
+            let ids = access.indexes.by_id(index).get(v);
+            if best.is_none_or(|fewest| ids.len() < fewest.len()) {
+                best = Some(ids);
+            }
+        }
+        let rows = &access.rows[level.atom.rel.0 as usize];
+        match best {
+            Some(ids) => {
+                for &ti in ids {
+                    if !self.candidate(plan, access, depth, rows[ti as usize], visit)? {
+                        return Ok(false);
                     }
-                    Term::Var(v) => self.assign[v.0 as usize] == want,
-                };
-                if !fits {
-                    self.unwind(mark);
-                    continue 'tuples;
                 }
             }
-            if !self.atoms(depth + 1, visit)? {
-                return Ok(false);
+            None => {
+                for &tuple in rows {
+                    if !self.candidate(plan, access, depth, tuple, visit)? {
+                        return Ok(false);
+                    }
+                }
             }
-            self.unwind(mark);
         }
         Ok(true)
     }
 
+    /// Tries `tuple` for the atom at `depth`: one tick, then binds the
+    /// atom's unbound variables and recurses if it fits.
+    fn candidate(
+        &mut self,
+        plan: &Plan<'_>,
+        access: &Access<'_>,
+        depth: usize,
+        tuple: &[u32],
+        visit: &mut impl FnMut(&[u32]) -> bool,
+    ) -> Result<bool, Cancelled> {
+        self.ticker.tick()?;
+        let mark = self.trail.len();
+        for (t, &want) in plan.levels[depth].atom.args.iter().zip(tuple) {
+            let fits = match t {
+                Term::Const(c) => plan.d.constant_vertex(*c).0 == want,
+                Term::Var(v) if self.assign[v.0 as usize] == UNASSIGNED => {
+                    self.assign[v.0 as usize] = want;
+                    self.trail.push(v.0);
+                    plan.ineqs_ok(&self.assign)
+                }
+                Term::Var(v) => self.assign[v.0 as usize] == want,
+            };
+            if !fits {
+                self.unwind(mark);
+                return Ok(true);
+            }
+        }
+        let go_on = self.atoms(plan, access, depth + 1, visit)?;
+        self.unwind(mark);
+        Ok(go_on)
+    }
+
     /// Enumerates the domain for each still-unbound variable of
-    /// `vars[i..]`; `Ok(false)` once `visit` has stopped.
+    /// `plan.vars[i..]`; `Ok(false)` once `visit` has stopped.
     fn unbound(
         &mut self,
+        plan: &Plan<'_>,
         i: usize,
         visit: &mut impl FnMut(&[u32]) -> bool,
     ) -> Result<bool, Cancelled> {
-        let next = self.vars[i..].iter().position(|&v| self.assign[v as usize] == UNASSIGNED);
+        let next = plan.vars[i..].iter().position(|&v| self.assign[v as usize] == UNASSIGNED);
         let Some(k) = next else {
             return Ok(visit(&self.assign));
         };
-        let v = self.vars[i + k] as usize;
-        for u in 0..self.d.vertex_count() {
+        let v = plan.vars[i + k] as usize;
+        for u in 0..plan.d.vertex_count() {
             self.ticker.tick()?;
             self.assign[v] = u;
-            if self.ineqs_ok() && !self.unbound(i + k + 1, visit)? {
+            if plan.ineqs_ok(&self.assign) && !self.unbound(plan, i + k + 1, visit)? {
                 return Ok(false);
             }
         }
         self.assign[v] = UNASSIGNED;
         Ok(true)
-    }
-
-    fn ineqs_ok(&self) -> bool {
-        let ineqs = self.q.inequalities();
-        self.ineqs.iter().all(|&ii| inequality_ok(&ineqs[ii], &self.assign, self.d))
     }
 
     fn unwind(&mut self, mark: usize) {
@@ -286,9 +353,11 @@ pub fn try_for_each_hom_limited(
     let all_ineqs: Vec<usize> = (0..q.inequalities().len()).collect();
     let all_vars: Vec<u32> = (0..q.var_count()).collect();
     let order = order_atoms(q, d, &all_atoms);
+    let mut access = Access::default();
+    let plan = Plan::compile(q, d, &order, &all_ineqs, &all_vars, &mut access);
     let mut ticker = ctl.ticker();
     let mut seen: u64 = 0;
-    Search::run(q, d, &order, &all_ineqs, &all_vars, &mut ticker, &mut |assign| {
+    plan.run(&access, &mut ticker, &mut |assign| {
         seen += 1;
         f(assign) && (limit == 0 || seen < limit)
     })

@@ -1,11 +1,12 @@
 //! The optimized counting engine: `#Hom` by dynamic programming over a
 //! tree decomposition of the query's primal graph.
 //!
-//! Each connected component is decomposed by min-fill, and each bag is
-//! compiled once per count into a `BagPlan`: an enumeration order for
-//! its variables (connectivity first) and, per position, the atoms,
-//! inequalities and child tables that become fully bound there, resolved
-//! to bag slots and constant vertices. A position with a closing atom that
+//! Each connected component is decomposed by min-fill once per query —
+//! the [`PreparedQuery`] holds the decomposition, and `Auto` reads the
+//! same one — and each bag is compiled once per count into a `BagPlan`:
+//! an enumeration order for its variables (connectivity first) and, per
+//! position, the atoms, inequalities and child tables that become fully
+//! bound there, resolved to bag slots and constant vertices. A position with a closing atom that
 //! holds the new variable exactly once takes its candidates from that
 //! atom's index bucket on a bound position, keeping only the tuples that
 //! agree with every bound position — so each vertex comes out at most
@@ -22,8 +23,9 @@
 //! families (paths, cycles, stars, grids; experiment E-PERF1).
 
 use crate::cancel::{CancelReason, Cancelled, EvalControl, Ticker};
-use crate::common::{components, free_var_factor, ground_facts_hold, IndexCache, UNASSIGNED};
-use crate::treedec::{min_fill, BitGraph, TreeDecomposition};
+use crate::common::{free_var_factor, ground_facts_hold, Access, IndexCache};
+use crate::prepared::{local_vars, PreparedQuery};
+use crate::treedec::TreeDecomposition;
 use bagcq_arith::{Accumulator, Nat};
 use bagcq_query::{Query, Term};
 use bagcq_structure::{RelId, Structure};
@@ -36,39 +38,38 @@ pub struct TreewidthCounter;
 
 impl TreewidthCounter {
     /// The width min-fill found for this query's primal graph (diagnostics
-    /// and bench labeling).
+    /// and bench labeling): [`PreparedQuery::width`].
     pub fn decomposition_width(&self, q: &Query) -> usize {
-        let comps = components(q);
-        comps
-            .comps
-            .iter()
-            .map(|(atom_idx, ineq_idx, vars)| {
-                let (td, _) = decompose_component(q, atom_idx, ineq_idx, vars);
-                td.width()
-            })
-            .max()
-            .unwrap_or(0)
+        PreparedQuery::new(q).width()
     }
 }
 
 /// The DP kernel, generic over the accumulator (requests run it over the
-/// widening [`bagcq_arith::Acc`]).
+/// widening [`bagcq_arith::Acc`]). Each component's decomposition comes
+/// from the prepared query, built there once.
 pub(crate) fn try_count_generic<A: Accumulator>(
-    q: &Query,
+    p: &PreparedQuery<'_>,
     d: &Structure,
     ctl: &EvalControl,
 ) -> Result<Nat, Cancelled> {
+    let q = p.query();
     if !ground_facts_hold(q, d) {
         return Ok(Nat::zero());
     }
-    let comps = components(q);
     let mut ticker = ctl.ticker();
     let mut access = Access::default();
     let mut gauge = TableGauge::default();
     let mut total = A::one();
-    for (atom_idx, ineq_idx, vars) in &comps.comps {
-        let (td, local) = decompose_component(q, atom_idx, ineq_idx, vars);
-        let component = Component { q, d, atom_idx, ineq_idx, td: &td, local: &local };
+    for comp in p.components() {
+        let dec = comp.decomposition(q);
+        let component = Component {
+            q,
+            d,
+            atom_idx: &comp.atoms,
+            ineq_idx: &comp.ineqs,
+            td: &dec.td,
+            local: &dec.local,
+        };
         let c = component.count::<A>(&mut access, &mut gauge, ctl, &mut ticker)?;
         if c.is_zero() {
             return Ok(Nat::zero());
@@ -76,68 +77,10 @@ pub(crate) fn try_count_generic<A: Accumulator>(
         ctl.charge(c.heap_bytes())?;
         total.mul_assign_acc(&c);
     }
-    if comps.free_vars > 0 {
-        total.mul_assign_nat(&free_var_factor(
-            d.vertex_count() as u64,
-            comps.free_vars as u64,
-            ctl,
-        )?);
+    if p.free_vars() > 0 {
+        total.mul_assign_nat(&free_var_factor(d.vertex_count() as u64, p.free_vars() as u64, ctl)?);
     }
     Ok(total.into_nat())
-}
-
-/// The local variables (indexes into the component's variable list) of a
-/// term list.
-fn local_vars<'a>(terms: impl IntoIterator<Item = &'a Term>, local: &'a [u32]) -> Vec<u32> {
-    terms
-        .into_iter()
-        .filter_map(|t| match t {
-            Term::Var(v) => Some(local[v.0 as usize]),
-            Term::Const(_) => None,
-        })
-        .collect()
-}
-
-/// Builds the local primal graph and its decomposition for one component.
-/// Returns the TD (over *local* variable indexes) and the local index of
-/// each global variable (`UNASSIGNED` outside the component).
-pub(crate) fn decompose_component(
-    q: &Query,
-    atom_idx: &[usize],
-    ineq_idx: &[usize],
-    vars: &[u32],
-) -> (TreeDecomposition, Vec<u32>) {
-    let _span = bagcq_obs::span("homcount.treedec", "min-fill");
-    let mut local = vec![UNASSIGNED; q.var_count() as usize];
-    for (i, &v) in vars.iter().enumerate() {
-        local[v as usize] = i as u32;
-    }
-    let mut graph = BitGraph::new(vars.len());
-    let mut connect_all = |vs: &[u32]| {
-        for (i, &a) in vs.iter().enumerate() {
-            for &b in &vs[i + 1..] {
-                graph.connect(a, b);
-            }
-        }
-    };
-    for &ai in atom_idx {
-        connect_all(&local_vars(&q.atoms()[ai].args, &local));
-    }
-    for &ii in ineq_idx {
-        let ineq = &q.inequalities()[ii];
-        connect_all(&local_vars([&ineq.lhs, &ineq.rhs], &local));
-    }
-    (min_fill(graph), local)
-}
-
-/// Access paths shared by every component of one count: the position
-/// indexes the candidate buckets come from and, per relation id, the
-/// relation's tuples by id (filled for the relations that source
-/// candidates).
-#[derive(Default)]
-struct Access<'d> {
-    indexes: IndexCache,
-    rows: Vec<Vec<&'d [u32]>>,
 }
 
 /// One connected component of the query, with the structure it is
@@ -390,13 +333,7 @@ impl<'a> Component<'a, '_> {
                     let index = access.indexes.id(d, atom.rel, probe);
                     step.sources.push(Source { atom: step.atoms.len(), new_pos, probe, index });
                 }
-                let r = atom.rel.0 as usize;
-                if access.rows.len() <= r {
-                    access.rows.resize_with(r + 1, Vec::new);
-                }
-                if access.rows[r].is_empty() {
-                    access.rows[r] = d.tuples(atom.rel).collect();
-                }
+                access.collect_rows(d, atom.rel);
             }
             step.atoms.push(Closing { rel: atom.rel, args: atom.args.iter().map(arg).collect() });
         }

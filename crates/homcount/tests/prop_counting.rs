@@ -5,8 +5,8 @@
 //! laws (Lemma 1, Definition 2, Lemma 22).
 
 use bagcq_arith::{acc_promotions, Nat};
-use bagcq_homcount::{BackendChoice, CountRequest};
-use bagcq_query::{path_query, Query, QueryGen};
+use bagcq_homcount::{BackendChoice, CountRequest, PreparedQuery};
+use bagcq_query::{path_query, Query, QueryGen, Term};
 use bagcq_structure::{Schema, SchemaBuilder, Structure, StructureGen, Vertex};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -192,6 +192,43 @@ proptest! {
             bagcq_homcount::NaiveCounter.count_enumerative(&q, &d),
             naive_count(&q, &d)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A query prepared once counts, on every structure and under every
+    /// backend, exactly what a request that prepares its own query
+    /// counts, and `Auto` resolves the same way from both.
+    #[test]
+    fn prepared_counts_equal_unprepared(
+        qseed in 0u64..10_000,
+        dseed in 0u64..10_000,
+        vars in 2u32..6,
+        atoms in 2usize..6,
+        ineqs in 1usize..3,
+    ) {
+        let qg = QueryGen { variables: vars, atoms, constant_prob: 0.3, inequalities: ineqs };
+        let q = qg.sample(&schema(), qseed);
+        prop_assume!(q.atoms().iter().any(|a| a.args.iter().any(|t| matches!(t, Term::Const(_)))));
+        let p = PreparedQuery::new(&q);
+        for i in 0..12u64 {
+            let d = small_structure(dseed.wrapping_add(i), 1 + (i % 4) as u32, 0.2 + 0.05 * i as f64);
+            prop_assert_eq!(
+                BackendChoice::Auto.resolve_prepared(&p, &d),
+                BackendChoice::Auto.resolve(&q, &d)
+            );
+            for choice in BackendChoice::ALL {
+                prop_assert_eq!(
+                    CountRequest::prepared(&p, &d).backend(choice).count(),
+                    CountRequest::new(&q, &d).backend(choice).count(),
+                    "backend {} on query {}",
+                    choice,
+                    q
+                );
+            }
+        }
     }
 }
 

@@ -27,6 +27,8 @@
 //! [`ShedReason::ConnectionLimit`] → 429;
 //! [`ShedReason::Draining`] → 503;
 //! [`Outcome::TimedOut`] → 504;
+//! [`Outcome::MemoryBudgetExceeded`] → 422 `budget` (the request does not
+//! fit the engine's byte budget; 413 already means an oversized body);
 //! [`Outcome::Panicked`] → 500. Parse/frame errors → 400 with the caret
 //! snippet verbatim; a `semantics`/`containment` combination no backend
 //! supports → typed 400 `unsupported_semantics` (rejected at the parse
@@ -902,6 +904,16 @@ fn respond(outcome: Outcome, responder: Responder) -> (u16, &'static str, String
             504,
             "Gateway Timeout",
             WireResponse::error("timeout", "job hit its wall-clock deadline").render(),
+        ),
+        Outcome::MemoryBudgetExceeded => (
+            422,
+            "Unprocessable Entity",
+            WireResponse::error(
+                "budget",
+                "memory budget exceeded: the evaluation's big-integer state does not fit \
+                 the engine's byte budget",
+            )
+            .render(),
         ),
         Outcome::Panicked(msg) => {
             (500, "Internal Server Error", WireResponse::error("panic", msg).render())

@@ -131,8 +131,9 @@ fn engine_jobs_count_memo_misses_and_admissions_count_frames() {
 }
 
 /// One tenant's frames that overflow the engine's byte budget answer
-/// typed 500s, and leave another tenant's count that fits at 200: the
-/// engine shares no failure state between callers.
+/// typed 422 `budget` errors (not 500 `panic`: nothing crashed), and
+/// leave another tenant's count that fits at 200: the engine shares no
+/// failure state between callers.
 #[test]
 fn one_tenants_budget_denials_leave_another_tenants_count_at_200() {
     use bagcq_engine::EngineConfig;
@@ -160,15 +161,18 @@ fn one_tenants_budget_denials_leave_another_tenants_count_at_200() {
         let atoms: Vec<String> = (0..k).map(|i| format!("e(X{i}, Y{i})")).collect();
         let body = format!("query: ?- {}.\ndata: e(a, b). e(b, c).\n", atoms.join(", "));
         let (status, text) = post(&addr, "/v1/count", "a-key", &body);
-        assert_eq!(status, 500, "k={k}: {text}");
+        assert_eq!(status, 422, "k={k}: {text}");
         match parse_response(&text).expect("well-formed error frame") {
             WireResponse::Error { kind, detail, .. } => {
-                assert_eq!(kind, "panic", "k={k}");
+                assert_eq!(kind, "budget", "k={k}");
                 assert!(detail.contains("memory budget"), "k={k}: {detail}");
             }
             other => panic!("k={k}: expected a typed error, got {other:?}"),
         }
     }
+    let metrics = server.metrics();
+    assert_eq!((metrics.jobs_over_budget, metrics.jobs_panicked), (5, 0), "{metrics}");
+    assert!(metrics.render().contains("panicked=0 over_budget=5"), "{metrics}");
 
     let body = "query: ?- e(X, Y), e(Y, Z).\ndata: e(a, b). e(b, c). e(c, a). e(a, a).\n";
     let job = bagcq_serve::parse_count_request(body).expect("valid frame");
