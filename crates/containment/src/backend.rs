@@ -296,14 +296,6 @@ impl CheckSpec {
         self.q_s.len() == 1 && self.q_b.len() == 1
     }
 
-    /// The CQ pair, when both sides are single disjuncts.
-    pub fn cq_pair(&self) -> Option<(&Query, &Query)> {
-        match (self.q_s.disjuncts(), self.q_b.disjuncts()) {
-            ([s], [b]) => Some((s, b)),
-            _ => None,
-        }
-    }
-
     /// The backend `Auto` picks absent any override: by `(semantics,
     /// query class)` — CQ pairs go to the dedicated pair backends, real
     /// unions to the UCQ backends.

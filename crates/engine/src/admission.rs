@@ -43,12 +43,6 @@ impl TenantQuota {
     pub fn unlimited() -> Self {
         TenantQuota { rate_per_sec: 0, burst: 0, max_in_flight: 0, max_connections: 0 }
     }
-
-    /// Replaces the connection cap.
-    pub fn with_max_connections(mut self, max_connections: u64) -> Self {
-        self.max_connections = max_connections;
-        self
-    }
 }
 
 impl Default for TenantQuota {
@@ -130,10 +124,10 @@ pub struct TenantCounters {
     /// Connections outstanding at snapshot time.
     pub open_connections: u64,
     /// Requests answered from the idempotency cache *without* charging
-    /// admission again. `admitted` counts each idempotency key at most
-    /// once; this counter proves retried deliveries were deduplicated
-    /// (exactly-once charging: `admitted + idempotent_replays` equals
-    /// total answered requests).
+    /// admission again. The server records a key only when its 200 was
+    /// computed, not when its response memo answered it: `admitted`
+    /// counts a key once when its 200 was computed, and once per
+    /// delivery, retries included, when the memo answered it.
     pub idempotent_replays: u64,
 }
 

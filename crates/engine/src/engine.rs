@@ -66,8 +66,8 @@ use crate::trace::{fp_bits, outcome_label};
 use bagcq_arith::Nat;
 use bagcq_containment::CheckError;
 use bagcq_homcount::{
-    eval_power_query_with, BackendChoice, CancelReason, CancelToken, Cancelled, CheckpointHook,
-    CountError, CountRequest, Engine, EvalControl, PreparedQuery,
+    eval_power_query_with, BackendChoice, CancelReason, Cancelled, CheckpointHook, CountError,
+    CountRequest, Engine, EvalControl, PreparedQuery,
 };
 use bagcq_obs as obs;
 use bagcq_structure::{Fingerprint, Structure};
@@ -318,15 +318,14 @@ impl Shared {
         }
     }
 
-    /// The evaluation controls for one attempt: deadline token, step
+    /// The evaluation controls for one attempt: the job's deadline, step
     /// budget, the engine checkpoint hook (drain stop + fault injection),
     /// and a fresh per-attempt memory scope when a byte budget is
     /// configured (scopes release what they charged when the attempt
     /// ends, so a failed giant gives its bytes back).
     fn controls(&self, deadline: Option<Instant>, step_budget: u64) -> EvalControl {
-        let token = deadline.map(CancelToken::with_deadline);
         let hook = Some(Arc::clone(&self.hook) as Arc<dyn CheckpointHook>);
-        let mut ctl = EvalControl::with_hook(step_budget, token, hook);
+        let mut ctl = EvalControl::with_hook(step_budget, deadline, hook);
         if let Some(budget) = &self.budget {
             ctl = ctl.with_memory_gauge(Arc::new(budget.scope()));
         }
@@ -366,13 +365,10 @@ impl Shared {
             };
             // What a hop-eligible failure resolves as when no hop is left.
             let terminal = match failure {
-                // Nothing cancels a token but its own deadline, which the
-                // token latches as a plain `Cancelled`; a drain hard stop
-                // means the engine is going away.
+                // The job's own deadline passed, or a drain hard stop means
+                // the engine is going away.
                 JobFailure::Cancelled(
-                    CancelReason::DeadlineExceeded
-                    | CancelReason::Cancelled
-                    | CancelReason::ShuttingDown,
+                    CancelReason::DeadlineExceeded | CancelReason::ShuttingDown,
                 ) => return Outcome::TimedOut,
                 JobFailure::Mismatch(msg) => {
                     // Both kernels would disagree again.

@@ -21,10 +21,10 @@
 //!   ([`bagcq_structure::Fingerprint`]): structurally equal jobs are
 //!   computed once; concurrent duplicates join the in-flight computation
 //!   instead of repeating it.
-//! * **Deadlines and step budgets** via the cooperative
-//!   [`bagcq_homcount::CancelToken`] machinery: a pathological count
-//!   returns [`Outcome::TimedOut`] while unrelated jobs in the same batch
-//!   complete normally.
+//! * **Deadlines and step budgets**, carried on each attempt's
+//!   [`bagcq_homcount::EvalControl`] and polled by the counting loops: a
+//!   pathological count returns [`Outcome::TimedOut`] while unrelated
+//!   jobs in the same batch complete normally.
 //! * **Panic isolation**: evaluations run under `catch_unwind`, so a
 //!   panicking job yields [`Outcome::Panicked`] without poisoning the
 //!   memo cache or unwinding into its caller.

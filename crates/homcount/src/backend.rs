@@ -29,7 +29,7 @@
 //! pinned backends are never overridden, so differential tests stay
 //! meaningful under the matrix.
 
-use crate::cancel::{CancelReason, Cancelled, EvalControl, MemoryGauge};
+use crate::cancel::{CancelReason, Cancelled, EvalControl};
 use crate::eval::Engine;
 use crate::prepared::PreparedQuery;
 use crate::{naive, tw};
@@ -39,7 +39,7 @@ use bagcq_structure::Structure;
 use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Typed failure of one counting request.
 ///
@@ -289,7 +289,7 @@ impl<'a> CountRequest<'a> {
         self
     }
 
-    /// Installs full cancellation controls (budget, token, checkpoint
+    /// Installs full evaluation controls (budget, deadline, checkpoint
     /// hook, memory gauge).
     pub fn control(mut self, control: EvalControl) -> Self {
         self.control = control;
@@ -299,18 +299,6 @@ impl<'a> CountRequest<'a> {
     /// Sets the step budget (`0` = unlimited) on the current controls.
     pub fn step_budget(mut self, steps: u64) -> Self {
         self.control = self.control.with_step_budget(steps);
-        self
-    }
-
-    /// Installs a cancellation token on the current controls.
-    pub fn cancel(mut self, token: crate::cancel::CancelToken) -> Self {
-        self.control = self.control.with_cancel(token);
-        self
-    }
-
-    /// Installs a memory gauge on the current controls.
-    pub fn memory_gauge(mut self, gauge: Arc<dyn MemoryGauge>) -> Self {
-        self.control = self.control.with_memory_gauge(gauge);
         self
     }
 
@@ -425,19 +413,18 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_trips_request() {
-        use crate::cancel::CancelToken;
+    fn passed_deadline_trips_request() {
+        use std::time::{Duration, Instant};
         let (s, d) = complete(6);
         let q = path_query(&s, "E", 6);
-        let token = CancelToken::new();
-        token.cancel();
+        let passed = Instant::now() - Duration::from_millis(1);
         // Pin the backtracking kernel: the DP finishes this query in fewer
-        // than CHECK_INTERVAL ticks, so the token would never be polled.
+        // than CHECK_INTERVAL ticks, so the deadline would never be polled.
         let err = CountRequest::new(&q, &d)
             .backend(BackendChoice::Naive)
-            .cancel(token)
+            .control(EvalControl::new(0, Some(passed)))
             .run()
             .unwrap_err();
-        assert!(matches!(err, CountError::Cancelled(_)));
+        assert_eq!(err.cancel_reason(), Some(CancelReason::DeadlineExceeded));
     }
 }

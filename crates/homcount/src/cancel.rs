@@ -1,31 +1,28 @@
-//! Cooperative cancellation and step budgets for the counting loops.
+//! Cooperative deadlines and step budgets for the counting loops.
 //!
 //! The paper's constructions make it easy to write down queries whose
 //! naive evaluation is astronomically expensive (that is the point of
 //! Theorem 1's reduction). The evaluation engine therefore needs a way to
 //! bound a count without killing the thread running it: counting loops
-//! periodically poll a [`CancelToken`] (shared flag + optional wall-clock
-//! deadline) and a step budget, and return [`Cancelled`] instead of an
-//! answer when either trips.
+//! periodically poll an [`EvalControl`]'s optional wall-clock deadline
+//! and its step budget, and return [`Cancelled`] instead of an answer
+//! when either trips.
 //!
-//! Polling is amortized: a [`Ticker`] checks the token only every
+//! Polling is amortized: a [`Ticker`] reads the clock only every
 //! [`CHECK_INTERVAL`] steps, so the fast path of the backtracking engines
 //! stays one increment-and-mask per step.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How many ticks pass between token/deadline polls (a power of two).
+/// How many ticks pass between deadline polls (a power of two).
 pub const CHECK_INTERVAL: u64 = 1024;
 
 /// Why a computation was cancelled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CancelReason {
-    /// [`CancelToken::cancel`] was called.
-    Cancelled,
-    /// The token's deadline passed.
+    /// The control's deadline passed.
     DeadlineExceeded,
     /// The step budget ran out.
     BudgetExhausted,
@@ -46,7 +43,6 @@ pub struct Cancelled(pub CancelReason);
 impl fmt::Display for Cancelled {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.0 {
-            CancelReason::Cancelled => write!(f, "computation cancelled"),
             CancelReason::DeadlineExceeded => write!(f, "computation deadline exceeded"),
             CancelReason::BudgetExhausted => write!(f, "computation step budget exhausted"),
             CancelReason::MemoryBudgetExceeded => {
@@ -58,72 +54,6 @@ impl fmt::Display for Cancelled {
 }
 
 impl std::error::Error for Cancelled {}
-
-#[derive(Debug)]
-struct TokenInner {
-    flag: AtomicBool,
-    deadline: Option<Instant>,
-}
-
-/// Shareable cancellation handle: an explicit flag plus an optional
-/// deadline. Cloning shares the same underlying state, so an engine can
-/// hand one clone to a worker and keep another to cancel it.
-#[derive(Clone, Debug)]
-pub struct CancelToken {
-    inner: Arc<TokenInner>,
-}
-
-impl CancelToken {
-    /// A token that only cancels when [`CancelToken::cancel`] is called.
-    pub fn new() -> Self {
-        CancelToken { inner: Arc::new(TokenInner { flag: AtomicBool::new(false), deadline: None }) }
-    }
-
-    /// A token that additionally trips once `deadline` passes.
-    pub fn with_deadline(deadline: Instant) -> Self {
-        CancelToken {
-            inner: Arc::new(TokenInner { flag: AtomicBool::new(false), deadline: Some(deadline) }),
-        }
-    }
-
-    /// Requests cancellation; all clones observe it at their next poll.
-    pub fn cancel(&self) {
-        self.inner.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// The deadline this token carries, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.deadline
-    }
-
-    /// Polls the token. `Err` carries whether the explicit flag or the
-    /// deadline tripped.
-    pub fn check(&self) -> Result<(), Cancelled> {
-        if self.inner.flag.load(Ordering::Relaxed) {
-            return Err(Cancelled(CancelReason::Cancelled));
-        }
-        if let Some(deadline) = self.inner.deadline {
-            if Instant::now() >= deadline {
-                // Latch, so clones see the cancellation without re-reading
-                // the clock.
-                self.inner.flag.store(true, Ordering::Relaxed);
-                return Err(Cancelled(CancelReason::DeadlineExceeded));
-            }
-        }
-        Ok(())
-    }
-
-    /// Non-erroring form of [`CancelToken::check`].
-    pub fn is_cancelled(&self) -> bool {
-        self.check().is_err()
-    }
-}
-
-impl Default for CancelToken {
-    fn default() -> Self {
-        CancelToken::new()
-    }
-}
 
 /// A callback fired at evaluation checkpoints.
 ///
@@ -166,14 +96,15 @@ pub trait MemoryGauge: Send + Sync {
     fn try_reserve(&self, bytes: u64) -> Result<(), Cancelled>;
 }
 
-/// Bundled cancellation controls for one evaluation: optional token plus
-/// optional step budget (`0` = unlimited) plus an optional
-/// [`CheckpointHook`] for fault injection plus an optional [`MemoryGauge`]
-/// for allocation accounting.
+/// Bundled controls for one evaluation: a step budget (`0` = unlimited),
+/// an optional wall-clock deadline, an optional [`CheckpointHook`] for
+/// the drain's hard stop and fault injection, and an optional
+/// [`MemoryGauge`] for allocation accounting. A clone shares the hook and
+/// the gauge; the budget and the deadline are plain values.
 #[derive(Clone, Default)]
 pub struct EvalControl {
     step_budget: u64,
-    cancel: Option<CancelToken>,
+    deadline: Option<Instant>,
     hook: Option<Arc<dyn CheckpointHook>>,
     mem: Option<Arc<dyn MemoryGauge>>,
 }
@@ -182,7 +113,7 @@ impl fmt::Debug for EvalControl {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EvalControl")
             .field("step_budget", &self.step_budget)
-            .field("cancel", &self.cancel)
+            .field("deadline", &self.deadline)
             .field("hook", &self.hook.as_ref().map(|_| "<hook>"))
             .field("mem", &self.mem.as_ref().map(|_| "<gauge>"))
             .finish()
@@ -190,23 +121,23 @@ impl fmt::Debug for EvalControl {
 }
 
 impl EvalControl {
-    /// No budget, no token: counting never stops early.
+    /// No budget, no deadline: counting never stops early.
     pub fn unlimited() -> Self {
         EvalControl::default()
     }
 
-    /// Controls with the given budget (`0` = unlimited) and token.
-    pub fn new(step_budget: u64, cancel: Option<CancelToken>) -> Self {
-        EvalControl { step_budget, cancel, hook: None, mem: None }
+    /// Controls with the given budget (`0` = unlimited) and deadline.
+    pub fn new(step_budget: u64, deadline: Option<Instant>) -> Self {
+        EvalControl { step_budget, deadline, hook: None, mem: None }
     }
 
-    /// Controls with a budget, token, and checkpoint hook.
+    /// Controls with a budget, deadline, and checkpoint hook.
     pub fn with_hook(
         step_budget: u64,
-        cancel: Option<CancelToken>,
+        deadline: Option<Instant>,
         hook: Option<Arc<dyn CheckpointHook>>,
     ) -> Self {
-        EvalControl { step_budget, cancel, hook, mem: None }
+        EvalControl { step_budget, deadline, hook, mem: None }
     }
 
     /// Installs a memory gauge on these controls (builder style).
@@ -220,18 +151,6 @@ impl EvalControl {
     pub fn with_step_budget(mut self, step_budget: u64) -> Self {
         self.step_budget = step_budget;
         self
-    }
-
-    /// Installs a cancellation token on these controls (builder style).
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// True iff no budget, token, hook, or gauge is set (the fast path
-    /// can skip all bookkeeping).
-    pub fn is_unlimited(&self) -> bool {
-        self.step_budget == 0 && self.cancel.is_none() && self.hook.is_none() && self.mem.is_none()
     }
 
     /// Fires the checkpoint hook, if one is installed.
@@ -262,8 +181,8 @@ impl EvalControl {
 }
 
 /// Amortized step counter: cheap `tick()` per loop iteration, with the
-/// token polled every [`CHECK_INTERVAL`] ticks and the budget enforced
-/// exactly.
+/// deadline and the checkpoint hook polled every [`CHECK_INTERVAL`] ticks
+/// and the budget enforced exactly.
 pub struct Ticker<'a> {
     control: &'a EvalControl,
     steps: u64,
@@ -271,7 +190,7 @@ pub struct Ticker<'a> {
 
 impl Ticker<'_> {
     /// Records one unit of work; errors if the budget is exhausted or (at
-    /// poll boundaries) the token has tripped.
+    /// poll boundaries) the deadline has passed or the hook refuses.
     #[inline]
     pub fn tick(&mut self) -> Result<(), Cancelled> {
         self.steps += 1;
@@ -280,8 +199,8 @@ impl Ticker<'_> {
             return Err(Cancelled(CancelReason::BudgetExhausted));
         }
         if self.steps.is_multiple_of(CHECK_INTERVAL) {
-            if let Some(token) = &self.control.cancel {
-                token.check()?;
+            if self.control.deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(Cancelled(CancelReason::DeadlineExceeded));
             }
             self.control.checkpoint("homcount/tick")?;
         }
@@ -297,24 +216,30 @@ impl Ticker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
 
     #[test]
-    fn token_cancels_all_clones() {
-        let t = CancelToken::new();
-        let c = t.clone();
-        assert!(!c.is_cancelled());
-        t.cancel();
-        assert!(c.is_cancelled());
-        assert_eq!(c.check(), Err(Cancelled(CancelReason::Cancelled)));
-    }
-
-    #[test]
-    fn deadline_trips() {
-        let t = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        assert_eq!(t.check(), Err(Cancelled(CancelReason::DeadlineExceeded)));
-        let far = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
-        assert!(!far.is_cancelled());
+    fn passed_deadline_trips_each_ticker_at_its_first_poll() {
+        let ctl = EvalControl::new(0, Some(Instant::now() - Duration::from_millis(1)));
+        // A check's consecutive counts each start a ticker over one control:
+        // every one of them reports the deadline, not just the first.
+        for count in 0..2 {
+            let mut ticker = ctl.ticker();
+            for _ in 1..CHECK_INTERVAL {
+                assert!(ticker.tick().is_ok(), "count {count} tripped before its first poll");
+            }
+            assert_eq!(
+                ticker.tick(),
+                Err(Cancelled(CancelReason::DeadlineExceeded)),
+                "count {count}"
+            );
+        }
+        let far = EvalControl::new(0, Some(Instant::now() + Duration::from_secs(3600)));
+        let mut ticker = far.ticker();
+        for _ in 0..2 * CHECK_INTERVAL {
+            assert!(ticker.tick().is_ok());
+        }
     }
 
     #[test]
@@ -325,22 +250,6 @@ mod tests {
             assert!(ticker.tick().is_ok());
         }
         assert_eq!(ticker.tick(), Err(Cancelled(CancelReason::BudgetExhausted)));
-    }
-
-    #[test]
-    fn cancellation_observed_at_poll_boundary() {
-        let token = CancelToken::new();
-        let ctl = EvalControl::new(0, Some(token.clone()));
-        let mut ticker = ctl.ticker();
-        token.cancel();
-        let mut tripped = false;
-        for _ in 0..CHECK_INTERVAL + 1 {
-            if ticker.tick().is_err() {
-                tripped = true;
-                break;
-            }
-        }
-        assert!(tripped);
     }
 
     #[test]
@@ -355,7 +264,7 @@ mod tests {
             fn checkpoint(&self, _site: &'static str) -> Result<(), Cancelled> {
                 let n = self.fires.fetch_add(1, Ordering::Relaxed) + 1;
                 if n >= self.fail_from {
-                    Err(Cancelled(CancelReason::Cancelled))
+                    Err(Cancelled(CancelReason::ShuttingDown))
                 } else {
                     Ok(())
                 }
@@ -364,10 +273,9 @@ mod tests {
 
         let hook = Arc::new(Hook { fires: AtomicU64::new(0), fail_from: 2 });
         let ctl = EvalControl::with_hook(0, None, Some(Arc::clone(&hook) as _));
-        assert!(!ctl.is_unlimited(), "a hook disables the unlimited fast path");
         // Direct checkpoint: first fire ok, second fire cancels.
         assert!(ctl.checkpoint("test/site").is_ok());
-        assert_eq!(ctl.checkpoint("test/site"), Err(Cancelled(CancelReason::Cancelled)));
+        assert_eq!(ctl.checkpoint("test/site"), Err(Cancelled(CancelReason::ShuttingDown)));
         // Ticker path: the third fire happens at the first poll boundary.
         let mut ticker = ctl.ticker();
         let mut tripped = false;
@@ -404,7 +312,6 @@ mod tests {
         assert!(ctl.charge(u64::MAX).is_ok(), "no gauge: charging is free");
         let gauged = EvalControl::unlimited()
             .with_memory_gauge(Arc::new(Gauge { limit: 100, used: AtomicU64::new(0) }));
-        assert!(!gauged.is_unlimited(), "a gauge disables the unlimited fast path");
         assert!(gauged.charge(60).is_ok());
         assert_eq!(gauged.charge(60), Err(Cancelled(CancelReason::MemoryBudgetExceeded)));
     }
@@ -412,7 +319,6 @@ mod tests {
     #[test]
     fn unlimited_never_trips() {
         let ctl = EvalControl::unlimited();
-        assert!(ctl.is_unlimited());
         let mut ticker = ctl.ticker();
         for _ in 0..10_000 {
             assert!(ticker.tick().is_ok());

@@ -38,9 +38,9 @@
 //!   `ρ_s(D) ≤ ρ_b(D)` for all `D`;
 //! * [`for_each_hom_limited`] exhaustively enumerates homomorphisms (the
 //!   primitive behind existence checks and certificate searches);
-//! * [`CancelToken`] / [`EvalControl`] give every counting loop
-//!   cooperative cancellation: deadlines, step budgets, and memory
-//!   gauges, carried on the request and reported through the unified
+//! * [`EvalControl`] gives every counting loop cooperative cancellation:
+//!   a deadline, a step budget, a checkpoint hook and a memory gauge,
+//!   carried on the request and reported through the unified
 //!   [`CountError`].
 //!
 //! ```
@@ -83,8 +83,7 @@ mod tw;
 
 pub use backend::{BackendChoice, CountError, CountRequest};
 pub use cancel::{
-    CancelReason, CancelToken, Cancelled, CheckpointHook, EvalControl, MemoryGauge, Ticker,
-    CHECK_INTERVAL,
+    CancelReason, Cancelled, CheckpointHook, EvalControl, MemoryGauge, Ticker, CHECK_INTERVAL,
 };
 pub use eval::{eval_power_query, eval_power_query_with, Engine, EvalOptions};
 pub use naive::{for_each_hom_limited, try_for_each_hom_limited, NaiveCounter};

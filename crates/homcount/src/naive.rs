@@ -338,7 +338,7 @@ pub fn for_each_hom_limited(q: &Query, d: &Structure, limit: u64, f: impl FnMut(
 }
 
 /// Cancellable form of [`for_each_hom_limited`]: additionally stops with
-/// [`Cancelled`] when the step budget or token of `ctl` trips.
+/// [`Cancelled`] when the step budget, deadline or hook of `ctl` trips.
 pub fn try_for_each_hom_limited(
     q: &Query,
     d: &Structure,
@@ -643,14 +643,12 @@ mod tests {
     }
 
     #[test]
-    fn pre_cancelled_token_stops_enumeration() {
-        use crate::cancel::CancelToken;
+    fn passed_deadline_stops_enumeration() {
+        use std::time::{Duration, Instant};
         let s = digraph();
         let d = complete_struct(&s, 6);
         let q = path_query(&s, "E", 6);
-        let token = CancelToken::new();
-        token.cancel();
-        let ctl = EvalControl::new(0, Some(token));
+        let ctl = EvalControl::new(0, Some(Instant::now() - Duration::from_millis(1)));
         let mut n = 0u64;
         let r = try_for_each_hom_limited(&q, &d, 0, &ctl, |_| {
             n += 1;

@@ -102,49 +102,6 @@ impl MultiplyGadget {
         None
     }
 
-    /// Parallel falsification sweep: like [`MultiplyGadget::falsify`] but
-    /// splits the seed range over `threads` OS threads with cooperative
-    /// early exit. Deterministic in *which* seeds are examined (the full
-    /// range is covered unless a violation is found), not in which
-    /// violation is returned first when several exist.
-    pub fn falsify_par(
-        &self,
-        gen: &StructureGen,
-        rounds: u64,
-        seed0: u64,
-        threads: usize,
-    ) -> Option<Structure> {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Mutex;
-        let threads = threads.max(1).min(rounds.max(1) as usize);
-        let found: Mutex<Option<Structure>> = Mutex::new(None);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for t in 0..threads as u64 {
-                let found = &found;
-                let stop = &stop;
-                let gen = gen.clone();
-                let this = &*self;
-                scope.spawn(move || {
-                    let mut seed = seed0 + t;
-                    while seed < seed0 + rounds {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let d = gen.sample(this.q_s.schema(), seed);
-                        if let LeCheck::Violated { .. } = this.check_le_on(&d) {
-                            *found.lock().unwrap() = Some(d);
-                            stop.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                        seed += threads as u64;
-                    }
-                });
-            }
-        });
-        found.into_inner().unwrap()
-    }
-
     /// Lemma 4: two gadgets over disjoint schemas compose into one that
     /// multiplies by the product of the ratios. Queries are transported to
     /// the disjoint-union schema (same-named constants — `♂`, `♀` — are
@@ -299,40 +256,5 @@ mod tests {
             d.identify(m, v)
         };
         assert_eq!(g.check_le_on(&trivial), LeCheck::Trivial);
-    }
-}
-
-#[cfg(test)]
-mod par_tests {
-    use super::*;
-    use crate::beta::beta_gadget;
-
-    #[test]
-    fn parallel_falsify_agrees_with_sequential() {
-        let g = beta_gadget(3, "Par");
-        let gen = StructureGen {
-            extra_vertices: 3,
-            density: 0.6,
-            max_tuples_per_relation: 40,
-            diagonal_density: 0.7,
-        };
-        // Lemma 5 holds, so neither sweep may find a violation.
-        assert!(g.falsify(&gen, 16, 500).is_none());
-        assert!(g.falsify_par(&gen, 16, 500, 4).is_none());
-    }
-
-    #[test]
-    fn parallel_falsify_finds_violations() {
-        // A deliberately wrong ratio gets caught by the parallel sweep.
-        let mut g = beta_gadget(3, "ParV");
-        g.ratio = bagcq_arith::Rat::from_u64s(1, 1000);
-        let gen = StructureGen {
-            extra_vertices: 2,
-            density: 0.7,
-            max_tuples_per_relation: 40,
-            diagonal_density: 0.9,
-        };
-        let hit = g.falsify_par(&gen, 64, 0, 4);
-        assert!(hit.is_some(), "wrong ratio must be falsifiable");
     }
 }

@@ -88,15 +88,6 @@ impl HttpError {
         }
     }
 
-    /// Whether a client that hit this error may safely retry the request
-    /// on a fresh connection: the frame never completed, so the peer
-    /// cannot have acted on it more than once (and with an
-    /// `Idempotency-Key`, not more than once *in total*). `Malformed` /
-    /// `TooLarge` responses are deterministic verdicts, not faults.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, HttpError::Truncated(_) | HttpError::Io(_))
-    }
-
     /// Human-readable detail for the error body.
     pub fn detail(&self) -> String {
         match self {
@@ -484,20 +475,14 @@ mod tests {
     }
 
     #[test]
-    fn truncated_response_body_is_typed_and_transient() {
-        // A complete head promising 10 body bytes, then EOF after 5: the
-        // loadgen retry path must see a typed `Truncated` (transient),
-        // not a bare io error it cannot classify.
+    fn truncated_response_body_is_typed() {
+        // A complete head promising 10 body bytes, then EOF after 5: a
+        // typed `Truncated` that names the cut, not a bare io error.
         let bytes = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort".as_slice();
         let e = read_response(&mut BufReader::new(bytes), &HttpLimits::default()).unwrap_err();
         assert!(matches!(e, HttpError::Truncated(_)), "{e:?}");
-        assert!(e.is_transient());
         assert!(e.status().is_none(), "nothing can be answered on a dead frame");
         assert!(e.detail().contains("truncated"), "{e:?}");
-        // Deterministic verdicts are NOT transient: retrying them loops.
-        assert!(!HttpError::Malformed("x".into()).is_transient());
-        assert!(!HttpError::TooLarge("x".into()).is_transient());
-        assert!(HttpError::Io(io::ErrorKind::ConnectionReset.into()).is_transient());
     }
 
     #[test]

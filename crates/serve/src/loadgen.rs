@@ -26,11 +26,12 @@
 //! responses, `X-Body-Crc` mismatches, 408 slow-client evictions, and
 //! corruption-induced 400s on frames known to be well-formed — under
 //! bounded, deterministically-jittered backoff. Every request carries a
-//! deterministic `Idempotency-Key`, so a retried delivery is replayed
-//! bit-identically by the server *without* a second admission charge;
-//! the report's `retries`/`hedges` tallies plus the server's per-tenant
-//! `idempotent_replays` counter let a test assert exactly-once count
-//! semantics end to end. Typed overload sheds (429/503/504) are **not**
+//! deterministic `Idempotency-Key`, so a retried delivery whose 200 the
+//! server computed is replayed bit-identically *without* a second
+//! admission charge (the server records no key when its response memo
+//! answered the delivery); the report's `retries`/`hedges` tallies plus
+//! the server's per-tenant `idempotent_replays` counter let a test
+//! assert exactly-once count semantics end to end. Typed overload sheds (429/503/504) are **not**
 //! retried — shedding is the server's contract, not a fault.
 //!
 //! [`LoadgenConfig::chaos_net`] additionally wraps the client's own

@@ -44,10 +44,11 @@
 //! `X-Body-Crc` (CRC-32) integrity header, and a request carrying one is
 //! verified before parsing (mismatch → typed, retryable 400 `corrupt`).
 //! A request carrying an `Idempotency-Key` header has its 200 memoized
-//! per `(tenant, key)`: a retried delivery replays the stored frame
-//! bit-identically **without** charging admission again, so per tenant
-//! `admitted + idempotent_replays == answered 200s` even under
-//! aggressive client retries/hedging.
+//! per `(tenant, key)` when that 200 was computed: a retried delivery
+//! then replays the stored frame bit-identically **without** charging
+//! admission again. A key is recorded only when its 200 was computed,
+//! not when the response memo answered it, so each retry of a delivery
+//! that the memo answered is admitted and charged again.
 //!
 //! `POST /admin/drain` is the SIGTERM-equivalent shutdown: it drains the
 //! engine (every in-flight job resolves; a job still waiting for an
@@ -167,13 +168,15 @@ struct Shared {
     /// engine's answers are bit-identical by construction), so repeated
     /// bodies skip parse + engine entirely. Admission is still charged
     /// per request (idempotent *replays* are the one exception — see
-    /// `idem_cache`); sheds/timeouts/auth are never cached.
+    /// `idem_cache`); sheds/timeouts/auth are never cached. A hit records
+    /// no `Idempotency-Key`.
     response_cache: Mutex<HashMap<String, CachedResponse>>,
-    /// Exactly-once delivery memo, keyed `(api key, Idempotency-Key)`.
-    /// A retry carrying the same key replays the stored 200 verbatim
-    /// *without* charging admission again — the retrying client's
-    /// answer is bit-identical to the first delivery and
-    /// `admitted + idempotent_replays == answered` holds per tenant.
+    /// Idempotent-delivery memo, keyed `(api key, Idempotency-Key)`.
+    /// A key is recorded only when its 200 was computed, not when
+    /// `response_cache` answered it. A retry carrying a recorded key
+    /// replays the stored 200 verbatim *without* charging admission
+    /// again, bit-identical to the first delivery; a retry of a delivery
+    /// the response memo answered is admitted and charged again.
     idem_cache: Mutex<HashMap<(String, String), CachedResponse>>,
 }
 
@@ -769,6 +772,8 @@ fn serve_job(request: &HttpRequest, shared: &Shared, kind: JobKind) -> (u16, &'s
     }
     drop(admit_span);
 
+    // A memo hit records no Idempotency-Key: a retry of this delivery is
+    // admitted and charged again (see `idem_cache`).
     if let Some(entry) = cached {
         bagcq_obs::instant(stages::SERVE_RESPOND, "memo_hit");
         drop(permit);

@@ -14,8 +14,8 @@
 //!
 //! Chaos mode: `--retries N` turns on the self-healing client (bounded
 //! retries of transient faults under deterministic backoff, one
-//! `Idempotency-Key` per request so re-deliveries are exactly-once),
-//! `--hedge-after-ms N` speculatively re-issues slow first deliveries,
+//! `Idempotency-Key` per request so a re-delivery of a computed 200 is
+//! not charged again), `--hedge-after-ms N` speculatively re-issues slow first deliveries,
 //! and `--chaos-net SEED` injects seeded faults into the *client's* own
 //! sockets. Run against `bagcq serve --chaos-net SEED` for the full
 //! both-sides chaos rehearsal — the run must still be clean.
