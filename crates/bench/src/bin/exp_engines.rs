@@ -144,7 +144,8 @@ fn main() {
     }
 
     // A containment check run on this thread through the engine: every
-    // count the refutation phase makes is cached + cross-validated.
+    // count the refutation phase makes is cross-validated, and only the
+    // verdict is cached.
     let edges = path_query(&schema, "E", 1);
     let walks = path_query(&schema, "E", 2);
     let out = engine.run(Job::check(CheckRequest::new(&edges, &walks).into_spec()));

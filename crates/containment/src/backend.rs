@@ -327,7 +327,7 @@ impl CheckSpec {
     /// over prepared queries.
     ///
     /// The resilient-evaluation entry point (the engine routes counts
-    /// through its memo cache and cross-validator this way): every
+    /// through its checkpoint and cross-validator this way): every
     /// disjunct is prepared once, the procedures count every candidate
     /// database through `counter`, and the first `Err` it returns aborts
     /// the whole check and comes back verbatim as [`CheckError::Counter`].

@@ -28,6 +28,12 @@
 //! once per check, and count through a [`PreparedCountFn`]: every
 //! candidate database is counted against the same component splits and
 //! decompositions.
+//!
+//! Candidates are built on demand, in a fixed order: a blow-up, square or
+//! union is constructed only when the search reaches it, so a check that
+//! refutes early never builds the rest, and the union procedure builds
+//! its b-side bases only after the s-side canonical structures failed to
+//! refute.
 
 use crate::chandra_merlin::canonical_refutation;
 use crate::verdict::{Certificate, Counterexample, Provenance, Verdict};
@@ -36,6 +42,7 @@ use bagcq_homcount::{find_onto_hom, PreparedQuery};
 use bagcq_query::Query;
 use bagcq_reduction::{eliminate_inequalities, EliminationError};
 use bagcq_structure::{Structure, StructureGen};
+use std::borrow::Cow;
 use std::slice;
 
 /// Signature of the injectable *fallible* counting function every
@@ -129,11 +136,10 @@ pub(crate) fn bag_search<E>(
     let (cs, _) = q_s.canonical_structure();
     let (cb, _) = q_b.canonical_structure();
     let both = cs.union(&cb);
-    let mut structured = Vec::new();
-    for base in [cs, cb, both] {
-        push_blowups(&mut structured, base, budget.max_blowup);
-    }
-    if let Some(v) = search.first(structured, Provenance::StructuredCandidate, counter)? {
+    let structured = [cs, cb, both].into_iter().flat_map(|base| blowups(base, budget.max_blowup));
+    if let Some(v) =
+        search.first(structured.map(Cow::Owned), Provenance::StructuredCandidate, counter)?
+    {
         return Ok(v);
     }
 
@@ -191,41 +197,51 @@ pub(crate) fn bag_ucq<E>(
     }
 
     // --- Refuters ---
-    // The Lemma 22-flavoured family over all disjuncts: canonical
-    // structures (s-side first — they realize any set-level failure),
-    // their union, blow-ups and squares.
+    // The Lemma 22-flavoured family over all disjuncts: the s-side
+    // canonical structures first (they realize any set-level failure),
+    // then the b-side's and the union of all of them, each with its
+    // blow-ups and square, then the s-side's blow-ups.
     let canonical_s: Vec<Structure> =
         u_s.iter().map(|p| p.query().canonical_structure().0).collect();
+    let mut search = Search::new(u_s, u_b, multiplier, budget);
+    let canonical = canonical_s.iter().map(Cow::Borrowed);
+    if let Some(v) = search.first(canonical, Provenance::CanonicalStructure, counter)? {
+        return Ok(v);
+    }
     let canonical_b: Vec<Structure> =
         u_b.iter().map(|q| q.query().canonical_structure().0).collect();
     let union_all = canonical_s.iter().chain(&canonical_b).cloned().reduce(|u, c| u.union(&c));
-    let mut structured = Vec::new();
-    for base in canonical_b.into_iter().chain(union_all) {
-        push_blowups(&mut structured, base, budget.max_blowup);
-    }
-    for base in &canonical_s {
-        structured.extend((2..=budget.max_blowup).map(|k| base.blowup(k)));
-    }
-    let mut search = Search::new(u_s, u_b, multiplier, budget);
-    for (candidates, provenance) in [
-        (canonical_s, Provenance::CanonicalStructure),
-        (structured, Provenance::StructuredCandidate),
-    ] {
-        if let Some(v) = search.first(candidates, provenance, counter)? {
-            return Ok(v);
-        }
+    let max_blowup = budget.max_blowup;
+    let structured = canonical_b
+        .into_iter()
+        .chain(union_all)
+        .flat_map(|base| blowups(base, max_blowup))
+        .chain(canonical_s.iter().flat_map(|base| (2..=max_blowup).map(|k| base.blowup(k))));
+    if let Some(v) =
+        search.first(structured.map(Cow::Owned), Provenance::StructuredCandidate, counter)?
+    {
+        return Ok(v);
     }
     search.random(counter)
 }
 
-/// Pushes `base`'s blow-ups, then its square when it has at most 8
-/// vertices, then `base` itself.
-fn push_blowups(out: &mut Vec<Structure>, base: Structure, max_blowup: u32) {
-    out.extend((2..=max_blowup).map(|k| base.blowup(k)));
-    if base.vertex_count() <= 8 {
-        out.push(base.product(&base));
-    }
-    out.push(base);
+/// `base`'s blow-ups `2..=max_blowup`, then its square when it has at
+/// most 8 vertices, then `base` itself, each built when the search asks
+/// for it.
+fn blowups(base: Structure, max_blowup: u32) -> impl Iterator<Item = Structure> {
+    let square = base.vertex_count() <= 8;
+    // The blow-up factor of each candidate before the base; `None` is the
+    // square.
+    let mut factors = (2..=max_blowup).map(Some).chain(square.then_some(None));
+    let mut base = Some(base);
+    std::iter::from_fn(move || {
+        let b = base.as_ref()?;
+        match factors.next() {
+            Some(Some(k)) => Some(b.blowup(k)),
+            Some(None) => Some(b.product(b)),
+            None => base.take(),
+        }
+    })
 }
 
 /// The refutation phases of one bag question `multiplier·ΣU_s(D) ≤
@@ -233,7 +249,8 @@ fn push_blowups(out: &mut Vec<Structure>, base: Structure, max_blowup: u32) {
 struct Search<'a> {
     u_s: &'a [PreparedQuery<'a>],
     u_b: &'a [PreparedQuery<'a>],
-    multiplier: &'a Rat,
+    /// `1/multiplier`: `q·s ≤ b  ⇔  s ≤ (1/q)·b`.
+    recip: Rat,
     budget: &'a SearchBudget,
     checked: usize,
 }
@@ -242,17 +259,17 @@ impl<'a> Search<'a> {
     fn new(
         u_s: &'a [PreparedQuery<'a>],
         u_b: &'a [PreparedQuery<'a>],
-        multiplier: &'a Rat,
+        multiplier: &Rat,
         budget: &'a SearchBudget,
     ) -> Self {
-        Search { u_s, u_b, multiplier, budget, checked: 0 }
+        Search { u_s, u_b, recip: multiplier.recip(), budget, checked: 0 }
     }
 
     /// The first candidate violating `multiplier·ΣU_s(d) ≤ ΣU_b(d)`, as a
-    /// refutation.
-    fn first<E>(
+    /// refutation that owns its database.
+    fn first<'d, E>(
         &mut self,
-        candidates: impl IntoIterator<Item = Structure>,
+        candidates: impl IntoIterator<Item = Cow<'d, Structure>>,
         provenance: Provenance,
         counter: &PreparedCountFn<'_, E>,
     ) -> Result<Option<Verdict>, E> {
@@ -263,8 +280,8 @@ impl<'a> Search<'a> {
                 continue; // q·0 ≤ anything
             }
             let count_b = union_count(self.u_b, &database, counter)?;
-            // q·s ≤ b  ⇔  s ≤ (1/q)·b.
-            if !self.multiplier.recip().le_scaled(&count_s, &count_b) {
+            if !self.recip.le_scaled(&count_s, &count_b) {
+                let database = database.into_owned();
                 let ce = Counterexample { database, count_s, count_b, provenance };
                 return Ok(Some(Verdict::Refuted(ce)));
             }
@@ -287,7 +304,9 @@ impl<'a> Search<'a> {
             let samples = (0..budget.random_rounds).map(|round| {
                 gen.sample(schema, budget.seed.wrapping_add((i as u64) << 32).wrapping_add(round))
             });
-            if let Some(v) = self.first(samples, Provenance::RandomSearch, counter)? {
+            if let Some(v) =
+                self.first(samples.map(Cow::Owned), Provenance::RandomSearch, counter)?
+            {
                 return Ok(v);
             }
         }
@@ -510,6 +529,30 @@ mod tests {
                 assert!(ce.count_s > ce.count_b);
             }
             other => panic!("expected refutation, got {other}"),
+        }
+    }
+
+    #[test]
+    fn blowups_keep_the_structured_order() {
+        // Blow-ups 2..=max, then the square of a base with at most 8
+        // vertices, then the base itself: C3's canonical structure has 3
+        // vertices, P8's has 9 and gets no square.
+        let s = digraph();
+        for (query, max_blowup, len) in [
+            (cycle_query(&s, "E", 3), 3, 4),
+            (cycle_query(&s, "E", 3), 1, 2),
+            (path_query(&s, "E", 8), 3, 3),
+        ] {
+            let base = query.canonical_structure().0;
+            let mut want: Vec<Structure> = (2..=max_blowup).map(|k| base.blowup(k)).collect();
+            if base.vertex_count() <= 8 {
+                want.push(base.product(&base));
+            }
+            want.push(base.clone());
+            let want: Vec<_> = want.iter().map(Structure::fingerprint).collect();
+            let got: Vec<_> = blowups(base, max_blowup).map(|d| d.fingerprint()).collect();
+            assert_eq!(got.len(), len);
+            assert_eq!(got, want);
         }
     }
 

@@ -50,12 +50,16 @@
 //!   [`Outcome::TimedOut`], memory exhaustion as
 //!   [`Outcome::MemoryBudgetExceeded`].
 //!
-//! Counts performed *inside* a containment check are routed through the
-//! same cache under the same key a direct [`JobSpec::Count`] job would
-//! use, so mixed workloads share work across job kinds. The check
-//! prepares each disjunct once ([`PreparedQuery`]), and its counts read
-//! the key's query half from the prepared query's cached fingerprint and
-//! resolve and count from its components and decompositions.
+//! The memo holds one entry per job, plus one per factor count of a
+//! [`JobSpec::EvalPower`] job (φ_s and φ_b share factors on the same
+//! database), under the key a [`JobSpec::Count`] job for that factor
+//! would have. The counts *inside* a containment check bypass it: its
+//! refutation search counts on fresh candidate databases, which almost
+//! never repeat, so each count goes straight to the kernels — through the
+//! `engine/count` checkpoint, under the attempt's controls, and
+//! cross-validated when that is on — and only the verdict is memoized.
+//! The check prepares each disjunct once ([`PreparedQuery`]) and resolves
+//! and counts from its components and decompositions.
 
 use crate::budget::MemoryBudget;
 use crate::cache::{Lookup, MemoCache};
@@ -70,6 +74,7 @@ use bagcq_homcount::{
     CountRequest, Engine, EvalControl, PreparedQuery,
 };
 use bagcq_obs as obs;
+use bagcq_query::Query;
 use bagcq_structure::{Fingerprint, Structure};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -233,31 +238,32 @@ impl Shared {
     }
 
     /// A raw count through the memo cache (the same key a direct
-    /// [`JobSpec::Count`] job uses). Joiners wait bounded by `deadline`;
-    /// if a leader fails, the joiner recomputes directly rather than
-    /// inheriting the failure.
+    /// [`JobSpec::Count`] job uses); the query is prepared only when this
+    /// caller computes the count. Joiners wait bounded by `deadline`; if a
+    /// leader fails, the joiner recomputes directly rather than inheriting
+    /// the failure.
     fn count_cached(
         &self,
         backend: BackendChoice,
-        p: &PreparedQuery<'_>,
+        q: &Query,
         d: &Structure,
         ctl: &EvalControl,
         deadline: Option<Instant>,
     ) -> Result<Nat, CountError> {
-        let key = count_fingerprint(p.fingerprint(), d, backend);
-        match self.cache.begin(key) {
+        let direct = || self.count_direct(backend, &PreparedQuery::new(q), d, ctl);
+        match self.cache.begin(count_fingerprint(q, d, backend)) {
             Lookup::Hit(Outcome::Count(n)) => Ok(n),
-            Lookup::Hit(_) => self.count_direct(backend, p, d, ctl),
+            Lookup::Hit(_) => direct(),
             Lookup::Join(flight) => match flight.wait(deadline) {
                 Some(Outcome::Count(n)) => Ok(n),
-                Some(_) => self.count_direct(backend, p, d, ctl),
+                Some(_) => direct(),
                 // Our own deadline expired while waiting on the leader.
                 None => Err(Cancelled(CancelReason::DeadlineExceeded).into()),
             },
             Lookup::Lead(token) => {
                 // If count_direct panics, the token's Drop evicts the
                 // in-flight slot and wakes joiners, so nobody hangs.
-                let result = self.count_direct(backend, p, d, ctl);
+                let result = direct();
                 let outcome = match &result {
                     Ok(n) => Outcome::Count(n.clone()),
                     Err(_) => Outcome::TimedOut,
@@ -271,7 +277,9 @@ impl Shared {
     /// Evaluates a spec once; `Err` carries the typed failure. Counts the
     /// spec does not pin (power-query factors, containment-internal
     /// counts) use [`BackendChoice::Auto`]; `backend_override` is the
-    /// ladder's backend substitution for its one hop.
+    /// ladder's backend substitution for its one hop. Only power-query
+    /// factors are counted through the memo: a count job is the memo's
+    /// own entry, and a check's counts go straight to the kernels.
     fn run_spec(
         &self,
         spec: &JobSpec,
@@ -293,14 +301,16 @@ impl Shared {
                 // cross-validation.
                 let backend = backend_override.unwrap_or(BackendChoice::Auto);
                 let power = eval_power_query_with(query, *exact_bits, |q| {
-                    self.count_cached(backend, &PreparedQuery::new(q), database, ctl, deadline)
+                    self.count_cached(backend, q, database, ctl, deadline)
                 })?;
                 Ok(Outcome::Power(power))
             }
             JobSpec::Check { spec } => {
+                // Candidate databases almost never repeat: count each on
+                // the kernels, not through the memo.
                 let backend = backend_override.unwrap_or(BackendChoice::Auto);
                 let counter = |p: &PreparedQuery<'_>, d: &Structure| -> Result<Nat, CountError> {
-                    self.count_cached(backend, p, d, ctl, deadline)
+                    self.count_direct(backend, p, d, ctl)
                 };
                 match spec.try_check_prepared(&counter) {
                     Ok(verdict) => Ok(Outcome::Verdict(Arc::new(verdict))),

@@ -46,9 +46,9 @@ pub enum JobSpec {
     },
     /// A containment check described by a [`CheckSpec`] — unions, set or
     /// bag [`Semantics`](bagcq_containment::Semantics), backend
-    /// [`ContainmentChoice`], multiplier, budget. Every count the
-    /// resolved backend's refutation phase performs is routed through the
-    /// engine's memo cache.
+    /// [`ContainmentChoice`], multiplier, budget. The verdict is memoized
+    /// under the spec's fingerprint; the counts the resolved procedure
+    /// performs run on the kernels without touching the memo.
     Check {
         /// The full check description.
         spec: CheckSpec,
@@ -74,7 +74,7 @@ impl JobSpec {
     pub fn fingerprint(&self) -> Fingerprint {
         match self {
             JobSpec::Count { query, database, backend } => {
-                count_fingerprint(query.fingerprint(), database, *backend)
+                count_fingerprint(query, database, *backend)
             }
             JobSpec::EvalPower { query, database, exact_bits } => {
                 let mut h = FingerprintHasher::new(b"bagcq/job/eval-power");
@@ -127,16 +127,16 @@ impl JobSpec {
 }
 
 /// The memo-cache key of a raw count — shared between [`JobSpec::Count`]
-/// jobs and the counts performed inside containment checks, so a
-/// containment job warms the cache for later direct counts (and vice
-/// versa). `q` is the query's [`Query::fingerprint`]; a check's
-/// counts pass the one their prepared disjunct cached.
+/// jobs and the factor counts of [`JobSpec::EvalPower`] jobs, so a power
+/// query warms the cache for later direct counts of its factors (and
+/// vice versa).
 pub(crate) fn count_fingerprint(
-    q: Fingerprint,
+    query: &Query,
     database: &Structure,
     backend: BackendChoice,
 ) -> Fingerprint {
     let mut h = FingerprintHasher::new(b"bagcq/job/count");
+    let q = query.fingerprint();
     h.write_u64(q.hi);
     h.write_u64(q.lo);
     let d = database.fingerprint();

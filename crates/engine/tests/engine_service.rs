@@ -1,14 +1,21 @@
 //! Integration tests for the evaluation service: a large mixed batch is
 //! bit-identical to the sequential baseline, repeated workloads hit the
-//! memo cache, deadlines isolate only the doomed job, and a panicking
-//! evaluation never stops the engine from serving.
+//! memo cache, a check's internal counts bypass it, deadlines isolate
+//! only the doomed job, and a panicking evaluation never stops the engine
+//! from serving.
 
-use bagcq_arith::Nat;
-use bagcq_containment::{CheckRequest, Semantics, Verdict};
-use bagcq_engine::{EngineConfig, EvalEngine, Job, JobSpec, Outcome};
+use bagcq_arith::{Nat, Rat};
+use bagcq_containment::{CheckRequest, CheckSpec, ContainmentChoice, Semantics, Verdict};
+use bagcq_engine::{
+    EngineConfig, EvalEngine, FaultInjector, FaultKind, FaultPlan, Job, JobSpec, MemoStore, Outcome,
+};
 use bagcq_homcount::{eval_power_query, BackendChoice, CountRequest, EvalOptions};
-use bagcq_query::{cycle_query, path_query, star_query, PowerQuery, Query, UnionQuery};
+use bagcq_query::{
+    cycle_query, parse_query, path_query, star_query, PowerQuery, Query, UnionQuery,
+};
 use bagcq_structure::{Schema, Structure, StructureGen, Vertex};
+use std::cell::Cell;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -249,4 +256,87 @@ fn cross_validation_runs_and_agrees() {
     let m = engine.metrics();
     assert!(m.cross_validations >= 5);
     assert_eq!(m.jobs_panicked, 0);
+}
+
+/// A bag-UCQ pair that no certificate proves and no candidate refutes:
+/// twice the edges equal the edges counted in both directions, but the
+/// multiplier 2 rules out every certificate, so the search examines every
+/// structured and random candidate and ends `Unknown`.
+fn unknown_ucq_spec(schema: &Arc<Schema>) -> CheckSpec {
+    let q = |src| parse_query(schema, src).expect("the test queries parse");
+    let u_s = UnionQuery::new(vec![q("E(x,y)")]);
+    let u_b = UnionQuery::new(vec![q("E(x,y)"), q("E(y,x)")]);
+    CheckRequest::union(u_s, u_b)
+        .containment(ContainmentChoice::BagUcq)
+        .multiplier(Rat::from_u64s(2, 1))
+        .into_spec()
+}
+
+/// The spec's verdict counted directly, and how many counts it took.
+fn direct_check(spec: &CheckSpec) -> (Verdict, u64) {
+    let counts = Cell::new(0u64);
+    let verdict = spec
+        .try_check_prepared::<Infallible>(&|p, d| {
+            counts.set(counts.get() + 1);
+            Ok(CountRequest::prepared(p, d).count())
+        })
+        .expect("the spec is supported");
+    (verdict, counts.get())
+}
+
+#[test]
+fn a_check_counts_on_the_kernels_and_memoizes_only_its_verdict() {
+    let spec = unknown_ucq_spec(&digraph_schema());
+    let (want, counts) = direct_check(&spec);
+    assert!(matches!(want, Verdict::Unknown { .. }), "the search must run dry: {want}");
+
+    let dir = std::env::temp_dir().join(format!("bagcq-check-memo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(MemoStore::open(&dir).expect("open the store"));
+    let engine = EvalEngine::new(EngineConfig {
+        workers: 1,
+        cross_validate: true,
+        store: Some(Arc::clone(&store)),
+        ..EngineConfig::default()
+    });
+    let got = engine.run(Job::check(spec));
+    assert_eq!(got.as_verdict().map(verdict_shape), Some(verdict_shape(&want)));
+    let m = engine.metrics();
+    // The verdict is the memo's one entry; its counts left none behind.
+    assert_eq!((engine.cache_entries(), m.cache_misses, m.cache_hits), (1, 1, 0), "{m}");
+    // Only counts are persisted, and the job's one outcome is a verdict.
+    assert_eq!(store.stats().appends, 0);
+    // Every count the search made ran on both kernels.
+    assert_eq!(m.cross_validations, counts);
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checks_counts_pass_the_engine_count_checkpoint() {
+    // Every checkpoint fires a panic until the plan's cap is spent. A
+    // check's first checkpoint is its first count's `engine/count`: one
+    // fault is absorbed by the hop to the backtracker, and two fail the
+    // job with that site's panic.
+    let spec = unknown_ucq_spec(&digraph_schema());
+    let (want, _) = direct_check(&spec);
+    for max_faults in [1, 2] {
+        let plan = FaultPlan::seeded(42)
+            .with_kinds(&[FaultKind::Panic])
+            .with_rate_per_mille(1000)
+            .with_max_faults(max_faults);
+        let injector = FaultInjector::new(plan);
+        let engine = EvalEngine::new(EngineConfig {
+            workers: 1,
+            fault: Some(Arc::clone(&injector)),
+            ..EngineConfig::default()
+        });
+        match (max_faults, engine.run(Job::check(spec.clone()))) {
+            (1, Outcome::Verdict(v)) => assert_eq!(verdict_shape(&v), verdict_shape(&want)),
+            (2, Outcome::Panicked(msg)) => assert!(msg.contains("engine/count"), "{msg}"),
+            (_, other) => panic!("{max_faults} faults: unexpected outcome {other:?}"),
+        }
+        assert_eq!(injector.injected(), max_faults);
+        assert_eq!(engine.cache_entries(), usize::from(max_faults == 1));
+    }
 }

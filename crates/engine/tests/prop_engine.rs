@@ -1,12 +1,13 @@
 //! Property tests: the concurrent, memoized engine is extensionally
 //! identical to the sequential evaluation functions — bit-identical
-//! `Nat`s, identical verdict shapes — across random databases, and
-//! repeated submissions are answered by the cache with equal results.
+//! `Nat`s, identical verdicts — across random databases and random query
+//! pairs, and repeated submissions are answered by the cache with equal
+//! results.
 
-use bagcq_containment::{CheckRequest, Verdict};
+use bagcq_containment::{CheckRequest, ContainmentChoice, Semantics, Verdict};
 use bagcq_engine::{EvalEngine, Job, Outcome};
 use bagcq_homcount::{BackendChoice, CountRequest};
-use bagcq_query::{cycle_query, path_query, Query};
+use bagcq_query::{cycle_query, path_query, Query, QueryGen, UnionGen};
 use bagcq_structure::{Schema, Structure, StructureGen};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -33,11 +34,100 @@ fn small_queries(schema: &Arc<Schema>) -> Vec<Query> {
     ]
 }
 
-fn verdict_shape(v: &Verdict) -> String {
+/// Every observable bit of a verdict: its certificate, or the
+/// counterexample's provenance, counts and database fingerprint, or the
+/// candidates an `Unknown` examined.
+fn render(v: &Verdict) -> String {
     match v {
         Verdict::Proved(c) => format!("proved:{c:?}"),
-        Verdict::Refuted(c) => format!("refuted:{}:{}", c.count_s, c.count_b),
+        Verdict::Refuted(ce) => {
+            let fp = ce.database.fingerprint();
+            let (s, b) = (&ce.count_s, &ce.count_b);
+            format!("refuted:{:?}:{s}:{b}:{:016x}{:016x}", ce.provenance, fp.hi, fp.lo)
+        }
         Verdict::Unknown { candidates_checked } => format!("unknown:{candidates_checked}"),
+    }
+}
+
+/// One request per procedure: a `QueryGen` pair for the two CQ-pair
+/// procedures, a `UnionGen` pair for the two union procedures, each under
+/// the semantics its procedure decides.
+fn requests(seed: u64) -> Vec<CheckRequest> {
+    let mut sb = Schema::builder();
+    sb.relation("E", 2);
+    sb.relation("F", 1);
+    let s = sb.build();
+    let cq = QueryGen { variables: 3, atoms: 3, constant_prob: 0.0, inequalities: 0 };
+    let ucq =
+        UnionGen { disjuncts_min: 1, disjuncts_max: 3, query: QueryGen { atoms: 2, ..cq.clone() } };
+    let (at, at_b) = (2 * seed, 2 * seed + 1);
+    [
+        (ContainmentChoice::BagSearch, Semantics::Bag),
+        (ContainmentChoice::SetChandraMerlin, Semantics::Set),
+        (ContainmentChoice::SetUcq, Semantics::Set),
+        (ContainmentChoice::BagUcq, Semantics::Bag),
+    ]
+    .into_iter()
+    .map(|(choice, semantics)| {
+        let request = match choice {
+            ContainmentChoice::BagSearch | ContainmentChoice::SetChandraMerlin => {
+                CheckRequest::new(&cq.sample(&s, at), &cq.sample(&s, at_b))
+            }
+            _ => CheckRequest::union(ucq.sample(&s, at), ucq.sample(&s, at_b)),
+        };
+        request.semantics(semantics).containment(choice)
+    })
+    .collect()
+}
+
+/// The `(procedure, verdict)` of every request for `seed`, checked
+/// through an engine and directly, which must agree bit for bit.
+fn engine_and_direct_verdicts(seed: u64) -> Vec<(String, String, String)> {
+    let engine = EvalEngine::with_workers(1);
+    requests(seed)
+        .into_iter()
+        .map(|request| {
+            let label = request.resolved_choice().label().to_string();
+            let want = render(&request.check().expect("each request suits its procedure"));
+            let got = match engine.run(Job::check(request.into_spec())) {
+                Outcome::Verdict(v) => render(&v),
+                other => format!("{other:?}"),
+            };
+            (label, got, want)
+        })
+        .collect()
+}
+
+/// The same property over seeds 0..24, whose bag-UCQ verdicts reach all
+/// three classes, `Unknown` included: the property is not vacuous on any
+/// of the search's outcomes.
+#[test]
+fn engine_checks_reach_unknown_and_refutations() {
+    let bag_ucq: Vec<String> = (0..24)
+        .flat_map(engine_and_direct_verdicts)
+        .filter(|(label, ..)| label == "bag-ucq")
+        .map(|(_, got, want)| {
+            assert_eq!(got, want);
+            got
+        })
+        .collect();
+    for class in ["proved", "refuted", "unknown"] {
+        assert!(bag_ucq.iter().any(|v| v.starts_with(class)), "no {class} verdict: {bag_ucq:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A check through the engine returns exactly the verdict
+    /// `CheckRequest::check` returns — certificate, counterexample
+    /// database and counts, or `candidates_checked` — under each of the
+    /// four procedures.
+    #[test]
+    fn engine_checks_match_direct_checks(seed in 0u64..1_000_000) {
+        for (label, got, want) in engine_and_direct_verdicts(seed) {
+            prop_assert_eq!(got, want, "{}", label);
+        }
     }
 }
 
@@ -94,7 +184,7 @@ proptest! {
         }
         match (&first[1], &second[1]) {
             (Outcome::Verdict(a), Outcome::Verdict(b)) => {
-                prop_assert_eq!(verdict_shape(a), verdict_shape(b))
+                prop_assert_eq!(render(a), render(b))
             }
             other => prop_assert!(false, "unexpected outcomes: {:?}", other),
         }

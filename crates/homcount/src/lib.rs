@@ -6,10 +6,10 @@
 //! Every count goes through one API — a [`CountRequest`] naming the
 //! query, the structure, a [`BackendChoice`], and optional cancellation
 //! controls — which runs one of two kernels. A query counted on many
-//! structures is prepared once ([`PreparedQuery`]: its component split,
-//! each component's min-fill decomposition and its fingerprint) and
-//! counted with [`CountRequest::prepared`]; `Auto` and both kernels read
-//! the prepared query, and [`CountRequest::new`] prepares its own.
+//! structures is prepared once ([`PreparedQuery`]: its component split
+//! and each component's min-fill decomposition) and counted with
+//! [`CountRequest::prepared`]; `Auto` and both kernels read the prepared
+//! query, and [`CountRequest::new`] prepares its own.
 //!
 //! * [`NaiveCounter`] — indexed backtracking enumeration with component
 //!   factorization (the reference / baseline engine). Each search

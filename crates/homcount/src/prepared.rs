@@ -9,8 +9,7 @@
 //!   is the product of the counts of its components);
 //! * each component's min-fill tree decomposition, built the first time
 //!   `Auto` or the DP asks for it — so a count pinned to the backtracker
-//!   never builds one, and `Auto` and the DP share it;
-//! * the query's fingerprint, computed the first time it is asked for.
+//!   never builds one, and `Auto` and the DP share it.
 //!
 //! [`CountRequest::prepared`](crate::CountRequest::prepared) counts a
 //! prepared query; [`CountRequest::new`](crate::CountRequest::new)
@@ -20,13 +19,11 @@
 use crate::common::UNASSIGNED;
 use crate::treedec::{min_fill, BitGraph, TreeDecomposition};
 use bagcq_query::{Query, Term};
-use bagcq_structure::Fingerprint;
 use std::sync::OnceLock;
 
 /// A borrowed [`Query`] plus everything about it that does not depend on
-/// the structure it is counted on: its connected components, each
-/// component's min-fill decomposition (built on first use) and its
-/// fingerprint (computed on first use).
+/// the structure it is counted on: its connected components and each
+/// component's min-fill decomposition (built on first use).
 ///
 /// ```
 /// use bagcq_homcount::{CountRequest, PreparedQuery};
@@ -55,7 +52,6 @@ pub struct PreparedQuery<'q> {
     query: &'q Query,
     components: Vec<QueryComponent>,
     free_vars: u32,
-    fingerprint: OnceLock<Fingerprint>,
 }
 
 /// One connected component of a query: the atoms, inequalities and
@@ -82,22 +78,16 @@ pub(crate) struct Decomposition {
 }
 
 impl<'q> PreparedQuery<'q> {
-    /// Splits `query` into its connected components. Decompositions and
-    /// the fingerprint wait until something asks for them.
+    /// Splits `query` into its connected components. Decompositions wait
+    /// until something asks for them.
     pub fn new(query: &'q Query) -> Self {
         let (components, free_vars) = components(query);
-        PreparedQuery { query, components, free_vars, fingerprint: OnceLock::new() }
+        PreparedQuery { query, components, free_vars }
     }
 
     /// The query this was prepared from.
     pub fn query(&self) -> &'q Query {
         self.query
-    }
-
-    /// The query's content fingerprint ([`Query::fingerprint`]), computed
-    /// once.
-    pub fn fingerprint(&self) -> Fingerprint {
-        *self.fingerprint.get_or_init(|| self.query.fingerprint())
     }
 
     /// The largest width min-fill found over the query's components (0
@@ -306,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn decompositions_and_fingerprint_are_built_once() {
+    fn decompositions_are_built_once() {
         let mut b = SchemaBuilder::default();
         b.relation("E", 2);
         let s = b.build();
@@ -314,6 +304,5 @@ mod tests {
         let p = PreparedQuery::new(&q);
         let c = &p.components()[1];
         assert!(std::ptr::eq(c.decomposition(&q), c.decomposition(&q)));
-        assert_eq!(p.fingerprint(), q.fingerprint());
     }
 }
