@@ -86,6 +86,14 @@ use std::time::{Duration, Instant};
 /// Memo-cache shards (lock granularity).
 const CACHE_SHARDS: usize = 16;
 
+/// The slot count `workers: 0` picks: one per core, at most 8. Resolved
+/// once per process, because `available_parallelism` reads the cgroup
+/// files on every call, tens of microseconds on each engine start.
+fn default_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8))
+}
+
 /// Configuration for an [`EvalEngine`]. The default picks one evaluation
 /// slot per core (at most 8) and has no cross-validation, fault injector,
 /// byte budget or store.
@@ -93,7 +101,9 @@ const CACHE_SHARDS: usize = 16;
 pub struct EngineConfig {
     /// Evaluation slots: how many evaluations run at once, and how many
     /// threads [`EvalEngine::submit_batch`] starts at most. `0` picks
-    /// `available_parallelism` (capped at 8).
+    /// `available_parallelism` (capped at 8), read once per process: a
+    /// later change of the process's CPU quota does not resize engines
+    /// built after it.
     pub workers: usize,
     /// When `true`, every raw count is computed by **both** counting
     /// algorithms (the resolved backend plus the kernel of the *other*
@@ -563,11 +573,7 @@ impl EvalEngine {
     /// Builds an engine with the given configuration. It spawns no
     /// thread.
     pub fn new(config: EngineConfig) -> Self {
-        let worker_count = if config.workers == 0 {
-            thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8)
-        } else {
-            config.workers
-        };
+        let worker_count = if config.workers == 0 { default_workers() } else { config.workers };
         let metrics = Arc::new(Metrics::new());
         let drain_stop = Arc::new(AtomicBool::new(false));
         let hook = Arc::new(EngineHook {

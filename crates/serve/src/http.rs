@@ -204,7 +204,7 @@ pub fn read_request(
     Ok(Some(HttpRequest { method, path, headers, body, keep_alive }))
 }
 
-/// Writes one `text/plain` response.
+/// Writes one `text/plain` response in one `write_all`.
 pub fn write_response(
     writer: &mut impl Write,
     status: u16,
@@ -227,15 +227,42 @@ pub fn write_response_with_headers(
     extra: &[(&str, String)],
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
+    write_message(
         writer,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
-        body.len()
-    )?;
+        format_args!(
+            "HTTP/1.1 {status} {reason}\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
+            body.len()
+        ),
+        extra,
+        body.as_bytes(),
+    )
+}
+
+/// Encodes one whole message (`head`, which ends in `\r\n`, then the
+/// extra headers, the blank line and the body) into one buffer and hands
+/// it to `writer` with a single `write_all`. On a `TCP_NODELAY` socket
+/// every `write` call leaves as a segment of its own, so a message
+/// written piece by piece costs a syscall and a segment per piece.
+fn write_message(
+    writer: &mut impl Write,
+    head: std::fmt::Arguments<'_>,
+    extra: &[(&str, String)],
+    body: &[u8],
+) -> io::Result<()> {
+    // 128 bytes hold the start line and the fixed headers of the
+    // messages the server and its clients send.
+    let extra_len: usize = extra.iter().map(|(name, value)| name.len() + value.len() + 4).sum();
+    let mut message = Vec::with_capacity(128 + extra_len + 2 + body.len());
+    message.write_fmt(head)?;
     for (name, value) in extra {
-        write!(writer, "{name}: {value}\r\n")?;
+        message.extend_from_slice(name.as_bytes());
+        message.extend_from_slice(b": ");
+        message.extend_from_slice(value.as_bytes());
+        message.extend_from_slice(b"\r\n");
     }
-    write!(writer, "\r\n{body}")?;
+    message.extend_from_slice(b"\r\n");
+    message.extend_from_slice(body);
+    writer.write_all(&message)?;
     writer.flush()
 }
 
@@ -274,8 +301,8 @@ impl HttpResponse {
     }
 }
 
-/// Writes one request with an `X-Api-Key` header (the load generator's
-/// client side).
+/// Writes one request with an `X-Api-Key` header in one `write_all`
+/// (the load generator's client side).
 pub fn write_request(
     writer: &mut impl Write,
     method: &str,
@@ -296,17 +323,15 @@ pub fn write_request_with_headers(
     body: &[u8],
     extra: &[(&str, String)],
 ) -> io::Result<()> {
-    write!(
+    write_message(
         writer,
-        "{method} {path} HTTP/1.1\r\nX-Api-Key: {api_key}\r\nContent-Length: {}\r\n",
-        body.len()
-    )?;
-    for (name, value) in extra {
-        write!(writer, "{name}: {value}\r\n")?;
-    }
-    write!(writer, "\r\n")?;
-    writer.write_all(body)?;
-    writer.flush()
+        format_args!(
+            "{method} {path} HTTP/1.1\r\nX-Api-Key: {api_key}\r\nContent-Length: {}\r\n",
+            body.len()
+        ),
+        extra,
+        body,
+    )
 }
 
 /// Reads one response off a client connection. `Ok(None)` on clean EOF.
@@ -519,6 +544,93 @@ mod tests {
         assert_eq!(req.header("idempotency-key"), Some("req-0042"));
         assert_eq!(req.header("x-api-key"), Some("k1"));
         assert_eq!(req.body, b"body");
+    }
+
+    /// A writer that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn crc_header(body: &[u8]) -> (&'static str, String) {
+        ("X-Body-Crc", format!("{:08x}", crc32(body)))
+    }
+
+    /// Each message leaves in one `write` call, with exactly these bytes
+    /// on the wire.
+    #[test]
+    fn each_message_is_one_write_with_unchanged_bytes() {
+        let mut ok = CountingWriter::default();
+        let body = "ok: count\ncount: 4\n";
+        write_response_with_headers(&mut ok, 200, "OK", body, true, &[crc_header(body.as_bytes())])
+            .unwrap();
+
+        let mut shed = CountingWriter::default();
+        let body = "error: shed\nreason: quota_exceeded\ndetail: tenant over its request rate\n";
+        write_response_with_headers(
+            &mut shed,
+            429,
+            "Too Many Requests",
+            body,
+            false,
+            &[crc_header(body.as_bytes()), ("Retry-After", "1".to_string())],
+        )
+        .unwrap();
+
+        let mut post = CountingWriter::default();
+        let body = b"query:\n  ?- e(X, Y).\ndatabase:\n  e(a, b).\n";
+        write_request_with_headers(
+            &mut post,
+            "POST",
+            "/v1/count",
+            "dev-key",
+            body,
+            &[("Idempotency-Key", "req-0042".to_string()), crc_header(body)],
+        )
+        .unwrap();
+
+        let mut probe = CountingWriter::default();
+        write_request(&mut probe, "GET", "/healthz", "dev-key", b"").unwrap();
+
+        let expected = [
+            (
+                ok,
+                "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                 Content-Length: 19\r\nConnection: keep-alive\r\nX-Body-Crc: 5270386f\r\n\r\n\
+                 ok: count\ncount: 4\n",
+            ),
+            (
+                shed,
+                "HTTP/1.1 429 Too Many Requests\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                 Content-Length: 72\r\nConnection: close\r\nX-Body-Crc: 34bc0c8c\r\n\
+                 Retry-After: 1\r\n\r\n\
+                 error: shed\nreason: quota_exceeded\ndetail: tenant over its request rate\n",
+            ),
+            (
+                post,
+                "POST /v1/count HTTP/1.1\r\nX-Api-Key: dev-key\r\nContent-Length: 42\r\n\
+                 Idempotency-Key: req-0042\r\nX-Body-Crc: a681b369\r\n\r\n\
+                 query:\n  ?- e(X, Y).\ndatabase:\n  e(a, b).\n",
+            ),
+            (probe, "GET /healthz HTTP/1.1\r\nX-Api-Key: dev-key\r\nContent-Length: 0\r\n\r\n"),
+        ];
+        for (written, wire) in expected {
+            assert_eq!(String::from_utf8(written.bytes).unwrap(), wire);
+            assert_eq!(written.writes, 1, "{wire:?} left in more than one write");
+        }
     }
 
     #[test]

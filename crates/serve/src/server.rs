@@ -1,6 +1,6 @@
 //! The threaded TCP front door.
 //!
-//! [`Server::start`] binds a listener, spawns acceptor threads, and
+//! [`Server::start`] binds a listener, spawns one acceptor thread, and
 //! serves each connection on its own thread (keep-alive, bounded by
 //! [`ServerConfig::max_connections`]). One connection thread reads,
 //! parses, evaluates and answers each request: a memo miss is evaluated
@@ -75,13 +75,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Configuration for [`Server::start`].
+/// Configuration for [`Server::start`]. The threads are not configured:
+/// one acceptor, and one per live connection up to `max_connections`.
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Acceptor threads sharing the listener.
-    pub acceptors: usize,
     /// Maximum live connections; excess accepts get an immediate 503.
     pub max_connections: usize,
     /// The tenant roster (API keys + quotas).
@@ -127,7 +126,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            acceptors: 2,
             max_connections: 256,
             tenants: vec![TenantSpec::new("default", "dev-key")],
             admin_key: Some("admin-key".into()),
@@ -193,11 +191,12 @@ const RESPONSE_CACHE_MAX_BODY: usize = 64 * 1024;
 /// bit-identical through the response memo).
 const IDEM_CACHE_CAP: usize = 65_536;
 
-/// A running server. Dropping it shuts it down.
+/// A running server: one acceptor thread, and a thread per live
+/// connection. Dropping it shuts it down.
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    acceptors: Vec<thread::JoinHandle<()>>,
+    acceptor: Option<thread::JoinHandle<()>>,
 }
 
 impl Server {
@@ -227,18 +226,14 @@ impl Server {
             response_cache: Mutex::new(HashMap::new()),
             idem_cache: Mutex::new(HashMap::new()),
         });
-        let mut acceptors = Vec::new();
-        for i in 0..config.acceptors.max(1) {
-            let listener = listener.try_clone()?;
+        let acceptor = {
             let shared = Arc::clone(&shared);
-            acceptors.push(
-                thread::Builder::new()
-                    .name(format!("bagcq-serve-accept-{i}"))
-                    .spawn(move || accept_loop(listener, shared))
-                    .expect("spawn acceptor"),
-            );
-        }
-        Ok(Server { shared, local_addr, acceptors })
+            thread::Builder::new()
+                .name("bagcq-serve-accept".into())
+                .spawn(move || accept_loop(listener, shared))
+                .expect("spawn acceptor")
+        };
+        Ok(Server { shared, local_addr, acceptor: Some(acceptor) })
     }
 
     /// The bound address (resolves port 0).
@@ -277,29 +272,20 @@ impl Server {
         *guard
     }
 
-    /// Stops accepting, wakes the acceptors, and joins them. In-flight
+    /// Stops accepting, wakes the acceptor, and joins it. In-flight
     /// connections finish their current request and close.
-    pub fn shutdown(mut self) {
-        self.stop_accepting();
-        for handle in self.acceptors.drain(..) {
-            let _ = handle.join();
-        }
-    }
-
-    fn stop_accepting(&self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        // Wake each acceptor blocked in accept() with a no-op connection.
-        for _ in 0..self.acceptors.len().max(1) {
-            let _ = TcpStream::connect(self.local_addr);
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop_accepting();
-        for handle in self.acceptors.drain(..) {
-            let _ = handle.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            self.shared.stop.store(true, Ordering::Relaxed);
+            // Wake the acceptor blocked in accept() with a no-op connection.
+            let _ = TcpStream::connect(self.local_addr);
+            let _ = acceptor.join();
         }
     }
 }
